@@ -2,9 +2,7 @@
 
 Everything except the chi-square test is exact rational arithmetic with no
 tolerances; the chi-square decision is inherently statistical and is taken
-at a configurable level (default 0.001). All operations are pure; the
-subset-pair enumeration in ``verify_k_dependence`` may be partitioned
-across workers with deterministic aggregation.
+at a configurable level (default 0.001). All operations are pure.
 """
 
 from __future__ import annotations

@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import Optional
 
 from . import __version__
@@ -21,7 +20,7 @@ from .dist import ExactDist
 from .errors import BudgetExceeded
 from .growth import RngStream, eden_sample, necklace_sample
 from .recurrence import DEFAULT_BUDGET, cycle_law, is_theorem_grade, line_window_law
-from .suites import SUITES, run_all, run_suite
+from .suites import SUITES, kdep_report, run_all, run_suite
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -54,10 +53,6 @@ def _env_float(name: str, default: float) -> float:
     except ValueError:
         print(f"warning: ignoring non-numeric {name}={raw!r}", file=sys.stderr)
         return default
-
-
-def _default_threads() -> int:
-    return _env_int("FINDEP_THREADS", os.cpu_count() or 1)
 
 
 def _write(text: str, out: Optional[str]) -> None:
@@ -97,28 +92,15 @@ def _cmd_exact(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _sample_words(sampler, n, q, reps, seed, threads):
-    """Replicate r always uses stream r, so output is independent of threads."""
-
-    def one(rep: int):
-        return sampler(n, q, RngStream(seed, rep))
-
-    if threads <= 1 or reps < 2:
-        return [one(r) for r in range(reps)]
-    chunk = (reps + threads - 1) // threads
-    ranges = [range(i, min(i + chunk, reps)) for i in range(0, reps, chunk)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = pool.map(lambda rr: [one(r) for r in rr], ranges)
-        return [w for part in parts for w in part]
-
-
 def _cmd_sample(args: argparse.Namespace) -> int:
+    if args.reps < 1:
+        raise ValueError(f"--reps must be at least 1, got {args.reps}")
     seed = args.seed if args.seed is not None else _env_int("FINDEP_SEED", 0)
     alpha = args.alpha if args.alpha is not None else _env_float("FINDEP_ALPHA", 0.001)
     budget = args.budget if args.budget is not None else _env_int("FINDEP_BUDGET", DEFAULT_BUDGET)
-    threads = args.threads if args.threads is not None else _default_threads()
     sampler = necklace_sample if args.sampler == "necklace" else eden_sample
-    words = _sample_words(sampler, args.n, args.q, args.reps, seed, threads)
+    # replicate r draws from stream r
+    words = [sampler(args.n, args.q, RngStream(seed, r)) for r in range(args.reps)]
 
     sample_meta = {
         "schema": _SCHEMA_SAMPLES,
@@ -171,70 +153,20 @@ def _report_csv(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _suite_kwargs(args: argparse.Namespace) -> dict:
-    name = args.suite
-    kw: dict = {}
-    if name == "kdep":
-        if args.n is not None or args.q is not None or args.k is not None:
-            # explicit single-case mode: verify (or refute) the requested range
-            n = args.n if args.n is not None else 6
-            q = args.q if args.q is not None else 3
-            k = args.k if args.k is not None else (2 if q == 3 else 1)
-            return {"_single": (n, q, k)}
-        if args.max_n is not None:
-            kw["ns"] = range(5, args.max_n + 1)
-    elif name == "partition":
-        if args.max_n is not None:
-            kw["max_n"] = args.max_n
-    elif name in ("mobius", "shift", "restriction", "kernels"):
-        if args.max_n is not None:
-            kw["max_n"] = args.max_n
-    elif name == "symmetry":
-        if args.max_n is not None:
-            kw["ns"] = range(3, args.max_n + 1)
-    elif name == "window":
-        if args.max_n is not None:
-            kw["max_m"] = args.max_n
-    elif name == "coupling":
-        if args.max_n is not None:
-            kw["ns"] = range(3, args.max_n + 1)
-    elif name == "marginals":
-        if args.max_n is not None:
-            kw["max_n"] = min(args.max_n, 8)
-            kw["max_n_bits"] = min(args.max_n, 9)
-            kw["max_window"] = min(args.max_n, 6)
-    return kw
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
-    if args.suite == "all":
-        report = run_all(max_n=args.max_n)
+    single = (args.n, args.q, args.k) != (None, None, None)
+    if single and args.suite != "kdep":
+        raise ValueError("--n/--q/--k apply only to 'verify kdep'")
+    if single and args.max_n is not None:
+        raise ValueError("verify kdep takes --max-n or --n/--q/--k, not both")
+    if single:
+        q = args.q if args.q is not None else 3
+        k = args.k if args.k is not None else (2 if q == 3 else 1)
+        report = kdep_report(args.n if args.n is not None else 6, q, k)
+    elif args.suite == "all":
+        report = run_all(args.max_n)
     else:
-        kw = _suite_kwargs(args)
-        single = kw.pop("_single", None)
-        if single is not None:
-            from .analysis import k_dependence_counterexample
-
-            n, q, k = single
-            cex = k_dependence_counterexample(cycle_law(n, q), k)
-            report = {
-                "suite": "kdep",
-                "passed": cex is None,
-                "cases": [
-                    {
-                        "n": n,
-                        "q": q,
-                        "k": k,
-                        "passed": cex is None,
-                        "counterexample": None
-                        if cex is None
-                        else {"s1": cex[0], "s2": cex[1]},
-                    }
-                ],
-                "counterexample": None if cex is None else {"s1": cex[0], "s2": cex[1]},
-            }
-        else:
-            report = run_suite(args.suite, **kw)
+        report = run_suite(args.suite, args.max_n)
     if args.format == "csv":
         _write(_report_csv(report), args.out)
     else:
@@ -257,17 +189,16 @@ def build_parser() -> argparse.ArgumentParser:
         prog="findep",
         description="Exact laws, samplers, and verification for finitely "
         "dependent proper colorings of cycles and lines.",
-        epilog="Environment: FINDEP_BUDGET, FINDEP_THREADS, FINDEP_SEED, "
-        "FINDEP_ALPHA supply defaults; flags override. Exit codes: 0 ok, "
-        "1 verification failure, 2 usage error, 3 budget exceeded.",
+        epilog="Environment: FINDEP_BUDGET, FINDEP_SEED, FINDEP_ALPHA supply "
+        "defaults; flags override. --threads is deprecated and ignored. Exit "
+        "codes: 0 ok, 1 verification failure, 2 usage error, 3 budget exceeded.",
     )
     parser.add_argument("--version", action="version", version=f"findep {__version__}")
     parser.add_argument(
         "--threads",
         type=int,
         default=None,
-        help="bound worker concurrency (default: available parallelism); "
-        "results are independent of this value",
+        help="deprecated; ignored (draws and checks run in one thread)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -317,6 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.threads is not None:
+        print("warning: --threads is deprecated and has no effect", file=sys.stderr)
     try:
         return args.func(args)
     except BudgetExceeded as exc:

@@ -101,46 +101,24 @@ def _min_rotation(t: tuple[int, ...]) -> tuple[int, ...]:
     return best
 
 
-def _relabel_first_occurrence(t: tuple[int, ...]) -> tuple[int, ...]:
-    seen: dict[int, int] = {}
-    out = []
-    for s in t:
-        if s not in seen:
-            seen[s] = len(seen) + 1
-        out.append(seen[s])
-    return tuple(out)
-
-
-def _canon_rot(t: tuple[int, ...]) -> tuple[int, ...]:
-    return _min_rotation(t)
-
-
-def _canon_rot_color(t: tuple[int, ...]) -> tuple[int, ...]:
-    n = len(t)
-    if n == 0:
-        return t
-    return min(_relabel_first_occurrence(t[r:] + t[:r]) for r in range(n))
-
-
 # Memoized across the whole run, not per call: the recursion over deletions
 # revisits the same subsequence classes from many top-level words.
 _MEMO_CIRC: dict[tuple[int, ...], int] = {(): 1}
-_MEMO_CIRC_COLOR: dict[tuple[int, ...], int] = {(): 1}
 _MEMO_VEC: dict[tuple[int, ...], int] = {(): 1}
 
 
-def _b_circ_rec(t: tuple[int, ...], memo: dict, canon) -> int:
-    key = canon(t)
-    val = memo.get(key)
+def _b_circ_rec(t: tuple[int, ...]) -> int:
+    key = _min_rotation(t)
+    val = _MEMO_CIRC.get(key)
     if val is not None:
         return val
     if not tuple_is_cyclically_proper(key):
-        memo[key] = 0
+        _MEMO_CIRC[key] = 0
         return 0
     total = 0
     for i in range(len(key)):
-        total += _b_circ_rec(key[:i] + key[i + 1 :], memo, canon)
-    memo[key] = total
+        total += _b_circ_rec(key[:i] + key[i + 1 :])
+    _MEMO_CIRC[key] = total
     return total
 
 
@@ -158,16 +136,9 @@ def _b_vec_rec(t: tuple[int, ...]) -> int:
     return total
 
 
-def b_circ(x: WordLike, q: int, *, canonical_colors: bool = False) -> int:
-    """Insertion count of the cyclic word x (exact, arbitrary precision).
-
-    ``canonical_colors=True`` additionally folds memo entries across color
-    relabelings; it must (and is tested to) return identical values.
-    """
-    t = as_symbols(x, q)
-    if canonical_colors:
-        return _b_circ_rec(t, _MEMO_CIRC_COLOR, _canon_rot_color)
-    return _b_circ_rec(t, _MEMO_CIRC, _canon_rot)
+def b_circ(x: WordLike, q: int) -> int:
+    """Insertion count of the cyclic word x (exact, arbitrary precision)."""
+    return _b_circ_rec(as_symbols(x, q))
 
 
 def b_vec(x: WordLike, q: int) -> int:

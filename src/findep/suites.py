@@ -6,6 +6,9 @@ Each suite returns a JSON-ready report::
 
 with one entry per checked case and the first failing case (if any)
 surfaced as a minimal counterexample. All checks are exact.
+
+Every suite but ``blockfactor-stat`` is sized by one ``max_n``, a bound on
+word length; ``SIZES`` gives its default and smallest value.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from .dist import state_text
 from .recurrence import b_circ, b_circ_mobius, b_vec, cycle_law, line_window_law
 from .words import Word
 
-__all__ = ["SUITES", "run_all", "run_suite"]
+__all__ = ["SIZES", "SUITES", "kdep_report", "run_all", "run_suite"]
 
 
 def _report(suite: str, cases: list[dict]) -> dict:
@@ -37,7 +40,7 @@ def _all_words(n: int, q: int):
     return product(range(1, q + 1), repeat=n)
 
 
-def partition_suite(max_n: int = 10, qs: Iterable[int] = (3, 4, 5, 6)) -> dict:
+def partition_suite(max_n: int, qs: Iterable[int] = (3, 4, 5, 6)) -> dict:
     """z_circ(n, q) == n! q (q-1) (q-2)^(n-2) for n in [2, max_n]."""
     cases = []
     for q in qs:
@@ -57,7 +60,7 @@ def partition_suite(max_n: int = 10, qs: Iterable[int] = (3, 4, 5, 6)) -> dict:
     return _report("partition", cases)
 
 
-def mobius_suite(max_n: int = 8, qs: Iterable[int] = (3, 4)) -> dict:
+def mobius_suite(max_n: int, qs: Iterable[int] = (3, 4)) -> dict:
     """Inclusion-exclusion form equals the defining recurrence on every word."""
     cases = []
     for q in qs:
@@ -73,7 +76,7 @@ def mobius_suite(max_n: int = 8, qs: Iterable[int] = (3, 4)) -> dict:
     return _report("mobius", cases)
 
 
-def shift_suite(max_n: int = 8, qs: Iterable[int] = (3, 4)) -> dict:
+def shift_suite(max_n: int, qs: Iterable[int] = (3, 4)) -> dict:
     """Count-level invariance of b_circ under rotation, reflection, relabeling."""
     cases = []
     for q in qs:
@@ -97,12 +100,12 @@ def shift_suite(max_n: int = 8, qs: Iterable[int] = (3, 4)) -> dict:
     return _report("shift", cases)
 
 
-def symmetry_suite(ns: Iterable[int] = range(3, 9), qs: Iterable[int] = (3, 4)) -> dict:
+def symmetry_suite(max_n: int, qs: Iterable[int] = (3, 4)) -> dict:
     """Law-level invariance of the cycle law under the full symmetry group."""
     cases = []
     for q in qs:
         perms = list(permutations(range(1, q + 1)))
-        for n in ns:
+        for n in range(3, max_n + 1):
             d = cycle_law(n, q)
             ok_rot = all(analysis.symmetry_check(d, "rotation", r=r) for r in range(1, n))
             ok_ref = analysis.symmetry_check(d, "reflection")
@@ -124,7 +127,7 @@ def symmetry_suite(ns: Iterable[int] = range(3, 9), qs: Iterable[int] = (3, 4)) 
     return _report("symmetry", cases)
 
 
-def restriction_suite(max_n: int = 8) -> dict:
+def restriction_suite(max_n: int) -> dict:
     """Extension-count identity: restriction_sum(x, k, q) vs c * b_vec(x, q).
 
     Checked in two normalizations of the constant c:
@@ -177,11 +180,11 @@ def restriction_suite(max_n: int = 8) -> dict:
     return _report("restriction", cases)
 
 
-def window_suite(max_m: int = 9) -> dict:
+def window_suite(max_n: int) -> dict:
     """Cycle-law marginals onto initial coordinates equal the line window laws."""
     cases = []
     for (k, q) in ((1, 4), (2, 3)):
-        for m in range(4, max_m + 1):
+        for m in range(4, max_n + 1):
             lhs = analysis.marginalize(cycle_law(m, q), range(1, m - k + 1))
             rhs = line_window_law(m - k, k, q)
             passed = lhs == rhs
@@ -197,47 +200,47 @@ def window_suite(max_m: int = 9) -> dict:
     return _report("window", cases)
 
 
-def kdep_suite(
-    ns: Iterable[int] = range(5, 10),
-    include_negative: bool = True,
-) -> dict:
+def _kdep_case(n: int, q: int, k: int, expected: str = "independent") -> dict:
+    """Check whether cycle_law(n, q) is k-dependent; the case passes when the
+    answer is the ``expected`` one ("independent" or "dependent")."""
+    cex = analysis.k_dependence_counterexample(cycle_law(n, q), k)
+    pair = None if cex is None else {"s1": cex[0], "s2": cex[1]}
+    case = {"n": n, "q": q, "k": k, "expected": expected}
+    if expected == "independent":
+        return {**case, "passed": pair is None, "counterexample": pair}
+    return {
+        **case,
+        "passed": pair is not None,
+        "dependent_pair": pair,
+        "counterexample": None if pair else {"n": n, "q": q, "k": k},
+    }
+
+
+def kdep_suite(max_n: int) -> dict:
     """Dependence range of the cycle laws: 2-dependence at q=3, 1-dependence
     at q=4, plus the negative control (q=3 is not 1-dependent)."""
-    cases = []
-    for q, k in ((3, 2), (4, 1)):
-        for n in ns:
-            cex = analysis.k_dependence_counterexample(cycle_law(n, q), k)
-            cases.append(
-                {
-                    "n": n,
-                    "q": q,
-                    "k": k,
-                    "expected": "independent",
-                    "passed": cex is None,
-                    "counterexample": None if cex is None else {"s1": cex[0], "s2": cex[1]},
-                }
-            )
-    if include_negative:
-        cex = analysis.k_dependence_counterexample(cycle_law(5, 3), 1)
-        cases.append(
-            {
-                "n": 5,
-                "q": 3,
-                "k": 1,
-                "expected": "dependent",
-                "passed": cex is not None,
-                "dependent_pair": None if cex is None else {"s1": cex[0], "s2": cex[1]},
-                "counterexample": None if cex is not None else {"n": 5, "q": 3, "k": 1},
-            }
-        )
+    cases = [
+        _kdep_case(n, q, k) for q, k in ((3, 2), (4, 1)) for n in range(5, max_n + 1)
+    ]
+    cases.append(_kdep_case(5, 3, 1, expected="dependent"))
     return _report("kdep", cases)
 
 
-def coupling_suite(ns: Iterable[int] = range(3, 8), qs: Iterable[int] = (3, 4)) -> dict:
+def kdep_report(n: int, q: int, k: int) -> dict:
+    """Report of the one case "cycle_law(n, q) is k-dependent"."""
+    if n < 2 * k + 2:
+        raise ValueError(
+            f"no coordinate pair is at cyclic distance > {k} when n = {n}; "
+            f"k = {k} needs n >= {2 * k + 2}"
+        )
+    return _report("kdep", [_kdep_case(n, q, k)])
+
+
+def coupling_suite(max_n: int, qs: Iterable[int] = (3, 4)) -> dict:
     """Kernel transport of the cycle laws and the growth-vs-insertion check."""
     cases = []
     for q in qs:
-        for n in ns:
+        for n in range(3, max_n + 1):
             kernel = growth.coupling_kernel(n, q)
             transported = kernel.push(cycle_law(n, q)) == cycle_law(n + 1, q)
             eden_ok = growth.eden_vs_necklace_kernel_check(n, q)
@@ -255,27 +258,31 @@ def coupling_suite(ns: Iterable[int] = range(3, 8), qs: Iterable[int] = (3, 4)) 
     return _report("coupling", cases)
 
 
-def marginals_suite(max_n: int = 8, max_n_bits: int = 9, max_window: int = 6) -> dict:
+def marginals_suite(max_n: int) -> dict:
     """Marginal-process laws of the cycle and line colorings.
 
     Cyclic: two marked colors of four give permutation descents; one of
     three gives permutation peaks; one of four gives fair-bit descents
     (with one-site marginal exactly 1/4). Line: windows agree with the
-    linear brute-force laws.
+    linear brute-force laws. Cycles stop at length min(max_n, 8), or 9 for
+    bit descents, and line windows at min(max_n, 6).
     """
+    max_cycle = min(max_n, 8)
+    max_bits = min(max_n, 9)
+    max_window = min(max_n, 6)
     cases = []
     ind12 = chains.color_indicator({1, 2})
     ind1 = chains.color_indicator({1})
 
-    for n in range(3, max_n + 1):
+    for n in range(3, max_cycle + 1):
         ok = analysis.pushforward(cycle_law(n, 4), ind12) == chains.descent_law(n)
         cases.append({"law": "cyclic-descent", "n": n, "passed": ok,
                       "counterexample": None if ok else {"n": n}})
-    for n in range(3, max_n + 1):
+    for n in range(3, max_cycle + 1):
         ok = analysis.pushforward(cycle_law(n, 3), ind1) == chains.peak_law(n)
         cases.append({"law": "cyclic-peak", "n": n, "passed": ok,
                       "counterexample": None if ok else {"n": n}})
-    for n in range(3, max_n_bits + 1):
+    for n in range(3, max_bits + 1):
         ok = analysis.pushforward(cycle_law(n, 4), ind1) == chains.bit_descent_law(n)
         cases.append({"law": "cyclic-bit-descent", "n": n, "passed": ok,
                       "counterexample": None if ok else {"n": n}})
@@ -310,7 +317,7 @@ def marginals_suite(max_n: int = 8, max_n_bits: int = 9, max_window: int = 6) ->
     return _report("marginals", cases)
 
 
-def kernels_suite(max_n: int = 8) -> dict:
+def kernels_suite(max_n: int) -> dict:
     """J-chain and Q-chain kernels coincide; chain laws match pushforwards."""
     cases = []
     for variant in ChainVariant:
@@ -370,33 +377,53 @@ SUITES = {
 }
 
 
-def run_suite(name: str, **kwargs) -> dict:
+# Sized suite -> (default max_n, smallest max_n). Below the smallest, a suite
+# emits no case or a case that checks nothing. kdep and marginals always emit
+# a fixed case, so theirs is the shortest word length, 1.
+SIZES = {
+    "partition": (10, 2),
+    "mobius": (8, 1),
+    "shift": (8, 1),
+    "symmetry": (8, 3),
+    "restriction": (8, 1),
+    "window": (9, 4),
+    "kdep": (9, 1),
+    "coupling": (7, 3),
+    "marginals": (9, 1),
+    "kernels": (8, 3),
+}
+
+
+def _check_size(name: str, max_n: int, least: int) -> None:
+    if max_n < least:
+        raise ValueError(
+            f"max_n {max_n} is below the minimum {least} for {name!r}; "
+            "smaller sizes check nothing"
+        )
+
+
+def run_suite(name: str, max_n: Optional[int] = None, **kwargs) -> dict:
+    """Run one suite at max_n, or at its default size. A suite without a
+    size ignores max_n."""
     try:
         fn = SUITES[name]
     except KeyError:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}") from None
+    if name in SIZES:
+        default, least = SIZES[name]
+        kwargs["max_n"] = default if max_n is None else max_n
+        _check_size(name, kwargs["max_n"], least)
     return fn(**kwargs)
 
 
 def run_all(max_n: Optional[int] = None) -> dict:
-    """Run every suite at desk-scale bounds (optionally capped by max_n)."""
-
-    def cap(default: int) -> int:
-        return min(default, max_n) if max_n else default
-
-    reports = [
-        partition_suite(max_n=cap(10)),
-        mobius_suite(max_n=cap(8)),
-        shift_suite(max_n=cap(8)),
-        symmetry_suite(ns=range(3, cap(8) + 1)),
-        restriction_suite(max_n=cap(8)),
-        window_suite(max_m=cap(9)),
-        kdep_suite(ns=range(5, cap(9) + 1)),
-        coupling_suite(ns=range(3, cap(7) + 1)),
-        marginals_suite(max_n=cap(8), max_n_bits=cap(9), max_window=cap(6)),
-        kernels_suite(max_n=cap(8)),
-        blockfactor_suite(),
-    ]
+    """Run every suite at its default size, capped at max_n when given."""
+    if max_n is not None:
+        _check_size("all", max_n, max(least for _, least in SIZES.values()))
+    caps = {} if max_n is None else {
+        name: min(default, max_n) for name, (default, _) in SIZES.items()
+    }
+    reports = [run_suite(name, caps.get(name)) for name in SUITES]
     return {
         "suite": "all",
         "passed": all(r["passed"] for r in reports),

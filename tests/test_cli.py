@@ -75,9 +75,20 @@ def test_sample_text_deterministic(capsys):
 
 def test_sample_thread_count_does_not_change_output(capsys):
     base = ("sample", "eden", "--n", "5", "--q", "3", "--reps", "40", "--seed", "3")
-    _, out1, _ = run(capsys, "--threads", "1", *base)
-    _, out4, _ = run(capsys, "--threads", "4", *base)
-    assert out1 == out4
+    _, out, err = run(capsys, *base)
+    assert err == ""
+    for threads in ("1", "4"):
+        _, out_t, err_t = run(capsys, "--threads", threads, *base)
+        assert out_t == out
+        assert "--threads is deprecated" in err_t
+
+
+@pytest.mark.parametrize("reps", ["0", "-1"])
+def test_sample_reps_below_one_is_usage_error(capsys, reps):
+    code, out, err = run(capsys, "sample", "necklace", "--n", "4", "--q", "3", "--reps", reps)
+    assert code == 2
+    assert out == ""
+    assert "--reps" in err
 
 
 def test_sample_json_format(capsys):
@@ -143,6 +154,63 @@ def test_verify_kdep_single_case_failure(capsys):
 def test_verify_kdep_single_case_pass(capsys):
     code, out, _ = run(capsys, "verify", "kdep", "--n", "6", "--q", "3", "--k", "2")
     assert code == 0
+
+
+def test_verify_kdep_single_case_reports_expected(capsys):
+    code, out, _ = run(capsys, "verify", "kdep", "--n", "6", "--q", "4", "--k", "1")
+    assert code == 0
+    (case,) = json.loads(out)["cases"]
+    assert case["expected"] == "independent"
+
+
+@pytest.mark.parametrize(
+    "suite,least",
+    [("window", 4), ("symmetry", 3), ("coupling", 3), ("kernels", 3),
+     ("partition", 2), ("mobius", 1), ("shift", 1), ("restriction", 1),
+     ("kdep", 1), ("marginals", 1)],
+)
+def test_verify_below_suite_minimum_is_usage_error(capsys, suite, least):
+    code, out, err = run(capsys, "verify", suite, "--max-n", str(least - 1))
+    assert code == 2
+    assert out == ""
+    assert f"minimum {least}" in err
+
+
+def test_verify_all_below_largest_minimum_is_usage_error(capsys):
+    code, out, err = run(capsys, "verify", "all", "--max-n", "3")
+    assert code == 2
+    assert out == ""
+    assert "minimum 4" in err
+    code, out, _ = run(capsys, "verify", "all", "--max-n", "4")
+    assert code == 1  # criterion 4b
+    assert json.loads(out)["reports"]
+
+
+def test_verify_kdep_without_admissible_pair_is_usage_error(capsys):
+    code, out, err = run(capsys, "verify", "kdep", "--n", "3", "--q", "3")
+    assert code == 2
+    assert out == ""
+    assert "n >= 6" in err
+    code, _, err = run(capsys, "verify", "kdep", "--n", "3", "--q", "4", "--k", "1")
+    assert code == 2
+    assert "n >= 4" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "partition", "--n", "5"),
+        ("verify", "blockfactor-stat", "--q", "4"),
+        ("verify", "all", "--k", "1"),
+        ("verify", "kdep", "--max-n", "6", "--n", "6"),
+        ("verify", "kdep", "--max-n", "6", "--k", "1"),
+    ],
+)
+def test_verify_ignored_flags_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "error:" in err
 
 
 def test_verify_unknown_suite_is_usage_error(capsys):

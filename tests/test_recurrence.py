@@ -95,13 +95,6 @@ def test_b_circ_matches_oracle_exhaustively():
                 assert b_circ(t, q) == oracle_b_circ(t), t
 
 
-def test_color_canonical_memo_agrees_with_default():
-    for q in (3, 4):
-        for n in range(0, 6):
-            for t in all_words(n, q):
-                assert b_circ(t, q, canonical_colors=True) == b_circ(t, q), t
-
-
 def test_b_circ_invariances():
     # count-level rotation, reflection, and color-permutation invariance
     from itertools import permutations

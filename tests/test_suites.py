@@ -2,7 +2,7 @@
 
 import pytest
 
-from findep.suites import run_all, run_suite
+from findep.suites import SIZES, run_all, run_suite
 
 
 def test_report_shape():
@@ -19,11 +19,11 @@ def test_report_shape():
         ("partition", {"max_n": 5, "qs": (3, 4)}),
         ("mobius", {"max_n": 5}),
         ("shift", {"max_n": 5}),
-        ("symmetry", {"ns": (3, 4, 5)}),
-        ("window", {"max_m": 6}),
-        ("kdep", {"ns": (5, 6)}),
-        ("coupling", {"ns": (3, 4)}),
-        ("marginals", {"max_n": 5, "max_n_bits": 5, "max_window": 3}),
+        ("symmetry", {"max_n": 5}),
+        ("window", {"max_n": 6}),
+        ("kdep", {"max_n": 6}),
+        ("coupling", {"max_n": 4}),
+        ("marginals", {"max_n": 5}),
         ("kernels", {"max_n": 5}),
         ("blockfactor-stat", {}),
     ],
@@ -54,6 +54,12 @@ def test_run_all_smoke():
     failing = [sub["suite"] for sub in rep["reports"] if not sub["passed"]]
     assert failing == ["restriction"]
     assert rep["passed"] is False
+
+
+def test_run_suite_matches_run_all_at_same_size():
+    subs = {sub["suite"]: sub for sub in run_all(max_n=5)["reports"]}
+    for name in SIZES:
+        assert run_suite(name, max_n=5) == subs[name], name
 
 
 def test_unknown_suite_rejected():
