@@ -25,6 +25,20 @@ The exact one-step transition shared by both procedures is exposed as
 ``coupling_kernel``; ``eden_vs_necklace_kernel_check`` verifies the
 equality of the two step laws state by state.
 
+Randomness. The bounds of every draw a sampler makes depend only on
+(n, q), so ``necklace_sample`` and ``eden_sample`` take a replicate's
+whole index sequence from one ``RngStream.indices`` call and then run a
+deterministic loop. The values equal those of the step-by-step API
+(``RngStream.index`` with ``insert_with_rotation``, or ``eden_init``,
+``eden_step`` and ``eden_read``), which stays as the literal form of each
+procedure and is the reference the tests compare the samplers against.
+The necklace loop keeps its beads in a list with a rotation offset, so a
+step inserts one bead and moves the offset instead of copying and
+rotating the word. Eden states are validated when they are built from
+scratch and once per sample before the read; ``eden_step`` and the
+per-step loop of ``eden_sample`` do not validate, since a step only
+inserts a color drawn from ``allowed_colors`` of its neighbors.
+
 Interior dual structure is never materialized beyond the colors already
 fixed: a read needs only the outer face, and interior colors never change.
 Orientation note: the stored outer order is "clockwise" for one fixed
@@ -40,6 +54,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -84,6 +99,16 @@ class RngStream:
             raise ValueError(f"need a positive range, got {n}")
         return int(self._gen.integers(n))
 
+    def indices(self, bounds: Sequence[int]) -> list[int]:
+        """Uniform integers in [0, b) for each bound b, in one numpy call.
+
+        Returns ``[self.index(b) for b in bounds]`` and leaves the stream
+        in the same state: PCG64 keeps its spare 32-bit half inside the
+        bit generator on both paths, and a bound of 1 consumes no bits.
+        numpy raises ValueError if a bound is not positive.
+        """
+        return self._gen.integers(0, np.asarray(bounds, dtype=np.int64)).tolist()
+
     def choice(self, seq: Sequence):
         return seq[self.index(len(seq))]
 
@@ -98,6 +123,50 @@ def allowed_colors(q: int, a: int, b: int) -> list[int]:
     samplers index into this list.
     """
     return [c for c in range(1, q + 1) if c != a and c != b]
+
+
+@lru_cache(maxsize=16)
+def _allowed_table(q: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """``_allowed_table(q)[a][b] == tuple(allowed_colors(q, a, b))`` for a, b in [0, q]."""
+    return tuple(
+        tuple(tuple(allowed_colors(q, a, b)) for b in range(q + 1))
+        for a in range(q + 1)
+    )
+
+
+def _frozen_bounds(bounds: list[int]) -> np.ndarray:
+    a = np.array(bounds, dtype=np.int64)
+    a.flags.writeable = False
+    return a
+
+
+@lru_cache(maxsize=16)
+def _necklace_bounds(n: int, q: int) -> np.ndarray:
+    """Bounds of ``necklace_sample``'s draws: q, q-1, q-2, then
+    (m, q-2, m+1) for m = 3..n-1."""
+    bounds = [q, q - 1, q - 2]
+    for m in range(3, n):
+        bounds += (m, q - 2, m + 1)
+    return _frozen_bounds(bounds)
+
+
+@lru_cache(maxsize=16)
+def _eden_bounds(n: int, q: int) -> np.ndarray:
+    """Bounds of ``eden_sample``'s draws: q, q-1, q-2, then (s+2, q-2)
+    for s = 1..n-3, then n."""
+    bounds = [q, q - 1, q - 2]
+    for size in range(1, n - 2):
+        bounds += (size + 2, q - 2)
+    bounds.append(n)
+    return _frozen_bounds(bounds)
+
+
+def _first_colors(q: int, i1: int, i2: int, i3: int) -> tuple[int, int, int]:
+    """The initial three distinct colors from draws in [0, q), [0, q-1), [0, q-2)."""
+    colors = list(range(1, q + 1))
+    c1 = colors.pop(i1)
+    c2 = colors.pop(i2)
+    return c1, c2, colors[i3]
 
 
 def insert_with_rotation(x: Word, i: int, z: int, r: int) -> Word:
@@ -181,24 +250,26 @@ def necklace_sample(n: int, q: int, rng: RngStream) -> Word:
 
     Starts from three beads with uniformly random distinct colors and
     performs n-3 insertion steps, each with the uniform rotation applied;
-    deterministic given the stream.
+    deterministic given the stream. Draws ``_necklace_bounds(n, q)``: the
+    three initial colors, then per step the position i0, color index and
+    rotation r of ``insert_with_rotation`` at 1-based position i0+1.
     """
     if n < 3:
         raise ValueError(f"necklace sampler requires n >= 3, got {n}")
     if q < 3:
         raise ValueError(f"necklace sampler requires q >= 3, got {q}")
-    colors = list(range(1, q + 1))
-    c1 = colors[rng.index(q)]
-    rest = [c for c in colors if c != c1]
-    c2 = rest[rng.index(q - 1)]
-    c3 = [c for c in rest if c != c2][rng.index(q - 2)]
-    t = (c1, c2, c3)
-    for m in range(3, n):
-        i0 = rng.index(m)
-        z = allowed_colors(q, t[i0 - 1], t[i0])[rng.index(q - 2)]
-        r = rng.index(m + 1)
-        t = rotl(t[:i0] + (z,) + t[i0:], r)
-    return Word(t, q)
+    draws = rng.indices(_necklace_bounds(n, q))
+    table = _allowed_table(q)
+    # The word is phys[off:] + phys[:off].
+    phys = list(_first_colors(q, *draws[:3]))
+    off = 0
+    for m, i0, ci, r in zip(range(3, n), draws[3::3], draws[4::3], draws[5::3]):
+        p = (off + i0) % m
+        phys.insert(p, table[phys[p - 1]][phys[p]][ci])
+        if p < off:
+            off += 1
+        off = (off + r) % (m + 1)
+    return Word(tuple(phys[off:] + phys[:off]), q)
 
 
 # -- Eden growth ------------------------------------------------------------
@@ -234,37 +305,33 @@ class EdenState:
 def validate_eden_state(s: EdenState) -> None:
     """Raise AssertionError unless the structural invariants hold."""
     m = s.size
-    assert len(s.outer) == m + 2, f"outer size {len(s.outer)} != {m + 2}"
-    assert len(s.gaps) == m + 2, f"gap count {len(s.gaps)} != {m + 2}"
-    assert len(s.tree) == m
+    if len(s.outer) != m + 2:
+        raise AssertionError(f"outer size {len(s.outer)} != {m + 2}")
+    if len(s.gaps) != m + 2:
+        raise AssertionError(f"gap count {len(s.gaps)} != {m + 2}")
+    if len(s.tree) != m:
+        raise AssertionError(f"tree size {len(s.tree)} != {m}")
     n_out = len(s.outer)
     cluster = set(s.tree)
     boundary = []
     for u, v in s.tree_edges:
         if (u in cluster) != (v in cluster):
             boundary.append(v if u in cluster else u)
-    assert sorted(boundary) == sorted(g[2] for g in s.gaps), (
-        "gap boundary vertices must be exactly the tree boundary, once each"
-    )
-    for i, (left, right, _) in enumerate(s.gaps):
-        assert left == s.outer[i][0] and right == s.outer[(i + 1) % n_out][0], (
-            f"gap {i} does not interleave with the outer cycle"
+    if sorted(boundary) != sorted(g[2] for g in s.gaps):
+        raise AssertionError(
+            "gap boundary vertices must be exactly the tree boundary, once each"
         )
+    for i, (left, right, _) in enumerate(s.gaps):
+        if left != s.outer[i][0] or right != s.outer[(i + 1) % n_out][0]:
+            raise AssertionError(f"gap {i} does not interleave with the outer cycle")
     for i in range(n_out):
-        a = s.outer[i][1]
-        b = s.outer[(i + 1) % n_out][1]
-        assert a != b, f"adjacent outer colors equal at position {i}"
+        if s.outer[i][1] == s.outer[(i + 1) % n_out][1]:
+            raise AssertionError(f"adjacent outer colors equal at position {i}")
 
 
-def eden_init(q: int, rng: RngStream) -> EdenState:
-    """Cluster of size 1 with a uniformly colored initial triangle."""
-    if q < 3:
-        raise ValueError(f"growth requires q >= 3 colors, got {q}")
-    colors = list(range(1, q + 1))
-    c1 = colors[rng.index(q)]
-    rest = [c for c in colors if c != c1]
-    c2 = rest[rng.index(q - 1)]
-    c3 = [c for c in rest if c != c2][rng.index(q - 2)]
+def _eden_first_state(q: int, i1: int, i2: int, i3: int) -> EdenState:
+    """Cluster of size 1 whose triangle gets ``_first_colors(q, i1, i2, i3)``."""
+    c1, c2, c3 = _first_colors(q, i1, i2, i3)
     state = EdenState(
         q=q,
         size=1,
@@ -279,11 +346,20 @@ def eden_init(q: int, rng: RngStream) -> EdenState:
     return state
 
 
+def eden_init(q: int, rng: RngStream) -> EdenState:
+    """Cluster of size 1 with a uniformly colored initial triangle."""
+    if q < 3:
+        raise ValueError(f"growth requires q >= 3 colors, got {q}")
+    return _eden_first_state(q, rng.index(q), rng.index(q - 1), rng.index(q - 2))
+
+
 def _eden_step_at(s: EdenState, gap_index: int, color_index: int) -> EdenState:
     """Grow by the boundary vertex of the given gap, with the given color choice.
 
     ``color_index`` selects from ``allowed_colors`` of the gap's two
     endpoint colors. Deterministic; ``eden_step`` draws the two choices.
+    The result is not validated: the new color differs from both of its
+    neighbors by construction.
     """
     n_out = len(s.outer)
     left_id, right_id, w = s.gaps[gap_index]
@@ -304,7 +380,7 @@ def _eden_step_at(s: EdenState, gap_index: int, color_index: int) -> EdenState:
         + ((left_id, new_outer_id, t1), (new_outer_id, right_id, t2))
         + s.gaps[gap_index + 1 :]
     )
-    state = EdenState(
+    return EdenState(
         q=s.q,
         size=s.size + 1,
         tree=s.tree + (w,),
@@ -314,8 +390,6 @@ def _eden_step_at(s: EdenState, gap_index: int, color_index: int) -> EdenState:
         next_tree_id=t2 + 1,
         next_outer_id=new_outer_id + 1,
     )
-    validate_eden_state(state)
-    return state
 
 
 def eden_step(s: EdenState, rng: RngStream) -> EdenState:
@@ -353,13 +427,23 @@ def eden_state_json(s: EdenState) -> dict:
 
 
 def eden_sample(n: int, q: int, rng: RngStream) -> Word:
-    """One cycle-law coloring of the n-cycle via Eden growth (n >= 3)."""
+    """One cycle-law coloring of the n-cycle via Eden growth (n >= 3).
+
+    Draws ``_eden_bounds(n, q)``: the initial triangle's colors, the gap
+    and color of each step, then the read's start, as ``eden_init``,
+    ``eden_step`` and ``eden_read`` would. The final state is validated
+    before the read.
+    """
     if n < 3:
         raise ValueError(f"growth sampler requires n >= 3, got {n}")
-    s = eden_init(q, rng)
-    for _ in range(n - 3):
-        s = eden_step(s, rng)
-    return eden_read(s, rng)
+    if q < 3:
+        raise ValueError(f"growth requires q >= 3 colors, got {q}")
+    draws = rng.indices(_eden_bounds(n, q))
+    s = _eden_first_state(q, *draws[:3])
+    for gap_index, color_index in zip(draws[3:-1:2], draws[4:-1:2]):
+        s = _eden_step_at(s, gap_index, color_index)
+    validate_eden_state(s)
+    return _eden_read_from(s, draws[-1])
 
 
 def _eden_state_with_outer(x: Word) -> EdenState:

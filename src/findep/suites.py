@@ -404,7 +404,7 @@ def _check_size(name: str, max_n: int, least: int) -> None:
 
 def run_suite(name: str, max_n: Optional[int] = None, **kwargs) -> dict:
     """Run one suite at max_n, or at its default size. A suite without a
-    size ignores max_n."""
+    size rejects max_n."""
     try:
         fn = SUITES[name]
     except KeyError:
@@ -413,6 +413,8 @@ def run_suite(name: str, max_n: Optional[int] = None, **kwargs) -> dict:
         default, least = SIZES[name]
         kwargs["max_n"] = default if max_n is None else max_n
         _check_size(name, kwargs["max_n"], least)
+    elif max_n is not None:
+        raise ValueError(f"suite {name!r} has no size and takes no max_n")
     return fn(**kwargs)
 
 

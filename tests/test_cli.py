@@ -1,5 +1,6 @@
 """CLI contract: flags, formats, exit codes, determinism, env precedence."""
 
+import hashlib
 import json
 
 import pytest
@@ -81,6 +82,22 @@ def test_sample_thread_count_does_not_change_output(capsys):
         _, out_t, err_t = run(capsys, "--threads", threads, *base)
         assert out_t == out
         assert "--threads is deprecated" in err_t
+
+
+@pytest.mark.parametrize(
+    "sampler,q,digest",
+    [
+        ("necklace", "4", "455c1b2a20485576a63ef7118afe17df9486a4cda1f3c9ae515fc5e99cfaad0e"),
+        ("eden", "5", "d13b68213ea717fcedff4dad417429ea9f7e6ba5fd067344ddd3570be8d34333"),
+    ],
+)
+def test_sample_output_is_pinned(capsys, sampler, q, digest):
+    """sha256 of the text output recorded before the samplers drew each
+    replicate's indices in one call; the output is a stable contract."""
+    code, out, _ = run(capsys, "sample", sampler, "--n", "12", "--q", q,
+                       "--reps", "50", "--seed", "3")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("reps", ["0", "-1"])
@@ -201,6 +218,7 @@ def test_verify_kdep_without_admissible_pair_is_usage_error(capsys):
     [
         ("verify", "partition", "--n", "5"),
         ("verify", "blockfactor-stat", "--q", "4"),
+        ("verify", "blockfactor-stat", "--max-n", "5"),
         ("verify", "all", "--k", "1"),
         ("verify", "kdep", "--max-n", "6", "--n", "6"),
         ("verify", "kdep", "--max-n", "6", "--k", "1"),

@@ -1,15 +1,23 @@
 """Samplers: insertion machinery, coupling kernel, Eden growth."""
 
+import dataclasses
+import os
+import random
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import pytest
 
+import findep
 from findep.analysis import chi_square_gof
 from findep.growth import (
     RngStream,
     _eden_read_from,
     _eden_state_with_outer,
     _eden_step_at,
+    allowed_colors,
     coupling_kernel,
     eden_init,
     eden_read,
@@ -254,3 +262,129 @@ def test_eden_gof_quick():
         counts[w] = counts.get(w, 0) + 1
     report = chi_square_gof(counts, cycle_law(5, 3), alpha=0.001)
     assert report.passed, report
+
+
+# -- literal step-by-step oracle ---------------------------------------------------
+
+
+def _necklace_reference(n, q, rng):
+    """necklace_sample drawn one index at a time and built with
+    insert_with_rotation, one full word per step."""
+    colors = list(range(1, q + 1))
+    c1 = colors[rng.index(q)]
+    rest = [c for c in colors if c != c1]
+    c2 = rest[rng.index(q - 1)]
+    c3 = [c for c in rest if c != c2][rng.index(q - 2)]
+    x = Word((c1, c2, c3), q)
+    for m in range(3, n):
+        i0 = rng.index(m)
+        z = allowed_colors(q, x.symbols[i0 - 1], x.symbols[i0])[rng.index(q - 2)]
+        x = insert_with_rotation(x, i0 + 1, z, rng.index(m + 1))
+    return x
+
+
+def _eden_reference(n, q, rng):
+    """eden_sample through eden_init, eden_step and eden_read, validating
+    every intermediate state."""
+    s = eden_init(q, rng)
+    for _ in range(n - 3):
+        s = eden_step(s, rng)
+        validate_eden_state(s)
+    return eden_read(s, rng)
+
+
+@pytest.mark.parametrize("n", [*range(3, 13), 200])
+@pytest.mark.parametrize("q", [3, 4, 5, 6])
+def test_samplers_match_step_by_step_reference(n, q):
+    streams = [(seed, stream) for seed in (0, 7, 2024) for stream in (0, 1, 5)]
+    if n == 200:
+        streams = streams[::4]
+    for seed, stream in streams:
+        assert necklace_sample(n, q, RngStream(seed, stream)) == _necklace_reference(
+            n, q, RngStream(seed, stream)
+        ), (seed, stream)
+        assert eden_sample(n, q, RngStream(seed, stream)) == _eden_reference(
+            n, q, RngStream(seed, stream)
+        ), (seed, stream)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 99])
+def test_indices_equal_index_draws(seed):
+    edge = [1, 2, 3, 1, 1, 2**31, 2**32 - 1, 2**32, 2**32 + 1, 2**33, 2**62, 1]
+    bounds = edge + [random.Random(seed).randrange(1, 2**34) for _ in range(500)]
+    bulk, single = RngStream(seed, 3), RngStream(seed, 3)
+    assert bulk.indices(bounds) == [single.index(b) for b in bounds]
+    # the stream is left in the same state, whatever the spare 32-bit half
+    for b in (5, 1, 2**40, 7):
+        assert bulk.index(b) == single.index(b)
+    assert bulk.indices([]) == []
+    assert bulk.indices([3, 1, 3]) == [single.index(b) for b in (3, 1, 3)]
+
+
+def test_indices_reject_nonpositive_bound():
+    with pytest.raises(ValueError):
+        RngStream(0).indices([3, 0])
+
+
+# -- validate_eden_state can fail ----------------------------------------------------
+
+
+def _grown_state():
+    rng = RngStream(4)
+    s = eden_init(4, rng)
+    for _ in range(5):
+        s = eden_step(s, rng)
+    validate_eden_state(s)
+    return s
+
+
+def _swap_outer_ids(s):
+    (a, ca), (b, cb) = s.outer[0], s.outer[1]
+    return ((b, ca), (a, cb)) + s.outer[2:]
+
+
+def _repeat_neighbor_color(s):
+    (a, _), (b, cb) = s.outer[0], s.outer[1]
+    return ((a, cb), (b, cb)) + s.outer[2:]
+
+
+@pytest.mark.parametrize(
+    "corrupt,message",
+    [
+        (lambda s: {"outer": s.outer[:-1]}, "outer size"),
+        (lambda s: {"gaps": s.gaps[:-1]}, "gap count"),
+        (lambda s: {"tree": s.tree[:-1]}, "tree size"),
+        (lambda s: {"outer": _swap_outer_ids(s)}, "does not interleave"),
+        (lambda s: {"outer": _repeat_neighbor_color(s)}, "adjacent outer colors"),
+        (
+            lambda s: {"gaps": ((s.gaps[0][0], s.gaps[0][1], 10**6),) + s.gaps[1:]},
+            "boundary",
+        ),
+        (
+            lambda s: {"tree_edges": s.tree_edges[:-1] + ((s.tree[0], 10**6),)},
+            "boundary",
+        ),
+    ],
+)
+def test_validate_eden_state_rejects_each_broken_invariant(corrupt, message):
+    s = _grown_state()
+    with pytest.raises(AssertionError, match=message):
+        validate_eden_state(dataclasses.replace(s, **corrupt(s)))
+
+
+def test_validate_eden_state_raises_under_optimize():
+    code = (
+        "import dataclasses\n"
+        "from findep.growth import RngStream, eden_init, validate_eden_state\n"
+        "s = eden_init(3, RngStream(0))\n"
+        "bad = dataclasses.replace(s, gaps=s.gaps[:-1])\n"
+        "try:\n"
+        "    validate_eden_state(bad)\n"
+        "except AssertionError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(1)\n"
+    )
+    src = str(Path(findep.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run([sys.executable, "-O", "-c", code], env=env, timeout=120)
+    assert run.returncode == 0
