@@ -10,17 +10,18 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import Optional
 
 from . import __version__
 from .analysis import chi_square_gof
-from .dist import ExactDist
 from .errors import BudgetExceeded
 from .growth import RngStream, eden_sample, necklace_sample
-from .recurrence import DEFAULT_BUDGET, cycle_law, is_theorem_grade, line_window_law
+from .recurrence import DEFAULT_BUDGET, _law_counts, cycle_law, is_theorem_grade
 from .suites import SUITES, kdep_report, run_all, run_suite
+from .words import row_texts
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -63,24 +64,42 @@ def _write(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _emit_dist(d: ExactDist, meta: dict, fmt: str, out: Optional[str]) -> None:
-    entries = d.to_json_entries()
+def _dist_dump(rows, counts: list[int], z: int, q: int, meta: dict, fmt: str) -> str:
+    """The ``findep.dist/1`` JSON or CSV text of the law counts[i] / z on rows.
+
+    Byte-identical to ``json.dumps`` (indent=2) of the document built from
+    ``ExactDist.to_json_entries``: each state's fraction is reduced by
+    gcd(count, z), as ``Fraction`` reduces it, and the states are in text order.
+    """
+    texts = row_texts(rows, q)
+    fracs = {}
+    for c in set(counts):
+        g = math.gcd(c, z)
+        fracs[c] = (str(c // g), str(z // g))
+    states = zip(texts, counts)
+    if q > 9:  # comma-joined texts: code order is not text order
+        states = sorted(states)
     if fmt == "csv":
-        lines = ["state,num,den"]
-        lines += [f"{e['state']},{e['num']},{e['den']}" for e in entries]
-        _write("\n".join(lines) + "\n", out)
-    else:
-        doc = {"schema": _SCHEMA_DIST, **meta, "total_states": len(entries), "states": entries}
-        _write(json.dumps(doc, indent=2) + "\n", out)
+        return "state,num,den\n" + "".join(
+            f"{t},{fracs[c][0]},{fracs[c][1]}\n" for t, c in states
+        )
+    # json.dumps renders the header; every entry has the same indent=2 shape.
+    head = json.dumps({"schema": _SCHEMA_DIST, **meta, "total_states": len(texts)}, indent=2)
+    entries = ",\n".join(
+        f'    {{\n      "state": "{t}",\n      "num": "{fracs[c][0]}",\n'
+        f'      "den": "{fracs[c][1]}"\n    }}'
+        for t, c in states
+    )
+    return f'{head[:-2]},\n  "states": [\n{entries}\n  ]\n}}\n'
 
 
 def _cmd_exact(args: argparse.Namespace) -> int:
     budget = args.budget if args.budget is not None else _env_int("FINDEP_BUDGET", DEFAULT_BUDGET)
     if args.law == "cycle":
-        d = cycle_law(args.n, args.q, budget=budget)
         meta = {"kind": "cycle", "n": args.n, "q": args.q}
     else:
-        d = line_window_law(args.n, args.k, args.q, budget=budget)
+        if args.k < 0:
+            raise ValueError(f"need k >= 0, got {args.k}")
         meta = {
             "kind": "line-window",
             "n": args.n,
@@ -88,7 +107,8 @@ def _cmd_exact(args: argparse.Namespace) -> int:
             "q": args.q,
             "theorem_grade": is_theorem_grade(args.k, args.q),
         }
-    _emit_dist(d, meta, args.format, args.out)
+    rows, counts, z = _law_counts(args.n, args.q, budget, cyclic=args.law == "cycle")
+    _write(_dist_dump(rows, counts, z, args.q, meta, args.format), args.out)
     return EXIT_OK
 
 
@@ -190,16 +210,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact laws, samplers, and verification for finitely "
         "dependent proper colorings of cycles and lines.",
         epilog="Environment: FINDEP_BUDGET, FINDEP_SEED, FINDEP_ALPHA supply "
-        "defaults; flags override. --threads is deprecated and ignored. Exit "
-        "codes: 0 ok, 1 verification failure, 2 usage error, 3 budget exceeded.",
+        "defaults; flags override. Exit codes: 0 ok, 1 verification failure, "
+        "2 usage error, 3 budget exceeded.",
     )
     parser.add_argument("--version", action="version", version=f"findep {__version__}")
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="deprecated; ignored (draws and checks run in one thread)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_exact = sub.add_parser("exact", help="dump an exact law")
@@ -248,8 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads is not None:
-        print("warning: --threads is deprecated and has no effect", file=sys.stderr)
     try:
         return args.func(args)
     except BudgetExceeded as exc:

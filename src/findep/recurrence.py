@@ -17,9 +17,15 @@ length-n windows of the line process.
 Evaluation strategy: per-word values are memoized under rotation
 canonicalization, which is sound because the cyclic count is invariant
 under rotation (verified independently by the test suite). Whole-level
-sums and full laws additionally use a vectorized bottom-up pass over dense
-numpy int64 arrays whenever the value bounds provably fit; the two engines
-implement the same recurrence and are cross-checked in tests.
+sums use a vectorized bottom-up pass over dense numpy int64 arrays; the
+two engines implement the same recurrence and are cross-checked in tests.
+
+Laws come only from the dense levels: ``cycle_law``, ``line_window_law``
+and the CLI's law dumps read the nonzero entries of level n through
+``_law_counts``. That bounds them to n <= 14, q**n within the budget, and
+q**n < 2**31 (level codes are int32); beyond any bound they raise
+``BudgetExceeded`` before allocating. Every level is checked to hold
+counts in [0, m!], so an int64 overflow raises instead of giving a law.
 
 Thread-safety: all functions are pure. The shared memo tables are only
 ever written with values equal to the single-threaded result, so
@@ -68,6 +74,8 @@ THEOREM_GRADE = frozenset({(1, 4), (2, 3)})
 _BULK_MAX_N = 14
 _ENUM_LIMIT = 1 << 27
 _CHUNK = 1 << 22
+# Level codes are int32, so a level may hold at most 2**31 - 1 of them.
+_CODE_LIMIT = 1 << 31
 
 
 def is_theorem_grade(k: int, q: int) -> bool:
@@ -188,8 +196,9 @@ def z_circ_closed(n: int, q: int) -> int:
 # Words of length m over q colors are encoded as base-q integers with the
 # first symbol most significant. Level m holds b(x) for every code; the
 # recurrence gathers the m deletion codes from level m-1, restricted to the
-# (cyclically) proper words since every other count is zero. Codes stay
-# below 2**27, so int32 index arithmetic is exact; values are int64.
+# (cyclically) proper words since every other count is zero. ``_levels``
+# refuses levels of 2**31 codes or more, so int32 index arithmetic is exact;
+# values are int64.
 #
 # Computed levels are cached per (q, cyclic) and shared across calls: the
 # partition suite evaluates many n for one q and reuses all lower levels.
@@ -224,15 +233,28 @@ def _gather_counts(prev: np.ndarray, kept: np.ndarray, m: int, q: int) -> np.nda
     return acc
 
 
+def _checked(vals: np.ndarray, m: int) -> np.ndarray:
+    """vals, after checking that every count of a length-m word is in [0, m!].
+
+    A count of a length-m word is a number of insertion orders, so it is at
+    most m!; a value outside that range means int64 arithmetic overflowed.
+    """
+    if vals.size and (int(vals.min()) < 0 or int(vals.max()) > math.factorial(m)):
+        raise OverflowError(f"level {m} holds a count outside [0, {m}!]")
+    return vals
+
+
 def _level_values(prev: np.ndarray, codes: np.ndarray, m: int, q: int, cyclic: bool) -> np.ndarray:
     mask = _proper_mask(codes, m, q, cyclic)
     vals = np.zeros(codes.shape, dtype=np.int64)
     vals[mask] = _gather_counts(prev, codes[mask], m, q)
-    return vals
+    return _checked(vals, m)
 
 
 def _levels(q: int, cyclic: bool, upto: int) -> list[np.ndarray]:
     """Dense count arrays for levels 0..upto (cached)."""
+    if q**upto >= _CODE_LIMIT:
+        raise BudgetExceeded(f"{q}**{upto} word codes do not fit in int32")
     levels = _LEVEL_CACHE.setdefault((q, cyclic), [np.ones(1, dtype=np.int64)])
     for m in range(len(levels), upto + 1):
         codes = np.arange(q**m, dtype=np.int32)
@@ -240,36 +262,25 @@ def _levels(q: int, cyclic: bool, upto: int) -> list[np.ndarray]:
     return levels
 
 
-def _bulk_counts(n: int, q: int, *, cyclic: bool, want_array: bool):
-    """(total, dense array or None) over all q**n words at level n.
-
-    Only valid when n <= _BULK_MAX_N; callers check. When the array is not
-    wanted and the top level is large, it is evaluated in chunks so memory
-    stays at O(q**(n-1)).
-    """
+def _sum_counts(n: int, q: int, *, cyclic: bool) -> int:
+    if n == 0:
+        return 1
+    if n > _BULK_MAX_N:
+        if q**n > 1 << 20:
+            raise BudgetExceeded(f"summation over {q}**{n} words is not feasible")
+        rec = b_circ if cyclic else b_vec
+        return sum(rec(t, q) for t in product(range(1, q + 1), repeat=n))
     size = q**n
-    if want_array or size <= _CHUNK:
-        arr = _levels(q, cyclic, n)[n]
-        return int(arr.sum()), (arr if want_array else None)
+    if size <= _CHUNK:
+        return int(_levels(q, cyclic, n)[n].sum())
+    # The top level is summed in chunks so memory stays at O(q**(n-1)).
     prev = _levels(q, cyclic, n - 1)[n - 1]
     total = 0
     for start in range(0, size, _CHUNK):
         codes = np.arange(start, min(start + _CHUNK, size), dtype=np.int32)
         mask = _proper_mask(codes, n, q, cyclic)
-        total += int(_gather_counts(prev, codes[mask], n, q).sum())
-    return total, None
-
-
-def _sum_counts(n: int, q: int, *, cyclic: bool) -> int:
-    if n == 0:
-        return 1
-    if n <= _BULK_MAX_N:
-        total, _ = _bulk_counts(n, q, cyclic=cyclic, want_array=False)
-        return total
-    if q**n > 1 << 20:
-        raise BudgetExceeded(f"summation over {q}**{n} words is not feasible")
-    rec = b_circ if cyclic else b_vec
-    return sum(rec(t, q) for t in product(range(1, q + 1), repeat=n))
+        total += int(_checked(_gather_counts(prev, codes[mask], n, q), n).sum())
+    return total
 
 
 def z_circ(n: int, q: int) -> int:
@@ -290,36 +301,44 @@ def z_vec(n: int, q: int) -> int:
     return _sum_counts(n, q, cyclic=False)
 
 
-def _decode(code: int, n: int, q: int) -> tuple[int, ...]:
-    out = [0] * n
-    for j in range(n - 1, -1, -1):
-        out[j] = code % q + 1
-        code //= q
-    return tuple(out)
-
-
-def _law(n: int, q: int, budget: int, *, cyclic: bool) -> ExactDist:
+def _check_law_request(n: int, q: int, budget: int) -> None:
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
     if q < 3:
         raise ValueError(f"law requires q >= 3 colors, got {q}")
+    if n > _BULK_MAX_N:
+        raise BudgetExceeded(f"laws are enumerated for n <= {_BULK_MAX_N} only, got n = {n}")
     if budget < 1 or q**n > budget:
         raise BudgetExceeded(f"{q}**{n} words exceed the enumeration budget {budget}")
+
+
+def _law_counts(n: int, q: int, budget: int, *, cyclic: bool) -> tuple[np.ndarray, list[int], int]:
+    """The law's support and weights, straight from the dense level n.
+
+    Returns (rows, counts, z): rows[i] holds the 1-based symbols of the i-th
+    word with a positive count, in increasing code order (which is text
+    order for q <= 9); counts[i] is its count as a Python int; z is the sum
+    of the counts, so the word has mass counts[i] / z.
+    """
+    _check_law_request(n, q, budget)
+    vals = _levels(q, cyclic, n)[n]
+    codes = np.flatnonzero(vals)
+    counts = vals[codes].tolist()
+    z = sum(counts)
+    rows = np.empty((codes.size, n), dtype=np.int32)
+    for j in range(n):
+        rows[:, j] = codes // q ** (n - 1 - j) % q + 1
+    return rows, counts, z
+
+
+def _law(n: int, q: int, budget: int, *, cyclic: bool) -> ExactDist:
+    _check_law_request(n, q, budget)
     cached = _LAW_CACHE.get((n, q, cyclic))
     if cached is not None:
         return cached
-    weights: dict[Word, int] = {}
-    if n <= _BULK_MAX_N:
-        _, vals = _bulk_counts(n, q, cyclic=cyclic, want_array=True)
-        for code in np.flatnonzero(vals):
-            weights[Word(_decode(int(code), n, q), q)] = int(vals[code])
-    else:
-        rec = b_circ if cyclic else b_vec
-        for t in product(range(1, q + 1), repeat=n):
-            v = rec(t, q)
-            if v:
-                weights[Word(t, q)] = v
-    law = ExactDist.from_weights(weights)
+    rows, counts, _ = _law_counts(n, q, budget, cyclic=cyclic)
+    words = [Word(tuple(r), q) for r in rows.tolist()]
+    law = ExactDist.from_weights(dict(zip(words, counts)))
     _LAW_CACHE[(n, q, cyclic)] = law
     return law
 

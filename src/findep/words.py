@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence, Union
 
+import numpy as np
+
 ColorPerm = Union[Mapping[int, int], Sequence[int]]
 
 __all__ = [
@@ -67,6 +69,18 @@ class Word:
 
     def __repr__(self) -> str:
         return f"Word({self.text()!r}, q={self.q})"
+
+
+def row_texts(rows: np.ndarray, q: int) -> list[str]:
+    """``Word.text()`` of each row of a 2-D array of 1-based symbols, in row order."""
+    if q > 9:
+        return [",".join(map(str, r)) for r in rows.tolist()]
+    n = rows.shape[1]
+    if n == 0:
+        return [""] * rows.shape[0]
+    # Each row's n code points, read as one fixed-width numpy unicode string.
+    digits = np.ascontiguousarray(rows + ord("0"), dtype=np.uint32)
+    return digits.view(f"U{n}").ravel().tolist()
 
 
 # Tuple-level primitives shared with the enumeration-heavy modules.

@@ -5,7 +5,10 @@ import json
 
 import pytest
 
+from findep import cli, recurrence
 from findep.cli import main
+from findep.dist import ExactDist
+from findep.recurrence import cycle_law, is_theorem_grade, line_window_law
 
 
 def run(capsys, *argv):
@@ -65,6 +68,110 @@ def test_exact_csv_to_file(tmp_path, capsys):
     assert len(lines) == 7
 
 
+# sha256 of `findep exact <args>` stdout, recorded before the dumps were
+# written straight from the dense count arrays; the output is a stable contract.
+EXACT_SHA256 = {
+    "cycle --n 0 --q 3": "1632e32669088997ed4eb23cbb3bf37b66c2a447cadb49a18a08fd94806928b0",
+    "cycle --n 0 --q 3 --format csv": "89def45b6cb84a944700f0cedcf47f698a12a9ff07818e218bdb70253128f28e",
+    "cycle --n 0 --q 4": "75e4c1c41bb04318084f0eaf543f881abcb302da871d662c05063d52a8818be6",
+    "cycle --n 0 --q 4 --format csv": "89def45b6cb84a944700f0cedcf47f698a12a9ff07818e218bdb70253128f28e",
+    "cycle --n 0 --q 11": "00a992d1d0896c4a9bc213e6784603c3166fa4cacbe9c29e9f54ee6a8c4088a4",
+    "cycle --n 0 --q 11 --format csv": "89def45b6cb84a944700f0cedcf47f698a12a9ff07818e218bdb70253128f28e",
+    "cycle --n 1 --q 3": "4e56d72e2d57aa2446bd2735aceb7c878e04bf3a9faae94123f4a499909c8dcf",
+    "cycle --n 1 --q 3 --format csv": "0c2cd2a652ed17ddc8f6960b502e722072c7949c4fae03bf347f327039f53550",
+    "cycle --n 1 --q 4": "5d0fb53981399adbb9adcaf34244ecfb1030593c5edee5b65b579a4db173c164",
+    "cycle --n 1 --q 4 --format csv": "c4431e960c64584538793090515029d4447c79068397a99f6cc3b719b3ff7c0a",
+    "cycle --n 1 --q 11": "90343064651215c9c5c24f3148f2292b5945e36b3549b7ede972d1d68a1e2950",
+    "cycle --n 1 --q 11 --format csv": "709f5cf5500d0913b7dab4fc1af9fd3b25c530b3876e4f3e0a8a1387686b70bf",
+    "cycle --n 2 --q 3": "2e847b72fe1d3e1bce8ce937abab3f7abe81061b3ff6bf20011ca1149b65c4d1",
+    "cycle --n 2 --q 3 --format csv": "a9645432c1f16650d03ad41bdf51ff4896b53873407a1cffe6322ff5e63b323b",
+    "cycle --n 2 --q 4": "50fe98f96e25e465dc560d2fb03ee14f04fda9ce2d43297b6f60aeb181e24fbc",
+    "cycle --n 2 --q 4 --format csv": "7b439a6d08f0f6e351156a849bcfd600f414f249abd7cf9126b00d0d9661423f",
+    "cycle --n 2 --q 11": "aa1d8a0e56afc921c22125d2c011cc0aae5574f1892a721b61731c668b35a0c7",
+    "cycle --n 2 --q 11 --format csv": "24c5aa970abc27650eca74f2359063e1646d68212634832da584ef4cbf0601a2",
+    "cycle --n 5 --q 3": "54785e2a808005a7c69b3853b9d18d083f893dbeb50439318a846c7632364a19",
+    "cycle --n 5 --q 3 --format csv": "ac02d1af24caa7e816d20e8a76375bdf6081989504cddfe97fb451c24cf6ef4a",
+    "cycle --n 5 --q 4": "12f70fff84682243ee2b53d72f90046a7ffc7890c1684e842521d65cb77478b6",
+    "cycle --n 5 --q 4 --format csv": "a31551137707e99720ef3779f39326d9b8040cb1fba3504b50faac75f581c340",
+    "cycle --n 5 --q 11": "bd13c58f94bb6c7e8f68c080d950f37aa9224ae55ae72baa0ac9defd3eb42d75",
+    "cycle --n 5 --q 11 --format csv": "f83b3905b7623d3da94e8259294319dea4b85074dc5deec02a627f030688fae8",
+    "line --n 4 --k 1 --q 4": "130a9a223fb696b143cc7dd913aea7cb7474fc377029fbf1910da23b051d8390",
+    "line --n 3 --k 1 --q 12 --format csv":
+        "ef84c26116eac1755776d0c585a8f8dc638215f6f9a544f272573a84c5af98c6",
+}
+
+
+@pytest.mark.parametrize("args", sorted(EXACT_SHA256))
+def test_exact_output_is_pinned(capsys, args):
+    code, out, _ = run(capsys, "exact", *args.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == EXACT_SHA256[args]
+
+
+def _oracle_dump(args: str) -> str:
+    """The dump as json.dumps / CSV of the law's ``to_json_entries``."""
+    a = cli.build_parser().parse_args(["exact", *args.split()])
+    if a.law == "cycle":
+        law = cycle_law(a.n, a.q)
+        meta = {"kind": "cycle", "n": a.n, "q": a.q}
+    else:
+        law = line_window_law(a.n, a.k, a.q)
+        meta = {"kind": "line-window", "n": a.n, "k": a.k, "q": a.q,
+                "theorem_grade": is_theorem_grade(a.k, a.q)}
+    entries = law.to_json_entries()
+    if a.format == "csv":
+        return "state,num,den\n" + "".join(f"{e['state']},{e['num']},{e['den']}\n" for e in entries)
+    doc = {"schema": "findep.dist/1", **meta, "total_states": len(entries), "states": entries}
+    return json.dumps(doc, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("args", sorted(EXACT_SHA256))
+def test_exact_output_matches_exact_dist_serializer(capsys, args):
+    code, out, _ = run(capsys, "exact", *args.split())
+    assert code == 0
+    assert out == _oracle_dump(args)
+
+
+def test_exact_builds_no_law_objects(capsys, monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("findep exact built an ExactDist")
+
+    for name in ("cycle_law", "line_window_law"):
+        monkeypatch.setattr(recurrence, name, boom)
+        monkeypatch.setattr(cli, name, boom, raising=False)
+    monkeypatch.setattr(ExactDist, "from_weights", boom)
+    monkeypatch.setattr(ExactDist, "to_json_entries", boom)
+    for args in ("cycle --n 5 --q 4", "line --n 3 --k 1 --q 12 --format csv"):
+        code, out, _ = run(capsys, "exact", *args.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == EXACT_SHA256[args]
+
+
+def test_exact_rejects_negative_k(capsys):
+    code, out, err = run(capsys, "exact", "line", "--n", "3", "--k", "-1", "--q", "4")
+    assert code == 2
+    assert out == ""
+    assert "k >= 0" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--n", "15", "--q", "3", "--budget", "100000000"),  # beyond the dense levels
+        ("--n", "14", "--q", "5", "--budget", "10000000000"),  # codes beyond int32
+    ],
+)
+def test_exact_beyond_dense_engine_exits_3(capsys, monkeypatch, argv):
+    def boom(*args, **kwargs):
+        raise AssertionError("a level was built")
+
+    monkeypatch.setattr(recurrence, "_level_values", boom)
+    code, out, err = run(capsys, "exact", "cycle", *argv)
+    assert code == 3
+    assert out == ""
+    assert "error:" in err
+
+
 def test_sample_text_deterministic(capsys):
     args = ("sample", "necklace", "--n", "5", "--q", "3", "--reps", "50", "--seed", "7")
     code1, out1, _ = run(capsys, *args)
@@ -74,14 +181,13 @@ def test_sample_text_deterministic(capsys):
     assert len(out1.strip().splitlines()) == 50
 
 
-def test_sample_thread_count_does_not_change_output(capsys):
-    base = ("sample", "eden", "--n", "5", "--q", "3", "--reps", "40", "--seed", "3")
-    _, out, err = run(capsys, *base)
-    assert err == ""
-    for threads in ("1", "4"):
-        _, out_t, err_t = run(capsys, "--threads", threads, *base)
-        assert out_t == out
-        assert "--threads is deprecated" in err_t
+def test_threads_flag_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--threads", "2", "sample", "eden", "--n", "5", "--q", "3", "--reps", "4"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err
 
 
 @pytest.mark.parametrize(

@@ -10,8 +10,10 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
+import numpy as np
 import pytest
 
+from findep import recurrence
 from findep.analysis import marginalize
 from findep.dist import ExactDist
 from findep.errors import BudgetExceeded
@@ -211,11 +213,32 @@ def test_cycle_law_excludes_zero_count_words():
     assert d.prob(Word.parse("1213", 3)) == F(12, 144)
 
 
-def test_cycle_law_guards():
+def test_cycle_law_guards(monkeypatch):
+    def boom(*args):
+        raise AssertionError("a level was built")
+
+    monkeypatch.setattr(recurrence, "_level_values", boom)
     with pytest.raises(ValueError):
         cycle_law(3, 2)
     with pytest.raises(BudgetExceeded):
         cycle_law(10, 4, budget=1000)
+    # Beyond the dense levels (n > 14) and beyond int32 codes (5**14 > 2**31)
+    # the budget does not matter: both raise before any level is built.
+    with pytest.raises(BudgetExceeded):
+        cycle_law(15, 3, budget=10**8)
+    with pytest.raises(BudgetExceeded):
+        cycle_law(14, 5, budget=10**10)
+
+
+def test_level_counts_are_checked_against_m_factorial():
+    codes = np.arange(27, dtype=np.int32)
+    # A length-3 word sums three level-2 counts, each at most 2! = 2.
+    vals = recurrence._level_values(np.full(9, 2, dtype=np.int64), codes, 3, 3, True)
+    assert vals.max() == 6
+    with pytest.raises(OverflowError):
+        recurrence._level_values(np.full(9, 3, dtype=np.int64), codes, 3, 3, True)
+    with pytest.raises(OverflowError):  # the int64 sum wraps to a negative count
+        recurrence._level_values(np.full(9, 2**62, dtype=np.int64), codes, 3, 3, True)
 
 
 def test_cycle_law_zero_length():

@@ -1,5 +1,8 @@
 """Word value type and pure manipulations."""
 
+from itertools import product
+
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -11,6 +14,7 @@ from findep.words import (
     is_proper,
     reflect,
     rotate,
+    row_texts,
 )
 
 
@@ -25,6 +29,13 @@ def test_construction_validates_symbols():
         Word((1, 4), 3)
     with pytest.raises(ValueError):
         Word((1,), 0)
+
+
+@pytest.mark.parametrize("n,q", [(0, 3), (0, 11), (1, 3), (3, 4), (3, 9), (2, 10), (3, 12)])
+def test_row_texts_match_word_text(n, q):
+    words = list(product(range(1, q + 1), repeat=n))
+    rows = np.array(words, dtype=np.int32).reshape(len(words), n)
+    assert row_texts(rows, q) == [Word(w, q).text() for w in words]
 
 
 def test_parse_and_text_roundtrip():
