@@ -3,6 +3,12 @@
 Everything except the chi-square test is exact rational arithmetic with no
 tolerances; the chi-square decision is inherently statistical and is taken
 at a configurable level (default 0.001). All operations are pure.
+
+Independence has one engine. ``are_independent`` and
+``k_dependence_counterexample`` hold the law's integer weights as a count
+tensor with one axis per coordinate, take the marginal on a coordinate set
+as a sum over the other axes, and accept a pair (S1, S2) iff
+joint * total == outer(m1, m2) holds exactly, in Python ints, on every cell.
 """
 
 from __future__ import annotations
@@ -12,10 +18,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
+import numpy as np
 from scipy.special import gammaincc
 
 from .dist import ExactDist, State, state_text
 from .errors import BudgetExceeded
+from .recurrence import DEFAULT_BUDGET
 from .words import Word, apply_color_perm, reflect, rotate, rotl
 
 __all__ = [
@@ -67,51 +75,48 @@ def pushforward(d: ExactDist, f: Callable[[State], State]) -> ExactDist:
     return ExactDist(acc)
 
 
-def _marginal_weights(
-    weights: Mapping[State, int], coords0: tuple[int, ...]
-) -> dict[State, int]:
-    acc: dict[State, int] = {}
-    for state, w in weights.items():
-        key = tuple(state[i] for i in coords0)
-        acc[key] = acc.get(key, 0) + w
-    return acc
+class _Marginals:
+    """Integer marginal tables of one law, cached per coordinate tuple.
 
-
-def _independent_on(
-    weights: Mapping[State, int],
-    total: int,
-    s1_0: tuple[int, ...],
-    s2_0: tuple[int, ...],
-    cache: Optional[dict] = None,
-) -> bool:
-    """Exact factorization check over integer masses (common denominator).
-
-    Joint mass * total == product of marginal masses, for every pair in
-    the product of the marginal supports (zero joints included).
+    The law's weights over their common denominator ``total`` are held as an
+    int64 array of shape (a,)*n: axis i indexes the i-th coordinate's symbol
+    in the law's sorted symbol alphabet of size a, for Word and tuple states
+    alike. Every entry and every marginal sum is at most ``total``, so int64
+    is exact once ``total`` fits; products are taken as Python ints.
     """
-    if not s1_0 or not s2_0:
-        return True
-    union = tuple(sorted(s1_0 + s2_0))
-    take_first = [i in set(s1_0) for i in union]
 
-    def marg(coords: tuple[int, ...]) -> dict[State, int]:
-        if cache is None:
-            return _marginal_weights(weights, coords)
-        got = cache.get(coords)
+    def __init__(self, d: ExactDist):
+        weights, self.total = d.weights()
+        if self.total >= 1 << 63:
+            raise OverflowError(f"common denominator {self.total} does not fit in int64")
+        rows = [tuple(state) for state in weights]
+        alphabet = sorted(set().union(*rows))
+        a, n = len(alphabet), len(rows[0])
+        if a**n > DEFAULT_BUDGET:
+            raise BudgetExceeded(f"{a}**{n} count cells exceed the budget {DEFAULT_BUDGET}")
+        pos = {c: i for i, c in enumerate(alphabet)}
+        idx = np.array([[pos[c] for c in r] for r in rows], dtype=np.int64).reshape(len(rows), n)
+        flat = np.zeros(a**n, dtype=np.int64)
+        flat[idx @ a ** np.arange(n - 1, -1, -1)] = list(weights.values())
+        self.counts = flat.reshape((a,) * n)
+        self._cache: dict[tuple[int, ...], np.ndarray] = {}
+
+    def __call__(self, coords0: tuple[int, ...]) -> np.ndarray:
+        """Marginal counts on the sorted 0-based coordinates, one axis each."""
+        got = self._cache.get(coords0)
         if got is None:
-            got = cache[coords] = _marginal_weights(weights, coords)
+            rest = tuple(i for i in range(self.counts.ndim) if i not in coords0)
+            got = self._cache[coords0] = self.counts.sum(axis=rest)
         return got
 
-    joint = marg(union)
-    m1 = marg(s1_0)
-    m2 = marg(s2_0)
-    for a, wa in m1.items():
-        for b, wb in m2.items():
-            it1, it2 = iter(a), iter(b)
-            u = tuple(next(it1) if f else next(it2) for f in take_first)
-            if joint.get(u, 0) * total != wa * wb:
-                return False
-    return True
+    def independent(self, s1_0: tuple[int, ...], s2_0: tuple[int, ...]) -> bool:
+        """Exact factorization: joint * total == outer(m1, m2) on every cell."""
+        union = tuple(sorted(s1_0 + s2_0))
+        m1 = self(s1_0).ravel().astype(object)
+        m2 = self(s2_0).ravel().astype(object)
+        joint = self(union).transpose([union.index(c) for c in s1_0 + s2_0])
+        lhs = joint.reshape(m1.size, m2.size).astype(object) * self.total
+        return bool((lhs == np.multiply.outer(m1, m2)).all())
 
 
 def are_independent(d: ExactDist, s1: Iterable[int], s2: Iterable[int]) -> bool:
@@ -128,10 +133,9 @@ def are_independent(d: ExactDist, s1: Iterable[int], s2: Iterable[int]) -> bool:
     for c in set1 | set2:
         if not 1 <= c <= n:
             raise ValueError(f"coordinate {c} not in [1, {n}]")
-    weights, total = d.weights()
-    return _independent_on(
-        weights,
-        total,
+    if not set1 or not set2:
+        return True
+    return _Marginals(d).independent(
         tuple(sorted(c - 1 for c in set1)),
         tuple(sorted(c - 1 for c in set2)),
     )
@@ -165,44 +169,20 @@ def _admissible_pairs(n: int, k: int):
     yield from extend(0, [], [])
 
 
-def _interval_pairs(n: int, k: int):
-    """Pairs of disjoint cyclic intervals at distance greater than k."""
-    for i in range(n):
-        for li in range(1, n):
-            a = tuple(sorted((i + t) % n for t in range(li)))
-            for j in range(n):
-                for lj in range(1, n):
-                    b = tuple(sorted((j + t) % n for t in range(lj)))
-                    if set(a) & set(b):
-                        continue
-                    dist = min(
-                        _cyclic_distance(x, y, n) for x in a for y in b
-                    )
-                    if dist > k and (a, b) <= (b, a):
-                        yield a, b
-
-
 def k_dependence_counterexample(
-    d: ExactDist, k: int, *, intervals_only: bool = False
+    d: ExactDist, k: int
 ) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
     """First dependent admissible pair as 1-based coordinate tuples, or None.
 
-    Full mode enumerates every pair of disjoint nonempty subsets at cyclic
-    distance greater than k (definition-faithful) and is limited to n <= 10;
-    ``intervals_only=True`` checks contiguous arcs only (a partial check)
-    without the size limit.
+    Enumerates every pair of disjoint nonempty subsets at cyclic distance
+    greater than k (definition-faithful); limited to n <= 10.
     """
     n = _state_len(d)
-    if not intervals_only and n > 10:
-        raise BudgetExceeded(
-            f"full subset-pair check is limited to n <= 10, got {n}; "
-            "use intervals_only for a partial check"
-        )
-    weights, total = d.weights()
-    cache: dict = {}
-    pairs = _interval_pairs(n, k) if intervals_only else _admissible_pairs(n, k)
-    for s1_0, s2_0 in pairs:
-        if not _independent_on(weights, total, s1_0, s2_0, cache):
+    if n > 10:
+        raise BudgetExceeded(f"the subset-pair check is limited to n <= 10, got {n}")
+    marginals = _Marginals(d)
+    for s1_0, s2_0 in _admissible_pairs(n, k):
+        if not marginals.independent(s1_0, s2_0):
             return (
                 tuple(c + 1 for c in s1_0),
                 tuple(c + 1 for c in s2_0),
@@ -210,9 +190,9 @@ def k_dependence_counterexample(
     return None
 
 
-def verify_k_dependence(d: ExactDist, k: int, *, intervals_only: bool = False) -> bool:
+def verify_k_dependence(d: ExactDist, k: int) -> bool:
     """True iff every admissible coordinate-set pair is exactly independent."""
-    return k_dependence_counterexample(d, k, intervals_only=intervals_only) is None
+    return k_dependence_counterexample(d, k) is None
 
 
 def symmetry_check(

@@ -488,25 +488,25 @@ def _eden_state_with_outer(x: Word) -> EdenState:
 
 
 def eden_vs_necklace_kernel_check(n: int, q: int) -> bool:
-    """Exact equality of the Eden step-and-read law with the insertion kernel.
+    """Exact equality of the Eden step-and-read law with the insertion step.
 
-    For every reachable outer coloring (positive insertion count), builds a
-    state carrying it, exhausts all (gap, color, start) choices of one
-    growth step followed by a read, and compares the resulting exact law
-    with the corresponding ``coupling_kernel`` row.
+    For every reachable outer coloring t (positive insertion count), builds
+    a state carrying it and counts the outcomes of all (gap, color, start)
+    choices of one growth step followed by a read. ``_insertion_row(t, q)``
+    counts all (gap, color, rotation) triples of one insertion step; both
+    range over n (q-2) (n+1) triples of weight 1, so equal counts are equal
+    laws.
     """
-    kernel = coupling_kernel(n, q)
     for t in _cyclically_proper_words(n, q):
         if b_circ(t, q) == 0:
             continue
-        x = Word(t, q)
-        s = _eden_state_with_outer(x)
-        law: Counter = Counter()
+        s = _eden_state_with_outer(Word(t, q))
+        outcomes: Counter = Counter()
         for gap_index in range(len(s.gaps)):
             for color_index in range(q - 2):
                 stepped = _eden_step_at(s, gap_index, color_index)
                 for start in range(len(stepped.outer)):
-                    law[_eden_read_from(stepped, start)] += 1
-        if ExactDist.from_weights(law) != kernel.row(x):
+                    outcomes[_eden_read_from(stepped, start).symbols] += 1
+        if outcomes != _insertion_row(t, q):
             return False
     return True

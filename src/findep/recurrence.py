@@ -16,16 +16,18 @@ length-n windows of the line process.
 
 Evaluation strategy: per-word values are memoized under rotation
 canonicalization, which is sound because the cyclic count is invariant
-under rotation (verified independently by the test suite). Whole-level
-sums use a vectorized bottom-up pass over dense numpy int64 arrays; the
-two engines implement the same recurrence and are cross-checked in tests.
+under rotation. Whole levels come from a vectorized bottom-up pass over
+dense numpy int64 arrays that canonicalizes nothing, so ``verify shift``
+checks the symmetries on them (through ``cycle_counts``). The two engines
+are cross-checked in tests.
 
 Laws come only from the dense levels: ``cycle_law``, ``line_window_law``
 and the CLI's law dumps read the nonzero entries of level n through
 ``_law_counts``. That bounds them to n <= 14, q**n within the budget, and
-q**n < 2**31 (level codes are int32); beyond any bound they raise
-``BudgetExceeded`` before allocating. Every level is checked to hold
-counts in [0, m!], so an int64 overflow raises instead of giving a law.
+q**n < 2**31 (level codes are int32), and partition sums to n <= 14;
+beyond any bound they raise ``BudgetExceeded`` before allocating. Every
+level is checked to hold counts in [0, m!], so an int64 overflow raises
+instead of giving a law.
 
 Thread-safety: all functions are pure. The shared memo tables are only
 ever written with values equal to the single-threaded result, so
@@ -52,6 +54,7 @@ __all__ = [
     "b_circ",
     "b_circ_mobius",
     "b_vec",
+    "cycle_counts",
     "cycle_law",
     "is_theorem_grade",
     "line_window_law",
@@ -263,13 +266,15 @@ def _levels(q: int, cyclic: bool, upto: int) -> list[np.ndarray]:
 
 
 def _sum_counts(n: int, q: int, *, cyclic: bool) -> int:
+    if n < 0 or q < 1:
+        raise ValueError("need n >= 0 and q >= 1")
+    if n > _BULK_MAX_N or q**n > _ENUM_LIMIT:
+        raise BudgetExceeded(
+            f"partition sums are computed for n <= {_BULK_MAX_N} and "
+            f"q**n <= 2**27 only, got {q}**{n}"
+        )
     if n == 0:
         return 1
-    if n > _BULK_MAX_N:
-        if q**n > 1 << 20:
-            raise BudgetExceeded(f"summation over {q}**{n} words is not feasible")
-        rec = b_circ if cyclic else b_vec
-        return sum(rec(t, q) for t in product(range(1, q + 1), repeat=n))
     size = q**n
     if size <= _CHUNK:
         return int(_levels(q, cyclic, n)[n].sum())
@@ -285,19 +290,11 @@ def _sum_counts(n: int, q: int, *, cyclic: bool) -> int:
 
 def z_circ(n: int, q: int) -> int:
     """Partition sum of the cyclic insertion counts over all q**n words."""
-    if n < 0 or q < 1:
-        raise ValueError("need n >= 0 and q >= 1")
-    if q**n > _ENUM_LIMIT:
-        raise BudgetExceeded(f"summation over {q}**{n} words is not feasible")
     return _sum_counts(n, q, cyclic=True)
 
 
 def z_vec(n: int, q: int) -> int:
     """Partition sum of the line insertion counts over all q**n words."""
-    if n < 0 or q < 1:
-        raise ValueError("need n >= 0 and q >= 1")
-    if q**n > _ENUM_LIMIT:
-        raise BudgetExceeded(f"summation over {q}**{n} words is not feasible")
     return _sum_counts(n, q, cyclic=False)
 
 
@@ -310,6 +307,18 @@ def _check_law_request(n: int, q: int, budget: int) -> None:
         raise BudgetExceeded(f"laws are enumerated for n <= {_BULK_MAX_N} only, got n = {n}")
     if budget < 1 or q**n > budget:
         raise BudgetExceeded(f"{q}**{n} words exceed the enumeration budget {budget}")
+
+
+def cycle_counts(n: int, q: int) -> np.ndarray:
+    """b_circ of every length-n word as a read-only (q,)*n view of level n.
+
+    Entry [x1-1, ..., xn-1] is b_circ(x1...xn). Bounded like the laws:
+    n <= 14 and q**n <= DEFAULT_BUDGET, else ``BudgetExceeded``.
+    """
+    _check_law_request(n, q, DEFAULT_BUDGET)
+    view = _levels(q, True, n)[n].reshape((q,) * n)
+    view.flags.writeable = False
+    return view
 
 
 def _law_counts(n: int, q: int, budget: int, *, cyclic: bool) -> tuple[np.ndarray, list[int], int]:

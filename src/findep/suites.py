@@ -15,7 +15,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations, product
-from typing import Iterable, Optional
+from typing import Optional
+
+import numpy as np
 
 from . import analysis, chains, growth, recurrence
 from .chains import ChainVariant
@@ -40,10 +42,10 @@ def _all_words(n: int, q: int):
     return product(range(1, q + 1), repeat=n)
 
 
-def partition_suite(max_n: int, qs: Iterable[int] = (3, 4, 5, 6)) -> dict:
+def partition_suite(max_n: int) -> dict:
     """z_circ(n, q) == n! q (q-1) (q-2)^(n-2) for n in [2, max_n]."""
     cases = []
-    for q in qs:
+    for q in (3, 4, 5, 6):
         for n in range(2, max_n + 1):
             total = recurrence.z_circ(n, q)
             closed = recurrence.z_circ_closed(n, q)
@@ -60,10 +62,10 @@ def partition_suite(max_n: int, qs: Iterable[int] = (3, 4, 5, 6)) -> dict:
     return _report("partition", cases)
 
 
-def mobius_suite(max_n: int, qs: Iterable[int] = (3, 4)) -> dict:
+def mobius_suite(max_n: int) -> dict:
     """Inclusion-exclusion form equals the defining recurrence on every word."""
     cases = []
-    for q in qs:
+    for q in (3, 4):
         for n in range(1, max_n + 1):
             bad = None
             for t in _all_words(n, q):
@@ -76,34 +78,40 @@ def mobius_suite(max_n: int, qs: Iterable[int] = (3, 4)) -> dict:
     return _report("mobius", cases)
 
 
-def shift_suite(max_n: int, qs: Iterable[int] = (3, 4)) -> dict:
-    """Count-level invariance of b_circ under rotation, reflection, relabeling."""
+_SHIFT_OPS = ("rotation", "reflection", "color-permutation")
+
+
+def shift_suite(max_n: int) -> dict:
+    """Count-level invariance of b_circ under rotation, reflection, relabeling.
+
+    Checked on the dense level, which counts every word without
+    canonicalizing; a counterexample is the first failing word in
+    lexicographic order with its first failing operation.
+    """
     cases = []
-    for q in qs:
-        perms = [dict(zip(range(1, q + 1), p)) for p in permutations(range(1, q + 1))]
+    for q in (3, 4):
         for n in range(1, max_n + 1):
+            c = recurrence.cycle_counts(n, q)
+            fails = {op: np.zeros(c.shape, dtype=bool) for op in _SHIFT_OPS}
+            for r in range(1, n):
+                fails["rotation"] |= c.transpose(np.roll(range(n), r)) != c
+            fails["reflection"] |= c.transpose() != c
+            for p in permutations(range(q)):
+                fails["color-permutation"] |= c[np.ix_(*[np.array(p)] * n)] != c
+            codes = np.flatnonzero(np.logical_or.reduce(list(fails.values())))
             bad = None
-            for t in _all_words(n, q):
-                v = b_circ(t, q)
-                if any(b_circ(t[r:] + t[:r], q) != v for r in range(1, n)):
-                    bad = {"word": state_text(Word(t, q)), "op": "rotation"}
-                    break
-                if b_circ(t[::-1], q) != v:
-                    bad = {"word": state_text(Word(t, q)), "op": "reflection"}
-                    break
-                if any(b_circ(tuple(p[s] for s in t), q) != v for p in perms):
-                    bad = {"word": state_text(Word(t, q)), "op": "color-permutation"}
-                    break
-            cases.append(
-                {"n": n, "q": q, "passed": bad is None, "counterexample": bad}
-            )
+            if codes.size:
+                t = tuple(int(i) + 1 for i in np.unravel_index(codes[0], c.shape))
+                op = next(op for op in _SHIFT_OPS if fails[op].flat[codes[0]])
+                bad = {"word": state_text(Word(t, q)), "op": op}
+            cases.append({"n": n, "q": q, "passed": bad is None, "counterexample": bad})
     return _report("shift", cases)
 
 
-def symmetry_suite(max_n: int, qs: Iterable[int] = (3, 4)) -> dict:
+def symmetry_suite(max_n: int) -> dict:
     """Law-level invariance of the cycle law under the full symmetry group."""
     cases = []
-    for q in qs:
+    for q in (3, 4):
         perms = list(permutations(range(1, q + 1)))
         for n in range(3, max_n + 1):
             d = cycle_law(n, q)
@@ -236,10 +244,10 @@ def kdep_report(n: int, q: int, k: int) -> dict:
     return _report("kdep", [_kdep_case(n, q, k)])
 
 
-def coupling_suite(max_n: int, qs: Iterable[int] = (3, 4)) -> dict:
+def coupling_suite(max_n: int) -> dict:
     """Kernel transport of the cycle laws and the growth-vs-insertion check."""
     cases = []
-    for q in qs:
+    for q in (3, 4):
         for n in range(3, max_n + 1):
             kernel = growth.coupling_kernel(n, q)
             transported = kernel.push(cycle_law(n, q)) == cycle_law(n + 1, q)
@@ -328,14 +336,11 @@ def kernels_suite(max_n: int) -> dict:
             cases.append({"variant": variant.value, "n": n, "check": "kernel-equal",
                           "passed": equal,
                           "counterexample": None if equal else {"variant": variant.value, "n": n}})
-    for variant, q, colors in (
-        (ChainVariant.COLORS_ONE_TWO_Q4, 4, {1, 2}),
-        (ChainVariant.COLOR_ONE_Q3, 3, {1}),
-    ):
-        ind = chains.color_indicator(colors)
+    for variant in ChainVariant:
+        ind = chains.color_indicator(variant.marked_colors)
         for n in range(3, max_n + 1):
             ok = chains.chain_law(variant, n) == analysis.pushforward(
-                cycle_law(n, q), ind
+                cycle_law(n, variant.q), ind
             )
             cases.append({"variant": variant.value, "n": n, "check": "chain-vs-pushforward",
                           "passed": ok,
@@ -402,7 +407,7 @@ def _check_size(name: str, max_n: int, least: int) -> None:
         )
 
 
-def run_suite(name: str, max_n: Optional[int] = None, **kwargs) -> dict:
+def run_suite(name: str, max_n: Optional[int] = None) -> dict:
     """Run one suite at max_n, or at its default size. A suite without a
     size rejects max_n."""
     try:
@@ -411,11 +416,12 @@ def run_suite(name: str, max_n: Optional[int] = None, **kwargs) -> dict:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}") from None
     if name in SIZES:
         default, least = SIZES[name]
-        kwargs["max_n"] = default if max_n is None else max_n
-        _check_size(name, kwargs["max_n"], least)
-    elif max_n is not None:
+        max_n = default if max_n is None else max_n
+        _check_size(name, max_n, least)
+        return fn(max_n)
+    if max_n is not None:
         raise ValueError(f"suite {name!r} has no size and takes no max_n")
-    return fn(**kwargs)
+    return fn()
 
 
 def run_all(max_n: Optional[int] = None) -> dict:

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from findep.analysis import (
+    _admissible_pairs,
     are_independent,
     chi_square_gof,
     k_dependence_counterexample,
@@ -14,6 +15,7 @@ from findep.analysis import (
     tv_distance,
     verify_k_dependence,
 )
+from findep.chains import color_indicator
 from findep.dist import ExactDist
 from findep.errors import BudgetExceeded
 from findep.recurrence import cycle_law, line_window_law
@@ -92,9 +94,70 @@ def test_k_dependence_budget_guard():
         verify_k_dependence(cycle_law(11, 3, budget=10**7), 2)
 
 
-def test_k_dependence_intervals_mode():
-    assert verify_k_dependence(cycle_law(6, 3), 2, intervals_only=True)
-    assert not verify_k_dependence(cycle_law(5, 3), 1, intervals_only=True)
+def _oracle_independent(d, s1, s2):
+    """Literal check: P(A=a, B=b) == P(A=a) P(B=b) for every a, b in the
+    marginal supports, with Fraction masses summed state by state."""
+    def law(coords):
+        acc = {}
+        for state, p in d.items():
+            key = tuple(state[c - 1] for c in coords)
+            acc[key] = acc.get(key, F(0)) + p
+        return acc
+
+    union = sorted(s1 + s2)
+    joint, m1, m2 = law(union), law(s1), law(s2)
+    for a, pa in m1.items():
+        for b, pb in m2.items():
+            vals = dict(zip(s1, a)) | dict(zip(s2, b))
+            if joint.get(tuple(vals[c] for c in union), F(0)) != pa * pb:
+                return False
+    return True
+
+
+def _admissible_1based(n, k):
+    for s1, s2 in _admissible_pairs(n, k):
+        yield tuple(c + 1 for c in s1), tuple(c + 1 for c in s2)
+
+
+@pytest.mark.parametrize("q", [3, 4])
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_are_independent_matches_fraction_oracle(n, q):
+    d = cycle_law(n, q)
+    verdicts = []
+    for k in (1, 2):
+        for s1, s2 in _admissible_1based(n, k):
+            verdict = are_independent(d, s1, s2)
+            assert verdict == _oracle_independent(d, s1, s2), (k, s1, s2)
+            verdicts.append(verdict)
+    if q == 3 and n >= 5:
+        assert not all(verdicts)  # q = 3 is not 1-dependent, so both answers occur
+
+
+def test_are_independent_matches_fraction_oracle_on_tuple_states():
+    d = pushforward(cycle_law(6, 4), color_indicator({1}))
+    pairs = list(_admissible_1based(6, 1))
+    assert pairs
+    for s1, s2 in pairs:
+        assert are_independent(d, s1, s2) == _oracle_independent(d, s1, s2), (s1, s2)
+
+
+def test_constructed_dependent_law_is_caught():
+    # sites 1 and 3 carry one fair bit, sites 2 and 4 independent fair bits
+    d = ExactDist.from_weights(
+        {(a, b, a, c): 1 for a in (0, 1) for b in (0, 1) for c in (0, 1)}
+    )
+    assert not are_independent(d, {1}, {3})
+    assert are_independent(d, {2}, {4})
+    assert are_independent(d, {1, 3}, {2})
+    assert k_dependence_counterexample(d, 1) == ((1,), (3,))
+
+
+def test_denominator_beyond_int64_raises():
+    d = ExactDist.from_weights({(0, 0): 1, (1, 1): 2**64})
+    with pytest.raises(OverflowError):
+        are_independent(d, {1}, {2})
+    with pytest.raises(OverflowError):
+        k_dependence_counterexample(d, 0)
 
 
 def test_symmetry_checks():

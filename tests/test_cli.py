@@ -256,6 +256,26 @@ def test_verify_partition(capsys):
     assert doc["passed"] is True
 
 
+# (exit code, sha256 of stdout) of `findep verify <args>`, recorded before the
+# independence checks and the shift suite moved to count tensors.
+VERIFY_SHA256 = {
+    "shift --max-n 5": (0, "3f123aa51d1476cbb58414a41718ef3c1ade325bb0aaa06cd958754446264ce6"),
+    "kdep --max-n 6": (0, "38548188af2b4738efc71359d1d26697d238385035651bdfa5ac9080cb45c597"),
+    "kdep --n 8 --q 4 --k 1":
+        (0, "b7c7019088ac615e7ad587783e72b00e67a98041e9beddbc9d96a99364d81343"),
+    "kdep --n 5 --q 3 --k 1":
+        (1, "1a6332c7ed29199d364c3b2403e017113933d5f3f5d46395936618098f04c176"),
+    "coupling --max-n 4": (0, "4437dc2747770a35cd8c1ed8cd446be95341c8e89026bdc4d114a57e6980f5f1"),
+    "kernels --max-n 5": (0, "b5a85c98d9bdff0218ee5d59755358baa8f18a02def63805f906d05a6f8935df"),
+}
+
+
+@pytest.mark.parametrize("args", sorted(VERIFY_SHA256))
+def test_verify_output_is_pinned(capsys, args):
+    code, out, _ = run(capsys, "verify", *args.split())
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == VERIFY_SHA256[args]
+
+
 def test_verify_blockfactor_stat(capsys):
     code, out, _ = run(capsys, "verify", "blockfactor-stat")
     assert code == 0

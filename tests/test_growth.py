@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import findep
+from findep import growth
 from findep.analysis import chi_square_gof
 from findep.growth import (
     RngStream,
@@ -228,6 +229,20 @@ def test_greedy_coloring_uniformity(q, gap_seq):
 @pytest.mark.parametrize("n,q", [(3, 3), (4, 3), (3, 4)])
 def test_eden_vs_necklace_kernel(n, q):
     assert eden_vs_necklace_kernel_check(n, q)
+
+
+@pytest.mark.parametrize(
+    "wrong,q",
+    [
+        (lambda step, s, g, c: step(s, 0, c), 3),  # always the first gap
+        (lambda step, s, g, c: step(s, 0, c), 4),
+        (lambda step, s, g, c: step(s, g, 0), 4),  # always the first allowed color
+    ],
+)
+def test_eden_vs_necklace_kernel_check_can_fail(monkeypatch, wrong, q):
+    step = growth._eden_step_at
+    monkeypatch.setattr(growth, "_eden_step_at", lambda s, g, c: wrong(step, s, g, c))
+    assert not eden_vs_necklace_kernel_check(4, q)
 
 
 def test_eden_state_with_outer_requires_cyclically_proper():

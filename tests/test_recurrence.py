@@ -189,6 +189,29 @@ def test_z_circ_budget():
         z_circ(40, 6)
 
 
+def test_partition_sums_stop_at_n_14(monkeypatch):
+    def boom(*args):
+        raise AssertionError("a level was built")
+
+    monkeypatch.setattr(recurrence, "_level_values", boom)
+    # 2**15 words is small, but partition sums, like laws, stop at n = 14
+    with pytest.raises(BudgetExceeded):
+        z_circ(15, 2)
+    with pytest.raises(BudgetExceeded):
+        z_vec(15, 2)
+
+
+def test_cycle_counts_guards(monkeypatch):
+    def boom(*args):
+        raise AssertionError("a level was built")
+
+    monkeypatch.setattr(recurrence, "_level_values", boom)
+    with pytest.raises(BudgetExceeded):
+        recurrence.cycle_counts(12, 4)  # 4**12 words exceed the default budget
+    with pytest.raises(BudgetExceeded):
+        recurrence.cycle_counts(15, 3)
+
+
 # -- exact laws ---------------------------------------------------------------
 
 
