@@ -18,8 +18,10 @@ Evaluation strategy: per-word values are memoized under rotation
 canonicalization, which is sound because the cyclic count is invariant
 under rotation. Whole levels come from a vectorized bottom-up pass over
 dense numpy int64 arrays that canonicalizes nothing, so ``verify shift``
-checks the symmetries on them (through ``cycle_counts``). The two engines
-are cross-checked in tests.
+checks the symmetries on them (through ``cycle_counts``), and ``verify
+restriction`` and ``verify coupling`` read whole levels through
+``cycle_counts`` and ``line_counts``. The two engines are cross-checked in
+tests.
 
 Laws come only from the dense levels: ``cycle_law``, ``line_window_law``
 and the CLI's law dumps read the nonzero entries of level n through
@@ -57,6 +59,7 @@ __all__ = [
     "cycle_counts",
     "cycle_law",
     "is_theorem_grade",
+    "line_counts",
     "line_window_law",
     "restriction_sum",
     "z_circ",
@@ -309,16 +312,25 @@ def _check_law_request(n: int, q: int, budget: int) -> None:
         raise BudgetExceeded(f"{q}**{n} words exceed the enumeration budget {budget}")
 
 
+def _counts_view(n: int, q: int, cyclic: bool) -> np.ndarray:
+    _check_law_request(n, q, DEFAULT_BUDGET)
+    view = _levels(q, cyclic, n)[n].reshape((q,) * n)
+    view.flags.writeable = False
+    return view
+
+
 def cycle_counts(n: int, q: int) -> np.ndarray:
     """b_circ of every length-n word as a read-only (q,)*n view of level n.
 
     Entry [x1-1, ..., xn-1] is b_circ(x1...xn). Bounded like the laws:
     n <= 14 and q**n <= DEFAULT_BUDGET, else ``BudgetExceeded``.
     """
-    _check_law_request(n, q, DEFAULT_BUDGET)
-    view = _levels(q, True, n)[n].reshape((q,) * n)
-    view.flags.writeable = False
-    return view
+    return _counts_view(n, q, True)
+
+
+def line_counts(n: int, q: int) -> np.ndarray:
+    """b_vec of every length-n word, as ``cycle_counts`` gives b_circ."""
+    return _counts_view(n, q, False)
 
 
 def _law_counts(n: int, q: int, budget: int, *, cyclic: bool) -> tuple[np.ndarray, list[int], int]:

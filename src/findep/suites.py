@@ -13,16 +13,17 @@ word length; ``SIZES`` gives its default and smallest value.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import permutations, product
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
 from . import analysis, chains, growth, recurrence
 from .chains import ChainVariant
 from .dist import state_text
-from .recurrence import b_circ, b_circ_mobius, b_vec, cycle_law, line_window_law
+from .recurrence import b_circ, b_circ_mobius, cycle_law, line_window_law
 from .words import Word
 
 __all__ = ["SIZES", "SUITES", "kdep_report", "run_all", "run_suite"]
@@ -40,6 +41,36 @@ def _report(suite: str, cases: list[dict]) -> dict:
 
 def _all_words(n: int, q: int):
     return product(range(1, q + 1), repeat=n)
+
+
+def _check_levels(levels: Iterable[tuple[int, int]]) -> None:
+    """Raise ``BudgetExceeded`` before any work if a suite would read a
+    dense level (n, q) past the bounds of ``recurrence.cycle_counts``."""
+    for n, q in levels:
+        recurrence._check_law_request(n, q, recurrence.DEFAULT_BUDGET)
+
+
+def _word_at(code: int, n: int, q: int) -> str:
+    """Text of the length-n word with base-q code ``code``."""
+    t = tuple(int(i) + 1 for i in np.unravel_index(code, (q,) * n))
+    return state_text(Word(t, q))
+
+
+_INT64_MAX = np.iinfo(np.int64).max
+
+
+def _scaled_equal(x: np.ndarray, a: int, y: np.ndarray, b: int) -> np.ndarray:
+    """Cellwise x * a == y * b, exact in int64.
+
+    a and b are reduced by their gcd first; ``OverflowError`` if a product
+    could still leave int64.
+    """
+    g = math.gcd(a, b)
+    a, b = a // g, b // g
+    for arr, f in ((x, a), (y, b)):
+        if max(int(np.abs(arr).max(initial=0)), 1) * f > _INT64_MAX:
+            raise OverflowError(f"a count times {f} may not fit int64")
+    return x * a == y * b
 
 
 def partition_suite(max_n: int) -> dict:
@@ -78,7 +109,21 @@ def mobius_suite(max_n: int) -> dict:
     return _report("mobius", cases)
 
 
-_SHIFT_OPS = ("rotation", "reflection", "color-permutation")
+_OPS = ("rotation", "reflection", "color-permutation")
+
+
+def _symmetry_fails(c: np.ndarray) -> dict[str, np.ndarray]:
+    """Per operation, the cells of the count tensor c (shape (q,)*n, n >= 1)
+    that differ under some rotation, the reflection, or some color
+    permutation."""
+    n, q = c.ndim, c.shape[0]
+    fails = {op: np.zeros(c.shape, dtype=bool) for op in _OPS}
+    for r in range(1, n):
+        fails["rotation"] |= c.transpose(np.roll(range(n), r)) != c
+    fails["reflection"] |= c.transpose() != c
+    for p in permutations(range(q)):
+        fails["color-permutation"] |= c[np.ix_(*[np.array(p)] * n)] != c
+    return fails
 
 
 def shift_suite(max_n: int) -> dict:
@@ -91,48 +136,49 @@ def shift_suite(max_n: int) -> dict:
     cases = []
     for q in (3, 4):
         for n in range(1, max_n + 1):
-            c = recurrence.cycle_counts(n, q)
-            fails = {op: np.zeros(c.shape, dtype=bool) for op in _SHIFT_OPS}
-            for r in range(1, n):
-                fails["rotation"] |= c.transpose(np.roll(range(n), r)) != c
-            fails["reflection"] |= c.transpose() != c
-            for p in permutations(range(q)):
-                fails["color-permutation"] |= c[np.ix_(*[np.array(p)] * n)] != c
+            fails = _symmetry_fails(recurrence.cycle_counts(n, q))
             codes = np.flatnonzero(np.logical_or.reduce(list(fails.values())))
             bad = None
             if codes.size:
-                t = tuple(int(i) + 1 for i in np.unravel_index(codes[0], c.shape))
-                op = next(op for op in _SHIFT_OPS if fails[op].flat[codes[0]])
-                bad = {"word": state_text(Word(t, q)), "op": op}
+                op = next(op for op in _OPS if fails[op].flat[codes[0]])
+                bad = {"word": _word_at(codes[0], n, q), "op": op}
             cases.append({"n": n, "q": q, "passed": bad is None, "counterexample": bad})
     return _report("shift", cases)
 
 
 def symmetry_suite(max_n: int) -> dict:
-    """Law-level invariance of the cycle law under the full symmetry group."""
+    """Law-level invariance of the cycle law under the full symmetry group.
+
+    Checked on the law's decoded rows and counts, scattered back into a
+    count tensor, so this covers law materialization as well as the level
+    that ``shift`` checks.
+    """
+    _check_levels((max_n, q) for q in (3, 4))
     cases = []
     for q in (3, 4):
-        perms = list(permutations(range(1, q + 1)))
         for n in range(3, max_n + 1):
-            d = cycle_law(n, q)
-            ok_rot = all(analysis.symmetry_check(d, "rotation", r=r) for r in range(1, n))
-            ok_ref = analysis.symmetry_check(d, "reflection")
-            ok_col = all(
-                analysis.symmetry_check(d, "color-permutation", sigma=p) for p in perms
+            rows, counts, _ = recurrence._law_counts(
+                n, q, recurrence.DEFAULT_BUDGET, cyclic=True
             )
-            passed = ok_rot and ok_ref and ok_col
+            c = np.zeros((q,) * n, dtype=np.int64)
+            c[tuple((rows - 1).T)] = counts
+            ok = {op: not f.any() for op, f in _symmetry_fails(c).items()}
+            passed = all(ok.values())
             cases.append(
                 {
                     "n": n,
                     "q": q,
-                    "rotation": ok_rot,
-                    "reflection": ok_ref,
-                    "color_permutation": ok_col,
+                    "rotation": ok["rotation"],
+                    "reflection": ok["reflection"],
+                    "color_permutation": ok["color-permutation"],
                     "passed": passed,
                     "counterexample": None if passed else {"n": n, "q": q},
                 }
             )
     return _report("symmetry", cases)
+
+
+_RESTRICTION_PAIRS = ((1, 4), (2, 3))
 
 
 def restriction_suite(max_n: int) -> dict:
@@ -148,9 +194,14 @@ def restriction_suite(max_n: int) -> dict:
       partition formula to k = 1, namely c = q (q-1) / (q-2) for k = 1 and
       c = z_circ(k, q) for k = 2. Exact for both pairs; this is the
       constant under which the cycle and line laws are consistent.
+
+    Each length n is checked as a whole level: the cycle level n+k summed
+    over its last k axes against c times the line level n. A case stops
+    after its first failing length and reports that length's first word.
     """
+    _check_levels((max_n + k, q) for k, q in _RESTRICTION_PAIRS)
     cases = []
-    for (k, q) in ((1, 4), (2, 3)):
+    for (k, q) in _RESTRICTION_PAIRS:
         z = recurrence.z_circ(k, q)
         window_const = Fraction(q * (q - 1), q - 2) if k == 1 else Fraction(z)
         for mode, const in (("partition-sum", Fraction(z)), ("window-consistent", window_const)):
@@ -160,19 +211,21 @@ def restriction_suite(max_n: int) -> dict:
             # at length 0 the extension sum is the partition sum by definition
             n_lo = 1 if mode == "window-consistent" else 0
             for n in range(n_lo, max_n + 1):
-                for t in _all_words(n, q):
-                    lhs = Fraction(recurrence.restriction_sum(t, k, q))
-                    rhs = const * b_vec(t, q)
-                    checked += 1
-                    if lhs != rhs:
-                        bad = bad or {
-                            "word": state_text(Word(t, q)),
-                            "k": k,
-                            "q": q,
-                            "lhs": str(lhs),
-                            "rhs": str(rhs),
-                        }
-                if bad:
+                lhs = recurrence.cycle_counts(n + k, q).reshape(q**n, q**k).sum(1)
+                vec = recurrence.line_counts(n, q).reshape(-1)
+                checked += q**n
+                wrong = np.flatnonzero(
+                    ~_scaled_equal(lhs, const.denominator, vec, const.numerator)
+                )
+                if wrong.size:
+                    i = int(wrong[0])
+                    bad = {
+                        "word": _word_at(i, n, q),
+                        "k": k,
+                        "q": q,
+                        "lhs": str(int(lhs[i])),
+                        "rhs": str(const * int(vec[i])),
+                    }
                     break
             cases.append(
                 {
@@ -244,13 +297,54 @@ def kdep_report(n: int, q: int, k: int) -> dict:
     return _report("kdep", [_kdep_case(n, q, k)])
 
 
+def _transport_counts(level: np.ndarray) -> np.ndarray:
+    """One necklace insertion step applied to the counts of a level.
+
+    ``level`` holds a count per length-n word, shape (q,)*n. Entry y of the
+    result, shape (q,)*(n+1), sums level[x] over every (gap, allowed color,
+    rotation) triple of ``growth.insert_with_rotation`` that takes x to y,
+    so the counts' total is multiplied by n (q-2) (n+1). Only cyclically
+    proper words may carry a count.
+    """
+    n, q = level.ndim, level.shape[0]
+    codes = np.flatnonzero(level)
+    weights = level.reshape(-1)[codes][:, None, None]
+    digits = np.stack(np.unravel_index(codes, level.shape), axis=1)
+    allowed = np.array(
+        [[growth.allowed_colors(q, a, b)[: q - 2] for b in range(1, q + 1)]
+         for a in range(1, q + 1)]
+    ) - 1
+    r = np.arange(n + 1)
+    split, shift = q ** (n + 1 - r), q**r
+    pushed = np.zeros(q ** (n + 1), dtype=np.int64)
+    for i0 in range(n):
+        tail = q ** (n - i0)
+        colors = allowed[digits[:, i0 - 1], digits[:, i0]]
+        heads = (codes // tail * q)[:, None] + colors
+        children = (heads * tail + (codes % tail)[:, None])[..., None]
+        np.add.at(pushed, children % split * shift + children // split, weights)
+    return pushed.reshape((q,) * (n + 1))
+
+
+def _transported(n: int, q: int) -> bool:
+    """Necklace insertion carries the n-cycle law to the (n+1)-cycle law:
+    pushed * z[n+1] == level[n+1] * z[n] * n (q-2) (n+1) on every word."""
+    level = recurrence.cycle_counts(n, q)
+    child = recurrence.cycle_counts(n + 1, q)
+    pushed = _transport_counts(level)
+    steps = n * (q - 2) * (n + 1)
+    return bool(
+        _scaled_equal(pushed, int(child.sum()), child, int(level.sum()) * steps).all()
+    )
+
+
 def coupling_suite(max_n: int) -> dict:
-    """Kernel transport of the cycle laws and the growth-vs-insertion check."""
+    """Necklace transport of the cycle laws and the growth-vs-insertion check."""
+    _check_levels((max_n + 1, q) for q in (3, 4))
     cases = []
     for q in (3, 4):
         for n in range(3, max_n + 1):
-            kernel = growth.coupling_kernel(n, q)
-            transported = kernel.push(cycle_law(n, q)) == cycle_law(n + 1, q)
+            transported = _transported(n, q)
             eden_ok = growth.eden_vs_necklace_kernel_check(n, q)
             passed = transported and eden_ok
             cases.append(

@@ -257,8 +257,17 @@ def test_verify_partition(capsys):
 
 
 # (exit code, sha256 of stdout) of `findep verify <args>`, recorded before the
-# independence checks and the shift suite moved to count tensors.
+# independence checks and the shift, symmetry, restriction and coupling suites
+# moved to count tensors.
 VERIFY_SHA256 = {
+    "symmetry --max-n 5": (0, "e4607ea91ee71af663d0e657fd204bb6ff2cf9e7f4e971e6840adcf280db25e8"),
+    "symmetry": (0, "901e13be98fd7d0fbe1eeabf7ee1fa2089a08688dff785e2cb987ace659946f2"),
+    "restriction --max-n 6":
+        (1, "0d9f89bd19ae6b9a0066e786a567ca6c6cf0e00c327cc6e0c733f3d78a5dfa19"),
+    "restriction": (1, "7c24be38b9f7ca42a46fb9db618e71e4c0e3f7f96c79172f88df56bb0c420fdf"),
+    "coupling --max-n 6": (0, "7b0b22dc1b5ef9deb576e7e0e74e5958df2b0cc24a22f20c791733d5e15f7546"),
+    "coupling": (0, "112acb9ee353c4ad698dc3bbf3c3dd981ef9086c3ef6458cc3d53d9aba48da23"),
+    "all --max-n 6": (1, "c6d17a75cbe13c2d1c684d51777984074ab5a93b994a6286e25bd00a89f01243"),
     "shift --max-n 5": (0, "3f123aa51d1476cbb58414a41718ef3c1ade325bb0aaa06cd958754446264ce6"),
     "kdep --max-n 6": (0, "38548188af2b4738efc71359d1d26697d238385035651bdfa5ac9080cb45c597"),
     "kdep --n 8 --q 4 --k 1":
@@ -317,6 +326,18 @@ def test_verify_below_suite_minimum_is_usage_error(capsys, suite, least):
     assert code == 2
     assert out == ""
     assert f"minimum {least}" in err
+
+
+@pytest.mark.parametrize("suite,top", [("coupling", 10), ("symmetry", 11), ("restriction", 10)])
+def test_verify_above_suite_level_bound_exits_3_before_any_level(capsys, monkeypatch, suite, top):
+    def boom(*args, **kwargs):
+        raise AssertionError("a level was read")
+
+    monkeypatch.setattr(recurrence, "_levels", boom)
+    code, out, err = run(capsys, "verify", suite, "--max-n", str(top + 1))
+    assert code == 3
+    assert out == ""
+    assert "error:" in err
 
 
 def test_verify_all_below_largest_minimum_is_usage_error(capsys):

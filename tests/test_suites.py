@@ -1,10 +1,19 @@
 """Verification suite reports: shapes, pass/fail semantics."""
 
+from fractions import Fraction
+from itertools import permutations, product
+
 import numpy as np
 import pytest
 
-from findep import recurrence
+from findep import recurrence, suites
+from findep.analysis import symmetry_check
+from findep.dist import ExactDist
+from findep.errors import BudgetExceeded
+from findep.growth import coupling_kernel
+from findep.recurrence import cycle_law
 from findep.suites import SIZES, run_all, run_suite, shift_suite
+from findep.words import Word
 
 
 def test_report_shape():
@@ -115,3 +124,175 @@ def test_cycle_counts_is_a_read_only_view_of_b_circ():
     assert c.shape == (3, 3, 3, 3) and not c.flags.writeable
     for idx in np.ndindex(c.shape):
         assert c[idx] == recurrence.b_circ(tuple(i + 1 for i in idx), 3)
+
+
+# -- whole-level coupling, restriction and symmetry vs their literal forms ----
+
+
+@pytest.mark.parametrize("n,q", [(n, q) for n in (3, 4, 5) for q in (3, 4)])
+def test_transport_counts_match_kernel_push(n, q):
+    pushed = suites._transport_counts(recurrence.cycle_counts(n, q))
+    law = coupling_kernel(n, q).push(cycle_law(n, q))
+    total = int(pushed.sum())
+    assert total == recurrence.z_circ(n, q) * n * (q - 2) * (n + 1)
+    for idx in np.ndindex(pushed.shape):
+        word = Word(tuple(i + 1 for i in idx), q)
+        assert Fraction(int(pushed[idx]), total) == law.prob(word), word
+
+
+def _patched(monkeypatch, name, at, patch):
+    """Replace recurrence.<name>(n, q, ...) by patch(result) at (n, q) == at."""
+    orig = getattr(recurrence, name)
+
+    def broken(n, q, *args, **kwargs):
+        out = orig(n, q, *args, **kwargs)
+        return patch(out) if (n, q) == at else out
+
+    monkeypatch.setattr(recurrence, name, broken)
+
+
+def test_coupling_transport_fails_on_broken_child_level(monkeypatch):
+    # 1213 carries a positive count, so the Eden half still walks the same words
+    _patched(monkeypatch, "cycle_counts", (4, 3), _bump((1, 2, 1, 3)))
+    rep = suites.coupling_suite(max_n=3)
+    by_case = {(c["n"], c["q"]): c for c in rep["cases"]}
+    assert by_case[(3, 3)]["transport"] is False
+    assert by_case[(3, 3)]["eden_step_law"] is True
+    assert by_case[(3, 4)]["passed"] is True
+    assert rep["counterexample"] == {"n": 3, "q": 3}
+
+
+def test_transport_holds_where_unreduced_factors_overflow():
+    # z[11] * pushed and level[11] * z[10] * 10 * 2 * 11 both exceed 2**63 here
+    assert suites._transported(10, 4)
+
+
+def test_scaled_equal_reduces_by_gcd_and_guards_int64():
+    big = 3 * 2**40
+    x = np.array([2**40, 5], dtype=np.int64)
+    assert suites._scaled_equal(x, big, x, big).all()
+    with pytest.raises(OverflowError):
+        suites._scaled_equal(np.array([2**62]), 3, np.array([1]), 5)
+
+
+def _literal_restriction(max_n):
+    """The restriction suite on every word through restriction_sum and b_vec."""
+    cases = []
+    for (k, q) in ((1, 4), (2, 3)):
+        z = recurrence.z_circ(k, q)
+        window_const = Fraction(q * (q - 1), q - 2) if k == 1 else Fraction(z)
+        for mode, const in (("partition-sum", Fraction(z)), ("window-consistent", window_const)):
+            bad = None
+            checked = 0
+            for n in range(1 if mode == "window-consistent" else 0, max_n + 1):
+                for t in product(range(1, q + 1), repeat=n):
+                    lhs = Fraction(recurrence.restriction_sum(t, k, q))
+                    rhs = const * recurrence.b_vec(t, q)
+                    checked += 1
+                    if lhs != rhs and bad is None:
+                        bad = {"word": Word(t, q).text(), "k": k, "q": q,
+                               "lhs": str(lhs), "rhs": str(rhs)}
+                if bad:
+                    break
+            cases.append({"k": k, "q": q, "mode": mode, "constant": str(const),
+                          "words_checked": checked, "passed": bad is None,
+                          "counterexample": bad})
+    return cases
+
+
+@pytest.mark.parametrize("max_n", [1, 2, 3, 4, 5])
+def test_restriction_matches_per_word_oracle(max_n):
+    assert suites.restriction_suite(max_n)["cases"] == _literal_restriction(max_n)
+
+
+def test_restriction_fails_on_broken_line_level(monkeypatch):
+    _patched(monkeypatch, "line_counts", (3, 3), _bump((1, 2, 1)))
+    rep = suites.restriction_suite(max_n=4)
+    by_key = {(c["k"], c["q"], c["mode"]): c for c in rep["cases"]}
+    lhs = recurrence.restriction_sum((1, 2, 1), 2, 3)
+    vec = recurrence.b_vec((1, 2, 1), 3) + 1
+    for mode, n_lo in (("partition-sum", 0), ("window-consistent", 1)):
+        case = by_key[(2, 3, mode)]
+        assert case["words_checked"] == sum(3**n for n in range(n_lo, 4))
+        assert case["counterexample"] == {
+            "word": "121", "k": 2, "q": 3, "lhs": str(lhs), "rhs": str(12 * vec)
+        }
+    assert by_key[(1, 4, "window-consistent")]["passed"]
+
+
+def test_restriction_partition_sum_finding_at_word_1():
+    case = suites.restriction_suite(max_n=3)["cases"][0]
+    assert (case["k"], case["q"], case["mode"]) == (1, 4, "partition-sum")
+    assert case["words_checked"] == 1 + 4
+    assert case["counterexample"] == {"word": "1", "k": 1, "q": 4, "lhs": "6", "rhs": "4"}
+
+
+def _flags(c):
+    return {op: not f.any() for op, f in suites._symmetry_fails(c).items()}
+
+
+@pytest.mark.parametrize("n,q", [(n, q) for n in (3, 4, 5, 6) for q in (3, 4)])
+def test_symmetry_tensor_matches_symmetry_check(n, q):
+    c = recurrence.cycle_counts(n, q)
+    # a perturbed law that breaks some symmetries, and the true law
+    for weights in (c + np.arange(c.size).reshape(c.shape) % 3 * (c > 0), c):
+        law = ExactDist.from_weights({
+            Word(tuple(i + 1 for i in idx), q): int(weights[tuple(idx)])
+            for idx in np.argwhere(weights).tolist()
+        })
+        oracle = {
+            "rotation": all(symmetry_check(law, "rotation", r=r) for r in range(1, n)),
+            "reflection": symmetry_check(law, "reflection"),
+            "color-permutation": all(
+                symmetry_check(law, "color-permutation", sigma=p)
+                for p in permutations(range(1, q + 1))
+            ),
+        }
+        assert _flags(weights) == oracle
+
+
+def _orbit_rows(word, q):
+    """The words reached from word by rotations and color permutations."""
+    n = len(word)
+    return {tuple(p[s - 1] for s in word[r:] + word[:r])
+            for r in range(n) for p in permutations(range(1, q + 1))}
+
+
+def _add_rows(extra):
+    def patch(law):
+        rows, counts, z = law
+        new = sorted(extra)
+        return np.vstack([rows, np.array(new, dtype=rows.dtype)]), counts + [1] * len(new), z
+    return patch
+
+
+def _add_counts(f):
+    def patch(law):
+        rows, counts, z = law
+        return rows, [c + int(f(r)) for c, r in zip(counts, rows)], z
+    return patch
+
+
+@pytest.mark.parametrize(
+    "patch,off",
+    [
+        # positions 1 and 4 are swapped by the reflection, not by a rotation
+        (_add_counts(lambda r: r[1] == r[4]), "rotation"),
+        # 111223 is chiral: no rotation or relabeling of it is its reverse
+        (_add_rows(_orbit_rows((1, 1, 1, 2, 2, 3), 3)), "reflection"),
+        (_add_counts(lambda r: (r == 1).sum()), "color_permutation"),
+    ],
+)
+def test_symmetry_suite_fails_on_broken_law_rows(monkeypatch, patch, off):
+    _patched(monkeypatch, "_law_counts", (6, 3), patch)
+    rep = suites.symmetry_suite(max_n=6)
+    failing = [c for c in rep["cases"] if not c["passed"]]
+    assert [(c["n"], c["q"]) for c in failing] == [(6, 3)]
+    flags = {op: failing[0][op] for op in ("rotation", "reflection", "color_permutation")}
+    assert flags == {op: op != off for op in flags}
+
+
+def test_check_levels_admits_the_largest_levels():
+    suites._check_levels([(11, 4), (14, 3)])
+    with pytest.raises(BudgetExceeded):
+        suites._check_levels([(12, 4)])
