@@ -96,9 +96,9 @@ class _Marginals:
             raise BudgetExceeded(f"{a}**{n} count cells exceed the budget {DEFAULT_BUDGET}")
         pos = {c: i for i, c in enumerate(alphabet)}
         idx = np.array([[pos[c] for c in r] for r in rows], dtype=np.int64).reshape(len(rows), n)
-        flat = np.zeros(a**n, dtype=np.int64)
-        flat[idx @ a ** np.arange(n - 1, -1, -1)] = list(weights.values())
-        self.counts = flat.reshape((a,) * n)
+        self.counts = np.zeros((a,) * n, dtype=np.int64)
+        values = list(weights.values())
+        self.counts[tuple(idx.T)] = values if n else values[0]  # n = 0: one 0-d cell
         self._cache: dict[tuple[int, ...], np.ndarray] = {}
 
     def __call__(self, coords0: tuple[int, ...]) -> np.ndarray:

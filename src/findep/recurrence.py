@@ -16,20 +16,20 @@ length-n windows of the line process.
 
 Evaluation strategy: per-word values are memoized under rotation
 canonicalization, which is sound because the cyclic count is invariant
-under rotation. Whole levels come from a vectorized bottom-up pass over
-dense numpy int64 arrays that canonicalizes nothing, so ``verify shift``
-checks the symmetries on them (through ``cycle_counts``), and ``verify
-restriction`` and ``verify coupling`` read whole levels through
-``cycle_counts`` and ``line_counts``. The two engines are cross-checked in
-tests.
+under rotation. Whole levels come from a bottom-up pass over dense numpy
+int64 arrays of shape (q,)*n, one broadcast step per level, that
+canonicalizes nothing, so ``verify shift`` checks the symmetries on them
+(through ``cycle_counts``), and ``verify restriction``, ``verify mobius``
+and ``verify coupling`` read whole levels through ``cycle_counts`` and
+``line_counts``. The two engines are cross-checked in tests.
 
 Laws come only from the dense levels: ``cycle_law``, ``line_window_law``
 and the CLI's law dumps read the nonzero entries of level n through
 ``_law_counts``. That bounds them to n <= 14, q**n within the budget, and
-q**n < 2**31 (level codes are int32), and partition sums to n <= 14;
-beyond any bound they raise ``BudgetExceeded`` before allocating. Every
-level is checked to hold counts in [0, m!], so an int64 overflow raises
-instead of giving a law.
+q**n < 2**31 (a level of 2**31 int64 counts takes 16 GiB), and partition
+sums to n <= 14; beyond any bound they raise ``BudgetExceeded`` before
+allocating. Every level is checked to hold counts in [0, m!], so an int64
+overflow raises instead of giving a law.
 
 Thread-safety: all functions are pure. The shared memo tables are only
 ever written with values equal to the single-threaded result, so
@@ -75,13 +75,14 @@ DEFAULT_BUDGET = 5_000_000
 THEOREM_GRADE = frozenset({(1, 4), (2, 3)})
 
 # Dense-array evaluation bounds. Counts of length-m words are at most m!,
-# so int64 arithmetic (including 2**22-sized chunk sums) is exact for
-# n <= _BULK_MAX_N; _ENUM_LIMIT caps how many words any sum may visit.
+# so int64 arithmetic (including level and slice sums) is exact for
+# n <= _BULK_MAX_N; _ENUM_LIMIT caps how many words any sum may visit, and
+# partition sums past _CHUNK words sum the top level one slice at a time.
 _BULK_MAX_N = 14
 _ENUM_LIMIT = 1 << 27
 _CHUNK = 1 << 22
-# Level codes are int32, so a level may hold at most 2**31 - 1 of them.
-_CODE_LIMIT = 1 << 31
+# A level of 2**31 int64 counts would take 16 GiB, so none is built.
+_CELL_LIMIT = 1 << 31
 
 
 def is_theorem_grade(k: int, q: int) -> bool:
@@ -199,12 +200,12 @@ def z_circ_closed(n: int, q: int) -> int:
 
 # -- dense bottom-up evaluation --------------------------------------------
 #
-# Words of length m over q colors are encoded as base-q integers with the
-# first symbol most significant. Level m holds b(x) for every code; the
-# recurrence gathers the m deletion codes from level m-1, restricted to the
-# (cyclically) proper words since every other count is zero. ``_levels``
-# refuses levels of 2**31 codes or more, so int32 index arithmetic is exact;
-# values are int64.
+# Level m is an int64 array of shape (q,)*m whose entry [x1-1, ..., xm-1] is
+# b(x1...xm). Its slice [a] holds the words that start with symbol a: the
+# deletion of x1 is level m-1 itself, the deletion of a later x_i is
+# level[m-1][a] broadcast along axis i, and ``_differ`` masks zero the words
+# that are not (cyclically) proper. ``_levels`` refuses levels of 2**31 cells
+# or more (16 GiB of int64) before allocating.
 #
 # Computed levels are cached per (q, cyclic) and shared across calls: the
 # partition suite evaluates many n for one q and reuses all lower levels.
@@ -213,30 +214,9 @@ _LEVEL_CACHE: dict[tuple[int, bool], list[np.ndarray]] = {}
 _LAW_CACHE: dict[tuple[int, int, bool], ExactDist] = {}
 
 
-def _proper_mask(codes: np.ndarray, m: int, q: int, cyclic: bool) -> np.ndarray:
-    if m == 1:
-        return np.ones(codes.shape, dtype=bool)
-    mask = None
-    first = (codes // q ** (m - 1)) % q
-    prev = first
-    for j in range(2, m + 1):
-        cur = (codes // q ** (m - j)) % q
-        step = prev != cur
-        mask = step if mask is None else (mask & step)
-        prev = cur
-    if cyclic:
-        mask &= prev != first
-    return mask
-
-
-def _gather_counts(prev: np.ndarray, kept: np.ndarray, m: int, q: int) -> np.ndarray:
-    """Sum of level-(m-1) counts over the m single-deletion children."""
-    acc = np.zeros(kept.shape, dtype=np.int64)
-    for i in range(1, m + 1):
-        hi = kept // q ** (m - i + 1)
-        lo = kept % q ** (m - i)
-        acc += prev[hi * q ** (m - i) + lo]
-    return acc
+def _differ(m: int, q: int, i: int, j: int) -> np.ndarray:
+    """The mask x_i != x_j over length-m words, broadcastable to (q,)*m."""
+    return np.expand_dims(~np.eye(q, dtype=bool), tuple(k for k in range(m) if k not in (i, j)))
 
 
 def _checked(vals: np.ndarray, m: int) -> np.ndarray:
@@ -250,21 +230,32 @@ def _checked(vals: np.ndarray, m: int) -> np.ndarray:
     return vals
 
 
-def _level_values(prev: np.ndarray, codes: np.ndarray, m: int, q: int, cyclic: bool) -> np.ndarray:
-    mask = _proper_mask(codes, m, q, cyclic)
-    vals = np.zeros(codes.shape, dtype=np.int64)
-    vals[mask] = _gather_counts(prev, codes[mask], m, q)
-    return _checked(vals, m)
+def _level_values(prev: np.ndarray, a: int, q: int, cyclic: bool, out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` with slice [a] of level m = prev.ndim + 1, the counts of
+    the length-m words that start with symbol a, from level m-1 ``prev``;
+    return it checked. ``out`` has the shape of ``prev``."""
+    m = prev.ndim + 1
+    out[...] = prev
+    for i in range(m - 1):
+        out += np.expand_dims(prev[a], i)
+    for i in range(m - 2):
+        out *= _differ(m - 1, q, i, i + 1)
+    if m > 1:  # x1 = a differs from x2 and, on the cycle, from xm
+        for j in {1, m - 1} if cyclic else {1}:
+            out *= _differ(m, q, 0, j)[a]
+    return _checked(out, m)
 
 
 def _levels(q: int, cyclic: bool, upto: int) -> list[np.ndarray]:
     """Dense count arrays for levels 0..upto (cached)."""
-    if q**upto >= _CODE_LIMIT:
-        raise BudgetExceeded(f"{q}**{upto} word codes do not fit in int32")
-    levels = _LEVEL_CACHE.setdefault((q, cyclic), [np.ones(1, dtype=np.int64)])
+    if q**upto >= _CELL_LIMIT:
+        raise BudgetExceeded(f"{q}**{upto} int64 counts take 16 GiB or more")
+    levels = _LEVEL_CACHE.setdefault((q, cyclic), [np.ones((), dtype=np.int64)])
     for m in range(len(levels), upto + 1):
-        codes = np.arange(q**m, dtype=np.int32)
-        levels.append(_level_values(levels[m - 1], codes, m, q, cyclic))
+        level = np.empty((q,) * m, dtype=np.int64)
+        for a in range(q):
+            _level_values(levels[m - 1], a, q, cyclic, level[a, ...])
+        levels.append(level)
     return levels
 
 
@@ -278,17 +269,12 @@ def _sum_counts(n: int, q: int, *, cyclic: bool) -> int:
         )
     if n == 0:
         return 1
-    size = q**n
-    if size <= _CHUNK:
+    if q**n <= _CHUNK:
         return int(_levels(q, cyclic, n)[n].sum())
-    # The top level is summed in chunks so memory stays at O(q**(n-1)).
+    # The top level is summed slice by slice so memory stays at O(q**(n-1)).
     prev = _levels(q, cyclic, n - 1)[n - 1]
-    total = 0
-    for start in range(0, size, _CHUNK):
-        codes = np.arange(start, min(start + _CHUNK, size), dtype=np.int32)
-        mask = _proper_mask(codes, n, q, cyclic)
-        total += int(_checked(_gather_counts(prev, codes[mask], n, q), n).sum())
-    return total
+    buf = np.empty_like(prev)
+    return sum(int(_level_values(prev, a, q, cyclic, buf).sum()) for a in range(q))
 
 
 def z_circ(n: int, q: int) -> int:
@@ -314,7 +300,7 @@ def _check_law_request(n: int, q: int, budget: int) -> None:
 
 def _counts_view(n: int, q: int, cyclic: bool) -> np.ndarray:
     _check_law_request(n, q, DEFAULT_BUDGET)
-    view = _levels(q, cyclic, n)[n].reshape((q,) * n)
+    view = _levels(q, cyclic, n)[n].view()
     view.flags.writeable = False
     return view
 
@@ -337,19 +323,15 @@ def _law_counts(n: int, q: int, budget: int, *, cyclic: bool) -> tuple[np.ndarra
     """The law's support and weights, straight from the dense level n.
 
     Returns (rows, counts, z): rows[i] holds the 1-based symbols of the i-th
-    word with a positive count, in increasing code order (which is text
+    word with a positive count, in lexicographic order (which is text
     order for q <= 9); counts[i] is its count as a Python int; z is the sum
     of the counts, so the word has mass counts[i] / z.
     """
     _check_law_request(n, q, budget)
-    vals = _levels(q, cyclic, n)[n]
-    codes = np.flatnonzero(vals)
-    counts = vals[codes].tolist()
-    z = sum(counts)
-    rows = np.empty((codes.size, n), dtype=np.int32)
-    for j in range(n):
-        rows[:, j] = codes // q ** (n - 1 - j) % q + 1
-    return rows, counts, z
+    level = _levels(q, cyclic, n)[n]
+    rows = np.argwhere(level).astype(np.int32) + 1
+    counts = level[level != 0].tolist()
+    return rows, counts, sum(counts)
 
 
 def _law(n: int, q: int, budget: int, *, cyclic: bool) -> ExactDist:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import permutations
 from typing import Iterable, Optional
 
 import numpy as np
@@ -23,7 +23,7 @@ import numpy as np
 from . import analysis, chains, growth, recurrence
 from .chains import ChainVariant
 from .dist import state_text
-from .recurrence import b_circ, b_circ_mobius, cycle_law, line_window_law
+from .recurrence import cycle_law, line_window_law
 from .words import Word
 
 __all__ = ["SIZES", "SUITES", "kdep_report", "run_all", "run_suite"]
@@ -37,10 +37,6 @@ def _report(suite: str, cases: list[dict]) -> dict:
         "cases": cases,
         "counterexample": failing[0].get("counterexample") if failing else None,
     }
-
-
-def _all_words(n: int, q: int):
-    return product(range(1, q + 1), repeat=n)
 
 
 def _check_levels(levels: Iterable[tuple[int, int]]) -> None:
@@ -93,16 +89,35 @@ def partition_suite(max_n: int) -> dict:
     return _report("partition", cases)
 
 
+def _mobius_counts(prev: np.ndarray, q: int) -> np.ndarray:
+    """``b_circ_mobius`` of every length-n word from level n-1 ``prev``.
+
+    The deletion of x_i counts with sign -1 where the cyclic edge (i, i+1)
+    is monochromatic, over the edges of ``recurrence._defect_edges``: all n
+    for n >= 3, edge 0 for n = 2, none for n = 1.
+    """
+    n = prev.ndim + 1
+    edges = range(n) if n >= 3 else range(n - 1)
+    total = np.zeros((q,) * n, dtype=np.int64)
+    for i in range(n):
+        sign = np.where(recurrence._differ(n, q, i, (i + 1) % n), 1, -1) if i in edges else 1
+        total += sign * np.expand_dims(prev, i)
+    return total
+
+
 def mobius_suite(max_n: int) -> dict:
-    """Inclusion-exclusion form equals the defining recurrence on every word."""
+    """Inclusion-exclusion form equals the defining recurrence on every word.
+
+    Checked on whole levels: the form built from level n-1 against level n;
+    a counterexample is the first failing word in lexicographic order.
+    """
+    _check_levels((max_n, q) for q in (3, 4))
     cases = []
     for q in (3, 4):
         for n in range(1, max_n + 1):
-            bad = None
-            for t in _all_words(n, q):
-                if b_circ_mobius(t, q) != b_circ(t, q):
-                    bad = {"word": state_text(Word(t, q)), "q": q}
-                    break
+            level = recurrence.cycle_counts(n, q)
+            wrong = np.flatnonzero(_mobius_counts(recurrence.cycle_counts(n - 1, q), q) != level)
+            bad = {"word": _word_at(wrong[0], n, q), "q": q} if wrong.size else None
             cases.append(
                 {"n": n, "q": q, "passed": bad is None, "counterexample": bad}
             )
@@ -307,23 +322,12 @@ def _transport_counts(level: np.ndarray) -> np.ndarray:
     proper words may carry a count.
     """
     n, q = level.ndim, level.shape[0]
-    codes = np.flatnonzero(level)
-    weights = level.reshape(-1)[codes][:, None, None]
-    digits = np.stack(np.unravel_index(codes, level.shape), axis=1)
-    allowed = np.array(
-        [[growth.allowed_colors(q, a, b)[: q - 2] for b in range(1, q + 1)]
-         for a in range(1, q + 1)]
-    ) - 1
-    r = np.arange(n + 1)
-    split, shift = q ** (n + 1 - r), q**r
-    pushed = np.zeros(q ** (n + 1), dtype=np.int64)
-    for i0 in range(n):
-        tail = q ** (n - i0)
-        colors = allowed[digits[:, i0 - 1], digits[:, i0]]
-        heads = (codes // tail * q)[:, None] + colors
-        children = (heads * tail + (codes % tail)[:, None])[..., None]
-        np.add.at(pushed, children % split * shift + children // split, weights)
-    return pushed.reshape((q,) * (n + 1))
+    inserted = np.zeros((q,) * (n + 1), dtype=np.int64)
+    for i in range(n):  # the color inserted at position i differs from both neighbours
+        left, right = (i - 1) % (n + 1), i + 1
+        allowed = recurrence._differ(n + 1, q, i, left) & recurrence._differ(n + 1, q, i, right)
+        inserted += np.expand_dims(level, i) * allowed
+    return sum(inserted.transpose(np.roll(range(n + 1), r)) for r in range(n + 1))
 
 
 def _transported(n: int, q: int) -> bool:

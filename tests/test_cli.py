@@ -69,7 +69,8 @@ def test_exact_csv_to_file(tmp_path, capsys):
 
 
 # sha256 of `findep exact <args>` stdout, recorded before the dumps were
-# written straight from the dense count arrays; the output is a stable contract.
+# written straight from the dense count arrays (the q = 5 dump before levels
+# were built by broadcasting); the output is a stable contract.
 EXACT_SHA256 = {
     "cycle --n 0 --q 3": "1632e32669088997ed4eb23cbb3bf37b66c2a447cadb49a18a08fd94806928b0",
     "cycle --n 0 --q 3 --format csv": "89def45b6cb84a944700f0cedcf47f698a12a9ff07818e218bdb70253128f28e",
@@ -95,6 +96,7 @@ EXACT_SHA256 = {
     "cycle --n 5 --q 4 --format csv": "a31551137707e99720ef3779f39326d9b8040cb1fba3504b50faac75f581c340",
     "cycle --n 5 --q 11": "bd13c58f94bb6c7e8f68c080d950f37aa9224ae55ae72baa0ac9defd3eb42d75",
     "cycle --n 5 --q 11 --format csv": "f83b3905b7623d3da94e8259294319dea4b85074dc5deec02a627f030688fae8",
+    "cycle --n 8 --q 5": "9b97681a05fa996188871670c5749fa8c7564956c87dcc7503a59147bcfd3f5c",
     "line --n 4 --k 1 --q 4": "130a9a223fb696b143cc7dd913aea7cb7474fc377029fbf1910da23b051d8390",
     "line --n 3 --k 1 --q 12 --format csv":
         "ef84c26116eac1755776d0c585a8f8dc638215f6f9a544f272573a84c5af98c6",
@@ -158,7 +160,7 @@ def test_exact_rejects_negative_k(capsys):
     "argv",
     [
         ("--n", "15", "--q", "3", "--budget", "100000000"),  # beyond the dense levels
-        ("--n", "14", "--q", "5", "--budget", "10000000000"),  # codes beyond int32
+        ("--n", "14", "--q", "5", "--budget", "10000000000"),  # 2**31 cells or more
     ],
 )
 def test_exact_beyond_dense_engine_exits_3(capsys, monkeypatch, argv):
@@ -257,8 +259,8 @@ def test_verify_partition(capsys):
 
 
 # (exit code, sha256 of stdout) of `findep verify <args>`, recorded before the
-# independence checks and the shift, symmetry, restriction and coupling suites
-# moved to count tensors.
+# independence checks and the shift, symmetry, restriction, coupling and mobius
+# suites moved to count tensors, and before levels were built by broadcasting.
 VERIFY_SHA256 = {
     "symmetry --max-n 5": (0, "e4607ea91ee71af663d0e657fd204bb6ff2cf9e7f4e971e6840adcf280db25e8"),
     "symmetry": (0, "901e13be98fd7d0fbe1eeabf7ee1fa2089a08688dff785e2cb987ace659946f2"),
@@ -276,6 +278,10 @@ VERIFY_SHA256 = {
         (1, "1a6332c7ed29199d364c3b2403e017113933d5f3f5d46395936618098f04c176"),
     "coupling --max-n 4": (0, "4437dc2747770a35cd8c1ed8cd446be95341c8e89026bdc4d114a57e6980f5f1"),
     "kernels --max-n 5": (0, "b5a85c98d9bdff0218ee5d59755358baa8f18a02def63805f906d05a6f8935df"),
+    "mobius --max-n 5": (0, "f8b8f0d4ac7ccf5142c15dae0189f918044daedfc31fbead1956c5edf65ba969"),
+    "mobius": (0, "7755ffba90d4851404c76311c581b7345b527686ea5f44baecc2622d3c5cd893"),
+    "partition --max-n 9":
+        (0, "adbe17e22c9936dcd773e72ee29957fe2db8350f963051f3565a9c007abb0423"),
 }
 
 
@@ -328,7 +334,9 @@ def test_verify_below_suite_minimum_is_usage_error(capsys, suite, least):
     assert f"minimum {least}" in err
 
 
-@pytest.mark.parametrize("suite,top", [("coupling", 10), ("symmetry", 11), ("restriction", 10)])
+@pytest.mark.parametrize(
+    "suite,top", [("coupling", 10), ("symmetry", 11), ("restriction", 10), ("mobius", 11)]
+)
 def test_verify_above_suite_level_bound_exits_3_before_any_level(capsys, monkeypatch, suite, top):
     def boom(*args, **kwargs):
         raise AssertionError("a level was read")

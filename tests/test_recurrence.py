@@ -245,8 +245,9 @@ def test_cycle_law_guards(monkeypatch):
         cycle_law(3, 2)
     with pytest.raises(BudgetExceeded):
         cycle_law(10, 4, budget=1000)
-    # Beyond the dense levels (n > 14) and beyond int32 codes (5**14 > 2**31)
-    # the budget does not matter: both raise before any level is built.
+    # Beyond the dense levels (n > 14) and past 2**31 cells (5**14 int64
+    # counts take 45 GiB) the budget does not matter: both raise before any
+    # level is built.
     with pytest.raises(BudgetExceeded):
         cycle_law(15, 3, budget=10**8)
     with pytest.raises(BudgetExceeded):
@@ -254,14 +255,33 @@ def test_cycle_law_guards(monkeypatch):
 
 
 def test_level_counts_are_checked_against_m_factorial():
-    codes = np.arange(27, dtype=np.int32)
+    out = np.empty((3, 3), dtype=np.int64)
     # A length-3 word sums three level-2 counts, each at most 2! = 2.
-    vals = recurrence._level_values(np.full(9, 2, dtype=np.int64), codes, 3, 3, True)
+    vals = recurrence._level_values(np.full((3, 3), 2, dtype=np.int64), 0, 3, True, out)
     assert vals.max() == 6
     with pytest.raises(OverflowError):
-        recurrence._level_values(np.full(9, 3, dtype=np.int64), codes, 3, 3, True)
+        recurrence._level_values(np.full((3, 3), 3, dtype=np.int64), 0, 3, True, out)
     with pytest.raises(OverflowError):  # the int64 sum wraps to a negative count
-        recurrence._level_values(np.full(9, 2**62, dtype=np.int64), codes, 3, 3, True)
+        recurrence._level_values(np.full((3, 3), 2**62, dtype=np.int64), 0, 3, True, out)
+
+
+@pytest.mark.parametrize("q", [3, 4])
+def test_dense_levels_equal_oracle_on_every_cell(q):
+    for n in range(0, 7):
+        circ, vec = recurrence.cycle_counts(n, q), recurrence.line_counts(n, q)
+        assert circ.shape == vec.shape == (q,) * n
+        for idx in np.ndindex(circ.shape):
+            t = tuple(i + 1 for i in idx)
+            assert circ[idx] == oracle_b_circ(t), t
+            assert vec[idx] == oracle_b_vec(t), t
+
+
+def test_sliced_partition_sums_equal_full_level_sums(monkeypatch):
+    monkeypatch.setattr(recurrence, "_CHUNK", 1)  # every n >= 1 takes the sliced path
+    for q in (3, 4, 5):
+        for n in range(0, 8):
+            assert z_circ(n, q) == int(recurrence._levels(q, True, n)[n].sum()), (n, q)
+            assert z_vec(n, q) == int(recurrence._levels(q, False, n)[n].sum()), (n, q)
 
 
 def test_cycle_law_zero_length():

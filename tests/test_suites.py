@@ -227,6 +227,35 @@ def test_restriction_partition_sum_finding_at_word_1():
     assert case["counterexample"] == {"word": "1", "k": 1, "q": 4, "lhs": "6", "rhs": "4"}
 
 
+def _literal_mobius(max_n):
+    """The mobius suite word by word through b_circ_mobius and b_circ."""
+    cases = []
+    for q in (3, 4):
+        for n in range(1, max_n + 1):
+            bad = None
+            for t in product(range(1, q + 1), repeat=n):
+                if recurrence.b_circ_mobius(t, q) != recurrence.b_circ(t, q):
+                    bad = {"word": Word(t, q).text(), "q": q}
+                    break
+            cases.append({"n": n, "q": q, "passed": bad is None, "counterexample": bad})
+    return cases
+
+
+@pytest.mark.parametrize("max_n", [1, 2, 3, 4, 5, 6])
+def test_mobius_matches_per_word_oracle(max_n):
+    assert suites.mobius_suite(max_n)["cases"] == _literal_mobius(max_n)
+
+
+@pytest.mark.parametrize("word", [(1, 2, 1, 3), (1, 1, 1, 2)])
+def test_mobius_fails_on_broken_level_at_that_word(monkeypatch, word):
+    # 1213 carries a positive count, 1112 a zero one
+    _patched(monkeypatch, "cycle_counts", (4, 3), _bump(word))
+    rep = suites.mobius_suite(max_n=4)
+    failing = [(c["n"], c["q"]) for c in rep["cases"] if not c["passed"]]
+    assert failing == [(4, 3)]
+    assert rep["counterexample"] == {"word": "".join(map(str, word)), "q": 3}
+
+
 def _flags(c):
     return {op: not f.any() for op, f in suites._symmetry_fails(c).items()}
 
