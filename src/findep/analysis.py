@@ -4,11 +4,11 @@ Everything except the chi-square test is exact rational arithmetic with no
 tolerances; the chi-square decision is inherently statistical and is taken
 at a configurable level (default 0.001). All operations are pure.
 
-Independence has one engine. ``are_independent`` and
-``k_dependence_counterexample`` hold the law's integer weights as a count
-tensor with one axis per coordinate, take the marginal on a coordinate set
-as a sum over the other axes, and accept a pair (S1, S2) iff
-joint * total == outer(m1, m2) holds exactly, in Python ints, on every cell.
+Independence has one engine, ``_Marginals``: a law as a count tensor with
+one axis per coordinate, marginals as sums over the other axes, and a pair
+(S1, S2) accepted iff joint * total == outer(m1, m2) exactly, in Python ints.
+The public functions decode an ``ExactDist`` into it (``_dist_counts``);
+``verify kdep`` hands ``_dependent_pair`` the dense level and its sum.
 """
 
 from __future__ import annotations
@@ -75,30 +75,33 @@ def pushforward(d: ExactDist, f: Callable[[State], State]) -> ExactDist:
     return ExactDist(acc)
 
 
+def _dist_counts(d: ExactDist) -> tuple[np.ndarray, int]:
+    """(counts, total): the law's weights over their common denominator, as
+    int64 of shape (a,)*n, axis i indexing the i-th coordinate's symbol in
+    the sorted alphabet of the law's a symbols (Word and tuple states)."""
+    weights, total = d.weights()
+    if total >= 1 << 63:
+        raise OverflowError(f"common denominator {total} does not fit in int64")
+    rows = [tuple(state) for state in weights]
+    alphabet = sorted(set().union(*rows))
+    a, n = len(alphabet), len(rows[0])
+    if a**n > DEFAULT_BUDGET:
+        raise BudgetExceeded(f"{a}**{n} count cells exceed the budget {DEFAULT_BUDGET}")
+    pos = {c: i for i, c in enumerate(alphabet)}
+    idx = np.array([[pos[c] for c in r] for r in rows], dtype=np.int64).reshape(len(rows), n)
+    counts = np.zeros((a,) * n, dtype=np.int64)
+    values = list(weights.values())
+    counts[tuple(idx.T)] = values if n else values[0]  # n = 0: one 0-d cell
+    return counts, total
+
+
 class _Marginals:
-    """Integer marginal tables of one law, cached per coordinate tuple.
+    """Integer marginal tables of the law counts / total, cached per
+    coordinate tuple. Every entry and marginal sum is at most ``total``, which
+    fits int64, so sums are exact; products are taken as Python ints."""
 
-    The law's weights over their common denominator ``total`` are held as an
-    int64 array of shape (a,)*n: axis i indexes the i-th coordinate's symbol
-    in the law's sorted symbol alphabet of size a, for Word and tuple states
-    alike. Every entry and every marginal sum is at most ``total``, so int64
-    is exact once ``total`` fits; products are taken as Python ints.
-    """
-
-    def __init__(self, d: ExactDist):
-        weights, self.total = d.weights()
-        if self.total >= 1 << 63:
-            raise OverflowError(f"common denominator {self.total} does not fit in int64")
-        rows = [tuple(state) for state in weights]
-        alphabet = sorted(set().union(*rows))
-        a, n = len(alphabet), len(rows[0])
-        if a**n > DEFAULT_BUDGET:
-            raise BudgetExceeded(f"{a}**{n} count cells exceed the budget {DEFAULT_BUDGET}")
-        pos = {c: i for i, c in enumerate(alphabet)}
-        idx = np.array([[pos[c] for c in r] for r in rows], dtype=np.int64).reshape(len(rows), n)
-        self.counts = np.zeros((a,) * n, dtype=np.int64)
-        values = list(weights.values())
-        self.counts[tuple(idx.T)] = values if n else values[0]  # n = 0: one 0-d cell
+    def __init__(self, counts: np.ndarray, total: int):
+        self.counts, self.total = counts, total
         self._cache: dict[tuple[int, ...], np.ndarray] = {}
 
     def __call__(self, coords0: tuple[int, ...]) -> np.ndarray:
@@ -135,7 +138,7 @@ def are_independent(d: ExactDist, s1: Iterable[int], s2: Iterable[int]) -> bool:
             raise ValueError(f"coordinate {c} not in [1, {n}]")
     if not set1 or not set2:
         return True
-    return _Marginals(d).independent(
+    return _Marginals(*_dist_counts(d)).independent(
         tuple(sorted(c - 1 for c in set1)),
         tuple(sorted(c - 1 for c in set2)),
     )
@@ -169,25 +172,32 @@ def _admissible_pairs(n: int, k: int):
     yield from extend(0, [], [])
 
 
-def k_dependence_counterexample(
-    d: ExactDist, k: int
-) -> Optional[tuple[tuple[int, ...], tuple[int, ...]]]:
+_Pair = tuple[tuple[int, ...], tuple[int, ...]]
+
+
+def _check_pair_limit(n: int) -> None:
+    if n > 10:
+        raise BudgetExceeded(f"the subset-pair check is limited to n <= 10, got {n}")
+
+
+def _dependent_pair(counts: np.ndarray, total: int, k: int) -> Optional[_Pair]:
+    """``k_dependence_counterexample`` of the law counts / total; callers
+    check ``_check_pair_limit`` first."""
+    marginals = _Marginals(counts, total)
+    for s1_0, s2_0 in _admissible_pairs(counts.ndim, k):
+        if not marginals.independent(s1_0, s2_0):
+            return tuple(c + 1 for c in s1_0), tuple(c + 1 for c in s2_0)
+    return None
+
+
+def k_dependence_counterexample(d: ExactDist, k: int) -> Optional[_Pair]:
     """First dependent admissible pair as 1-based coordinate tuples, or None.
 
     Enumerates every pair of disjoint nonempty subsets at cyclic distance
     greater than k (definition-faithful); limited to n <= 10.
     """
-    n = _state_len(d)
-    if n > 10:
-        raise BudgetExceeded(f"the subset-pair check is limited to n <= 10, got {n}")
-    marginals = _Marginals(d)
-    for s1_0, s2_0 in _admissible_pairs(n, k):
-        if not marginals.independent(s1_0, s2_0):
-            return (
-                tuple(c + 1 for c in s1_0),
-                tuple(c + 1 for c in s2_0),
-            )
-    return None
+    _check_pair_limit(_state_len(d))
+    return _dependent_pair(*_dist_counts(d), k)
 
 
 def verify_k_dependence(d: ExactDist, k: int) -> bool:

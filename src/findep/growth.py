@@ -499,7 +499,8 @@ def eden_vs_necklace_kernel_check(n: int, q: int) -> bool:
     For every reachable outer coloring t (positive insertion count, read
     in lexicographic order from the dense level ``cycle_counts(n, q)``),
     builds a state carrying it and counts the outcomes of all (gap, color,
-    start) choices of one growth step followed by a read.
+    start) choices of one growth step followed by a read; the read from
+    ``start`` is the stepped outer colors rotated left by ``start``.
     ``_insertion_row(t, q)`` counts all (gap, color, rotation) triples of
     one insertion step; both range over n (q-2) (n+1) triples of weight 1,
     so equal counts are equal laws.
@@ -509,9 +510,9 @@ def eden_vs_necklace_kernel_check(n: int, q: int) -> bool:
         outcomes: Counter = Counter()
         for gap_index in range(len(s.gaps)):
             for color_index in range(q - 2):
-                stepped = _eden_step_at(s, gap_index, color_index)
-                for start in range(len(stepped.outer)):
-                    outcomes[_eden_read_from(stepped, start).symbols] += 1
+                colors = tuple(c for _, c in _eden_step_at(s, gap_index, color_index).outer)
+                for start in range(len(colors)):
+                    outcomes[rotl(colors, start)] += 1
         if outcomes != _insertion_row(t, q):
             return False
     return True

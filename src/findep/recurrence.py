@@ -18,17 +18,17 @@ Evaluation strategy: per-word values are memoized under rotation
 canonicalization, which is sound because the cyclic count is invariant
 under rotation. Whole levels come from a bottom-up pass over dense numpy
 int64 arrays of shape (q,)*n, one broadcast step per level, that
-canonicalizes nothing, so ``verify shift`` checks the symmetries on them
-(through ``cycle_counts``), and ``verify restriction``, ``verify mobius``
-and ``verify coupling`` read whole levels through ``cycle_counts`` and
-``line_counts``. The two engines are cross-checked in tests.
+canonicalizes nothing, so ``verify shift`` checks the symmetries on them.
+Every sized verify suite reads the cycle and line laws only as levels,
+through ``cycle_counts`` and ``line_counts`` (``symmetry`` through
+``_law_counts``). The two engines are cross-checked in tests.
 
 Laws come only from the dense levels: ``cycle_law``, ``line_window_law``
 and the CLI's law dumps read the nonzero entries of level n through
-``_law_counts``. That bounds them to n <= 14, q**n within the budget, and
-q**n < 2**31 (a level of 2**31 int64 counts takes 16 GiB), and partition
-sums to n <= 14; beyond any bound they raise ``BudgetExceeded`` before
-allocating. Every level is checked to hold counts in [0, m!], so an int64
+``_law_counts``, and a law is built anew on every call. That bounds them
+to n <= 14, q**n within the budget, and q**n < 2**31 (a level of 2**31
+int64 counts takes 16 GiB), and partition sums to n <= 14; beyond any
+bound they raise ``BudgetExceeded`` before allocating. Every level is checked to hold counts in [0, m!], so an int64
 overflow raises instead of giving a law.
 
 Thread-safety: all functions are pure. The shared memo tables are only
@@ -211,7 +211,6 @@ def z_circ_closed(n: int, q: int) -> int:
 # partition suite evaluates many n for one q and reuses all lower levels.
 
 _LEVEL_CACHE: dict[tuple[int, bool], list[np.ndarray]] = {}
-_LAW_CACHE: dict[tuple[int, int, bool], ExactDist] = {}
 
 
 def _differ(m: int, q: int, i: int, j: int) -> np.ndarray:
@@ -335,15 +334,9 @@ def _law_counts(n: int, q: int, budget: int, *, cyclic: bool) -> tuple[np.ndarra
 
 
 def _law(n: int, q: int, budget: int, *, cyclic: bool) -> ExactDist:
-    _check_law_request(n, q, budget)
-    cached = _LAW_CACHE.get((n, q, cyclic))
-    if cached is not None:
-        return cached
     rows, counts, _ = _law_counts(n, q, budget, cyclic=cyclic)
     words = [Word(tuple(r), q) for r in rows.tolist()]
-    law = ExactDist.from_weights(dict(zip(words, counts)))
-    _LAW_CACHE[(n, q, cyclic)] = law
-    return law
+    return ExactDist.from_weights(dict(zip(words, counts)))
 
 
 def cycle_law(n: int, q: int, *, budget: int = DEFAULT_BUDGET) -> ExactDist:

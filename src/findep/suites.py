@@ -5,7 +5,9 @@ Each suite returns a JSON-ready report::
     {"suite": name, "passed": bool, "cases": [...], "counterexample": ...}
 
 with one entry per checked case and the first failing case (if any)
-surfaced as a minimal counterexample. All checks are exact.
+surfaced as a minimal counterexample. All checks are exact. The sized
+suites read the cycle and line laws only as dense count levels
+(``recurrence.cycle_counts`` and ``line_counts``), never as ``ExactDist``.
 
 Every suite but ``blockfactor-stat`` is sized by one ``max_n``, a bound on
 word length; ``SIZES`` gives its default and smallest value.
@@ -22,8 +24,10 @@ import numpy as np
 
 from . import analysis, chains, growth, recurrence
 from .chains import ChainVariant
-from .dist import state_text
-from .recurrence import cycle_law, line_window_law
+from .dist import ExactDist, state_text
+# cycle_law is no longer called here, but perfbench's self-test checks that
+# its tracer rebinds it at this lookup site, so the name stays.
+from .recurrence import cycle_law  # noqa: F401
 from .words import Word
 
 __all__ = ["SIZES", "SUITES", "kdep_report", "run_all", "run_suite"]
@@ -37,6 +41,12 @@ def _report(suite: str, cases: list[dict]) -> dict:
         "cases": cases,
         "counterexample": failing[0].get("counterexample") if failing else None,
     }
+
+
+def _case(ok: bool, bad: Optional[dict], **fields) -> dict:
+    """A case: its fields, whether it passed, and bad as its counterexample
+    if it failed."""
+    return {**fields, "passed": ok, "counterexample": None if ok else bad}
 
 
 def _check_levels(levels: Iterable[tuple[int, int]]) -> None:
@@ -76,16 +86,8 @@ def partition_suite(max_n: int) -> dict:
         for n in range(2, max_n + 1):
             total = recurrence.z_circ(n, q)
             closed = recurrence.z_circ_closed(n, q)
-            cases.append(
-                {
-                    "n": n,
-                    "q": q,
-                    "sum": str(total),
-                    "closed_form": str(closed),
-                    "passed": total == closed,
-                    "counterexample": None if total == closed else {"n": n, "q": q},
-                }
-            )
+            cases.append(_case(total == closed, {"n": n, "q": q},
+                               n=n, q=q, sum=str(total), closed_form=str(closed)))
     return _report("partition", cases)
 
 
@@ -118,9 +120,7 @@ def mobius_suite(max_n: int) -> dict:
             level = recurrence.cycle_counts(n, q)
             wrong = np.flatnonzero(_mobius_counts(recurrence.cycle_counts(n - 1, q), q) != level)
             bad = {"word": _word_at(wrong[0], n, q), "q": q} if wrong.size else None
-            cases.append(
-                {"n": n, "q": q, "passed": bad is None, "counterexample": bad}
-            )
+            cases.append(_case(bad is None, bad, n=n, q=q))
     return _report("mobius", cases)
 
 
@@ -157,7 +157,7 @@ def shift_suite(max_n: int) -> dict:
             if codes.size:
                 op = next(op for op in _OPS if fails[op].flat[codes[0]])
                 bad = {"word": _word_at(codes[0], n, q), "op": op}
-            cases.append({"n": n, "q": q, "passed": bad is None, "counterexample": bad})
+            cases.append(_case(bad is None, bad, n=n, q=q))
     return _report("shift", cases)
 
 
@@ -178,22 +178,14 @@ def symmetry_suite(max_n: int) -> dict:
             c = np.zeros((q,) * n, dtype=np.int64)
             c[tuple((rows - 1).T)] = counts
             ok = {op: not f.any() for op, f in _symmetry_fails(c).items()}
-            passed = all(ok.values())
-            cases.append(
-                {
-                    "n": n,
-                    "q": q,
-                    "rotation": ok["rotation"],
-                    "reflection": ok["reflection"],
-                    "color_permutation": ok["color-permutation"],
-                    "passed": passed,
-                    "counterexample": None if passed else {"n": n, "q": q},
-                }
-            )
+            cases.append(_case(all(ok.values()), {"n": n, "q": q}, n=n, q=q,
+                               rotation=ok["rotation"], reflection=ok["reflection"],
+                               color_permutation=ok["color-permutation"]))
     return _report("symmetry", cases)
 
 
-_RESTRICTION_PAIRS = ((1, 4), (2, 3))
+# the (k, q) pairs of recurrence.THEOREM_GRADE, in report order
+_PAIRS = ((1, 4), (2, 3))
 
 
 def restriction_suite(max_n: int) -> dict:
@@ -214,9 +206,9 @@ def restriction_suite(max_n: int) -> dict:
     over its last k axes against c times the line level n. A case stops
     after its first failing length and reports that length's first word.
     """
-    _check_levels((max_n + k, q) for k, q in _RESTRICTION_PAIRS)
+    _check_levels((max_n + k, q) for k, q in _PAIRS)
     cases = []
-    for (k, q) in _RESTRICTION_PAIRS:
+    for (k, q) in _PAIRS:
         z = recurrence.z_circ(k, q)
         window_const = Fraction(q * (q - 1), q - 2) if k == 1 else Fraction(z)
         for mode, const in (("partition-sum", Fraction(z)), ("window-consistent", window_const)):
@@ -242,48 +234,42 @@ def restriction_suite(max_n: int) -> dict:
                         "rhs": str(const * int(vec[i])),
                     }
                     break
-            cases.append(
-                {
-                    "k": k,
-                    "q": q,
-                    "mode": mode,
-                    "constant": str(const),
-                    "words_checked": checked,
-                    "passed": bad is None,
-                    "counterexample": bad,
-                }
-            )
+            cases.append(_case(bad is None, bad, k=k, q=q, mode=mode,
+                               constant=str(const), words_checked=checked))
     return _report("restriction", cases)
 
 
+def _window_consistent(m: int, k: int, q: int) -> bool:
+    """The cycle level m summed over its last k axes is proportional to the
+    line level m-k: the cycle law's marginal is the line window law."""
+    cycle = recurrence.cycle_counts(m, q)
+    line = recurrence.line_counts(m - k, q).reshape(-1)
+    lhs = cycle.reshape(q ** (m - k), q**k).sum(1)
+    return bool(_scaled_equal(lhs, int(line.sum()), line, int(cycle.sum())).all())
+
+
 def window_suite(max_n: int) -> dict:
-    """Cycle-law marginals onto initial coordinates equal the line window laws."""
+    """Cycle-law marginals onto initial coordinates equal the line window
+    laws, checked on whole levels by ``_window_consistent``."""
+    _check_levels((max_n, q) for _, q in _PAIRS)
     cases = []
-    for (k, q) in ((1, 4), (2, 3)):
+    for (k, q) in _PAIRS:
         for m in range(4, max_n + 1):
-            lhs = analysis.marginalize(cycle_law(m, q), range(1, m - k + 1))
-            rhs = line_window_law(m - k, k, q)
-            passed = lhs == rhs
-            cases.append(
-                {
-                    "m": m,
-                    "k": k,
-                    "q": q,
-                    "passed": passed,
-                    "counterexample": None if passed else {"m": m, "k": k, "q": q},
-                }
-            )
+            bad = {"m": m, "k": k, "q": q}
+            cases.append(_case(_window_consistent(m, k, q), bad, **bad))
     return _report("window", cases)
 
 
 def _kdep_case(n: int, q: int, k: int, expected: str = "independent") -> dict:
-    """Check whether cycle_law(n, q) is k-dependent; the case passes when the
-    answer is the ``expected`` one ("independent" or "dependent")."""
-    cex = analysis.k_dependence_counterexample(cycle_law(n, q), k)
+    """Check whether the cycle law at (n, q) is k-dependent, on its dense
+    level; the case passes when the answer is the ``expected`` one
+    ("independent" or "dependent")."""
+    level = recurrence.cycle_counts(n, q)
+    cex = analysis._dependent_pair(level, int(level.sum()), k)
     pair = None if cex is None else {"s1": cex[0], "s2": cex[1]}
     case = {"n": n, "q": q, "k": k, "expected": expected}
     if expected == "independent":
-        return {**case, "passed": pair is None, "counterexample": pair}
+        return _case(pair is None, pair, **case)
     return {
         **case,
         "passed": pair is not None,
@@ -295,6 +281,7 @@ def _kdep_case(n: int, q: int, k: int, expected: str = "independent") -> dict:
 def kdep_suite(max_n: int) -> dict:
     """Dependence range of the cycle laws: 2-dependence at q=3, 1-dependence
     at q=4, plus the negative control (q=3 is not 1-dependent)."""
+    analysis._check_pair_limit(max_n)  # levels with n <= 10, q <= 4 are in bounds
     cases = [
         _kdep_case(n, q, k) for q, k in ((3, 2), (4, 1)) for n in range(5, max_n + 1)
     ]
@@ -303,12 +290,13 @@ def kdep_suite(max_n: int) -> dict:
 
 
 def kdep_report(n: int, q: int, k: int) -> dict:
-    """Report of the one case "cycle_law(n, q) is k-dependent"."""
+    """Report of the one case "the cycle law at (n, q) is k-dependent"."""
     if n < 2 * k + 2:
         raise ValueError(
             f"no coordinate pair is at cyclic distance > {k} when n = {n}; "
             f"k = {k} needs n >= {2 * k + 2}"
         )
+    analysis._check_pair_limit(n)
     return _report("kdep", [_kdep_case(n, q, k)])
 
 
@@ -350,18 +338,39 @@ def coupling_suite(max_n: int) -> dict:
         for n in range(3, max_n + 1):
             transported = _transported(n, q)
             eden_ok = growth.eden_vs_necklace_kernel_check(n, q)
-            passed = transported and eden_ok
-            cases.append(
-                {
-                    "n": n,
-                    "q": q,
-                    "transport": transported,
-                    "eden_step_law": eden_ok,
-                    "passed": passed,
-                    "counterexample": None if passed else {"n": n, "q": q},
-                }
-            )
+            cases.append(_case(transported and eden_ok, {"n": n, "q": q}, n=n, q=q,
+                               transport=transported, eden_step_law=eden_ok))
     return _report("coupling", cases)
+
+
+def _binary_law(level: np.ndarray, marked: Iterable[int]) -> ExactDist:
+    """``pushforward(law, color_indicator(marked))`` of a level's law: every
+    axis is contracted with the q x 2 0/1 matrix that sends color c to 1 iff
+    c is marked, giving the counts of the bit tuples as shape (2,)*n."""
+    q = level.shape[0]
+    ind = np.array([[c not in marked, c in marked] for c in range(1, q + 1)], dtype=np.int64)
+    bits = level
+    for _ in range(level.ndim):  # each contraction moves the new axis last
+        bits = np.tensordot(bits, ind, axes=(0, 0))
+    states = map(tuple, np.argwhere(bits).tolist())
+    return ExactDist.from_weights(dict(zip(states, bits[bits != 0].tolist())))
+
+
+# (law, q, marked colors, target law[, longest cycle]) of the marginals suite
+_CYCLIC_MARGINALS = (
+    ("cyclic-descent", 4, {1, 2}, chains.descent_law, 8),
+    ("cyclic-peak", 3, {1}, chains.peak_law, 8),
+    ("cyclic-bit-descent", 4, {1}, chains.bit_descent_law, 9),
+)
+_LINE_MARGINALS = (
+    ("line-descent", 4, {1, 2}, chains.descent_window_law),
+    ("line-peak", 3, {1}, chains.peak_window_law),
+    ("line-bit-descent", 4, {1}, chains.bit_descent_window_law),
+)
+
+
+def _marginal_case(law: str, n: int, level: np.ndarray, marked, target) -> dict:
+    return _case(_binary_law(level, marked) == target(n), {"n": n}, law=law, n=n)
 
 
 def marginals_suite(max_n: int) -> dict:
@@ -371,78 +380,44 @@ def marginals_suite(max_n: int) -> dict:
     three gives permutation peaks; one of four gives fair-bit descents
     (with one-site marginal exactly 1/4). Line: windows agree with the
     linear brute-force laws. Cycles stop at length min(max_n, 8), or 9 for
-    bit descents, and line windows at min(max_n, 6).
+    bit descents, and line windows at min(max_n, 6); see ``_binary_law``.
     """
-    max_cycle = min(max_n, 8)
-    max_bits = min(max_n, 9)
-    max_window = min(max_n, 6)
-    cases = []
-    ind12 = chains.color_indicator({1, 2})
-    ind1 = chains.color_indicator({1})
-
-    for n in range(3, max_cycle + 1):
-        ok = analysis.pushforward(cycle_law(n, 4), ind12) == chains.descent_law(n)
-        cases.append({"law": "cyclic-descent", "n": n, "passed": ok,
-                      "counterexample": None if ok else {"n": n}})
-    for n in range(3, max_cycle + 1):
-        ok = analysis.pushforward(cycle_law(n, 3), ind1) == chains.peak_law(n)
-        cases.append({"law": "cyclic-peak", "n": n, "passed": ok,
-                      "counterexample": None if ok else {"n": n}})
-    for n in range(3, max_bits + 1):
-        ok = analysis.pushforward(cycle_law(n, 4), ind1) == chains.bit_descent_law(n)
-        cases.append({"law": "cyclic-bit-descent", "n": n, "passed": ok,
-                      "counterexample": None if ok else {"n": n}})
-
-    one_site = analysis.marginalize(
-        analysis.pushforward(cycle_law(5, 4), ind1), {1}
-    ).prob((1,))
-    ok = one_site == Fraction(1, 4)
-    cases.append({"law": "one-site-marginal", "value": str(one_site),
-                  "expected": "1/4", "passed": ok,
-                  "counterexample": None if ok else {"value": str(one_site)}})
-
-    for n in range(1, max_window + 1):
-        ok = (
-            analysis.pushforward(line_window_law(n, 1, 4), ind12)
-            == chains.descent_window_law(n)
-        )
-        cases.append({"law": "line-descent", "n": n, "passed": ok,
-                      "counterexample": None if ok else {"n": n}})
-        ok = (
-            analysis.pushforward(line_window_law(n, 2, 3), ind1)
-            == chains.peak_window_law(n)
-        )
-        cases.append({"law": "line-peak", "n": n, "passed": ok,
-                      "counterexample": None if ok else {"n": n}})
-        ok = (
-            analysis.pushforward(line_window_law(n, 1, 4), ind1)
-            == chains.bit_descent_window_law(n)
-        )
-        cases.append({"law": "line-bit-descent", "n": n, "passed": ok,
-                      "counterexample": None if ok else {"n": n}})
+    cases = [
+        _marginal_case(law, n, recurrence.cycle_counts(n, q), marked, target)
+        for law, q, marked, target, top in _CYCLIC_MARGINALS
+        for n in range(3, min(max_n, top) + 1)
+    ]
+    level = recurrence.cycle_counts(5, 4)
+    one_site = Fraction(int(level[0].sum()), int(level.sum()))
+    cases.append(_case(one_site == Fraction(1, 4), {"value": str(one_site)},
+                       law="one-site-marginal", value=str(one_site), expected="1/4"))
+    cases += [
+        _marginal_case(law, n, recurrence.line_counts(n, q), marked, target)
+        for n in range(1, min(max_n, 6) + 1)
+        for law, q, marked, target in _LINE_MARGINALS
+    ]
     return _report("marginals", cases)
 
 
 def kernels_suite(max_n: int) -> dict:
-    """J-chain and Q-chain kernels coincide; chain laws match pushforwards."""
+    """J-chain and Q-chain kernels coincide; chain laws match the indicator
+    images of the cycle laws, contracted from the dense levels."""
+    _check_levels((max_n, variant.q) for variant in ChainVariant)
     cases = []
     for variant in ChainVariant:
         for n in range(3, max_n + 1):
             equal = chains.kernel_equal(
                 chains.j_kernel(variant, n), chains.q_kernel(variant, n)
             )
-            cases.append({"variant": variant.value, "n": n, "check": "kernel-equal",
-                          "passed": equal,
-                          "counterexample": None if equal else {"variant": variant.value, "n": n}})
+            bad = {"variant": variant.value, "n": n}
+            cases.append(_case(equal, bad, **bad, check="kernel-equal"))
     for variant in ChainVariant:
-        ind = chains.color_indicator(variant.marked_colors)
         for n in range(3, max_n + 1):
-            ok = chains.chain_law(variant, n) == analysis.pushforward(
-                cycle_law(n, variant.q), ind
+            ok = chains.chain_law(variant, n) == _binary_law(
+                recurrence.cycle_counts(n, variant.q), variant.marked_colors
             )
-            cases.append({"variant": variant.value, "n": n, "check": "chain-vs-pushforward",
-                          "passed": ok,
-                          "counterexample": None if ok else {"variant": variant.value, "n": n}})
+            bad = {"variant": variant.value, "n": n}
+            cases.append(_case(ok, bad, **bad, check="chain-vs-pushforward"))
     return _report("kernels", cases)
 
 
@@ -455,13 +430,9 @@ def blockfactor_suite() -> dict:
         and rep.two_site != rep.block_factor_two_site
         and rep.single_site == Fraction(1, 2)
     )
-    case = {
-        "two_site": str(rep.two_site),
-        "block_factor_two_site": str(rep.block_factor_two_site),
-        "single_site": str(rep.single_site),
-        "passed": ok,
-        "counterexample": None if ok else {"two_site": str(rep.two_site)},
-    }
+    case = _case(ok, {"two_site": str(rep.two_site)}, two_site=str(rep.two_site),
+                 block_factor_two_site=str(rep.block_factor_two_site),
+                 single_site=str(rep.single_site))
     return _report("blockfactor-stat", [case])
 
 

@@ -335,7 +335,9 @@ def test_verify_below_suite_minimum_is_usage_error(capsys, suite, least):
 
 
 @pytest.mark.parametrize(
-    "suite,top", [("coupling", 10), ("symmetry", 11), ("restriction", 10), ("mobius", 11)]
+    "suite,top",
+    [("coupling", 10), ("symmetry", 11), ("restriction", 10), ("mobius", 11),
+     ("window", 11), ("kernels", 11), ("kdep", 10)],
 )
 def test_verify_above_suite_level_bound_exits_3_before_any_level(capsys, monkeypatch, suite, top):
     def boom(*args, **kwargs):

@@ -6,12 +6,13 @@ from itertools import permutations, product
 import numpy as np
 import pytest
 
-from findep import recurrence, suites
-from findep.analysis import symmetry_check
+from findep import analysis, recurrence, suites
+from findep.analysis import k_dependence_counterexample, marginalize, pushforward, symmetry_check
+from findep.chains import color_indicator
 from findep.dist import ExactDist
 from findep.errors import BudgetExceeded
 from findep.growth import coupling_kernel
-from findep.recurrence import cycle_law
+from findep.recurrence import cycle_law, line_window_law
 from findep.suites import SIZES, run_all, run_suite, shift_suite
 from findep.words import Word
 
@@ -325,3 +326,96 @@ def test_check_levels_admits_the_largest_levels():
     suites._check_levels([(11, 4), (14, 3)])
     with pytest.raises(BudgetExceeded):
         suites._check_levels([(12, 4)])
+
+
+# -- window, kdep, marginals and kernels on dense levels vs their ExactDist forms --
+
+
+@pytest.mark.parametrize("q", [3, 4])
+@pytest.mark.parametrize("n", range(1, 8))
+def test_binary_law_matches_pushforward(n, q):
+    for marked in ({1}, {1, 2}):
+        ind = color_indicator(marked)
+        cyc = suites._binary_law(recurrence.cycle_counts(n, q), marked)
+        assert cyc == pushforward(cycle_law(n, q), ind), marked
+        line = suites._binary_law(recurrence.line_counts(n, q), marked)
+        assert line == pushforward(line_window_law(n, 1, q), ind), marked
+
+
+@pytest.mark.parametrize("k,q", [(1, 3), (1, 4), (2, 3), (2, 4)])
+def test_window_consistent_matches_marginalize(k, q):
+    verdicts = []
+    for m in range(k + 1, 8):
+        oracle = marginalize(cycle_law(m, q), range(1, m - k + 1)) == line_window_law(m - k, k, q)
+        verdicts.append(suites._window_consistent(m, k, q))
+        assert verdicts[-1] == oracle, m
+    if (k, q) == (1, 3):
+        assert not all(verdicts)  # the pair is not theorem-grade: both answers occur
+
+
+def _level_pair(n, q, k):
+    level = recurrence.cycle_counts(n, q)
+    return analysis._dependent_pair(level, int(level.sum()), k)
+
+
+@pytest.mark.parametrize("q", [3, 4])
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_dependent_pair_on_level_matches_counterexample(n, q):
+    for k in (0, 1, 2):
+        assert _level_pair(n, q, k) == k_dependence_counterexample(cycle_law(n, q), k), k
+
+
+def test_dependent_pair_negative_control():
+    assert _level_pair(5, 3, 1) == ((3,), (5,))
+    assert k_dependence_counterexample(cycle_law(5, 3), 1) == ((3,), (5,))
+
+
+@pytest.mark.parametrize(
+    "name,at,word,failing",
+    [
+        ("cycle_counts", (6, 3), (1, 2, 1, 2, 1, 3), (6, 2, 3)),
+        ("line_counts", (3, 3), (1, 2, 1), (5, 2, 3)),
+        ("line_counts", (4, 4), (1, 2, 1, 3), (5, 1, 4)),
+    ],
+)
+def test_window_fails_on_broken_level(monkeypatch, name, at, word, failing):
+    _patched(monkeypatch, name, at, _bump(word))
+    rep = suites.window_suite(max_n=6)
+    assert [(c["m"], c["k"], c["q"]) for c in rep["cases"] if not c["passed"]] == [failing]
+    assert rep["counterexample"] == dict(zip("mkq", failing))
+
+
+def test_marginals_fail_on_broken_levels(monkeypatch):
+    _patched(monkeypatch, "cycle_counts", (4, 4), _bump((1, 2, 1, 3)))
+    _patched(monkeypatch, "cycle_counts", (5, 4), _bump((1, 2, 1, 2, 3)))
+    _patched(monkeypatch, "line_counts", (2, 3), _bump((1, 2)))
+    rep = suites.marginals_suite(max_n=4)
+    failing = [(c["law"], c.get("n")) for c in rep["cases"] if not c["passed"]]
+    assert failing == [
+        ("cyclic-descent", 4),
+        ("cyclic-bit-descent", 4),
+        ("one-site-marginal", None),
+        ("line-peak", 2),
+    ]
+    assert rep["counterexample"] == {"n": 4}
+
+
+def test_kernels_chain_vs_pushforward_fails_on_broken_level(monkeypatch):
+    _patched(monkeypatch, "cycle_counts", (4, 3), _bump((1, 2, 1, 3)))
+    rep = suites.kernels_suite(max_n=4)
+    failing = [(c["variant"], c["n"], c["check"]) for c in rep["cases"] if not c["passed"]]
+    assert failing == [("color-1-of-3", 4, "chain-vs-pushforward")]
+
+
+def test_kdep_fails_on_broken_level(monkeypatch):
+    bumped = _bump((1, 2, 1, 2, 1, 3))(recurrence.cycle_counts(6, 4))
+    _patched(monkeypatch, "cycle_counts", (6, 4), lambda c: bumped)
+    rep = suites.kdep_suite(max_n=6)
+    failing = [(c["n"], c["q"], c["k"]) for c in rep["cases"] if not c["passed"]]
+    assert failing == [(6, 4, 1)]
+    law = ExactDist.from_weights({
+        Word(tuple(i + 1 for i in idx), 4): int(bumped[tuple(idx)])
+        for idx in np.argwhere(bumped).tolist()
+    })
+    s1, s2 = k_dependence_counterexample(law, 1)
+    assert rep["counterexample"] == {"s1": s1, "s2": s2}
