@@ -2,11 +2,14 @@
 
 Everything except the chi-square test is exact rational arithmetic with no
 tolerances; the chi-square decision is inherently statistical and is taken
-at a configurable level (default 0.001). All operations are pure.
+at a configurable level (default 0.001). All operations are pure. scipy is
+loaded only by ``chi_square_gof``, for its p-value (``sample --gof``), so no
+other command pays for importing it.
 
 Independence has one engine, ``_Marginals``: a law as a count tensor with
-one axis per coordinate, marginals as sums over the other axes, and a pair
-(S1, S2) accepted iff joint * total == outer(m1, m2) exactly, in Python ints.
+one axis per coordinate, the joint marginal of S1 | S2 as a sum over the
+other axes, m1 and m2 as sums of that joint, and a pair (S1, S2) accepted
+iff joint * total == outer(m1, m2) exactly, in Python ints.
 The public functions decode an ``ExactDist`` into it (``_dist_counts``);
 ``verify kdep`` hands ``_dependent_pair`` the dense level and its sum.
 """
@@ -19,7 +22,6 @@ from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
-from scipy.special import gammaincc
 
 from .dist import ExactDist, State, state_text
 from .errors import BudgetExceeded
@@ -113,13 +115,14 @@ class _Marginals:
         return got
 
     def independent(self, s1_0: tuple[int, ...], s2_0: tuple[int, ...]) -> bool:
-        """Exact factorization: joint * total == outer(m1, m2) on every cell."""
+        """Exact factorization: joint * total == outer(m1, m2) on every cell,
+        with m1 and m2 summed from the joint (the union's marginal)."""
         union = tuple(sorted(s1_0 + s2_0))
-        m1 = self(s1_0).ravel().astype(object)
-        m2 = self(s2_0).ravel().astype(object)
         joint = self(union).transpose([union.index(c) for c in s1_0 + s2_0])
-        lhs = joint.reshape(m1.size, m2.size).astype(object) * self.total
-        return bool((lhs == np.multiply.outer(m1, m2)).all())
+        joint = joint.reshape(self.counts.shape[0] ** len(s1_0), -1)
+        m1 = joint.sum(axis=1).astype(object)
+        m2 = joint.sum(axis=0).astype(object)
+        return bool((joint.astype(object) * self.total == np.multiply.outer(m1, m2)).all())
 
 
 def are_independent(d: ExactDist, s1: Iterable[int], s2: Iterable[int]) -> bool:
@@ -324,6 +327,10 @@ def chi_square_gof(
         )
     stat = sum((o - float(e)) ** 2 / float(e) for e, o in pooled)
     dof = len(pooled) - 1
+    # imported here, not at the top: scipy.special takes longer to import
+    # than the rest of findep, and only this p-value needs it
+    from scipy.special import gammaincc
+
     p_value = float(gammaincc(dof / 2.0, stat / 2.0))
     return GofReport(
         statistic=stat,

@@ -30,8 +30,8 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import permutations, product
-from typing import Callable, Iterable, Optional
+from itertools import count, islice, permutations, product
+from typing import Callable, Iterable, Iterator, Optional
 
 from .dist import ExactDist, Kernel
 from .recurrence import line_window_law
@@ -280,14 +280,19 @@ def kernel_equal(a: Kernel, b: Kernel) -> bool:
     return a == b
 
 
+def _chain_laws(variant: ChainVariant) -> Iterator[ExactDist]:
+    """The J-chain laws of lengths 3, 4, ..., each one step from the last."""
+    law = initial_law(variant)
+    for m in count(3):
+        yield law
+        law = j_kernel(variant, m, states=list(law.support)).push(law)
+
+
 def chain_law(variant: ChainVariant, n: int) -> ExactDist:
     """The length-n law of the J-chain started from the initial law."""
     if n < 3:
         raise ValueError(f"chains require n >= 3, got {n}")
-    law = initial_law(variant)
-    for m in range(3, n):
-        law = j_kernel(variant, m, states=list(law.support)).push(law)
-    return law
+    return next(islice(_chain_laws(variant), n - 3, None))
 
 
 @dataclass(frozen=True)

@@ -258,7 +258,8 @@ def _levels(q: int, cyclic: bool, upto: int) -> list[np.ndarray]:
     return levels
 
 
-def _sum_counts(n: int, q: int, *, cyclic: bool) -> int:
+def _check_sum_request(n: int, q: int) -> None:
+    """Raise before any work if the partition sum at (n, q) is out of bounds."""
     if n < 0 or q < 1:
         raise ValueError("need n >= 0 and q >= 1")
     if n > _BULK_MAX_N or q**n > _ENUM_LIMIT:
@@ -266,6 +267,10 @@ def _sum_counts(n: int, q: int, *, cyclic: bool) -> int:
             f"partition sums are computed for n <= {_BULK_MAX_N} and "
             f"q**n <= 2**27 only, got {q}**{n}"
         )
+
+
+def _sum_counts(n: int, q: int, *, cyclic: bool) -> int:
+    _check_sum_request(n, q)
     if n == 0:
         return 1
     if q**n <= _CHUNK:

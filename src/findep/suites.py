@@ -81,6 +81,8 @@ def _scaled_equal(x: np.ndarray, a: int, y: np.ndarray, b: int) -> np.ndarray:
 
 def partition_suite(max_n: int) -> dict:
     """z_circ(n, q) == n! q (q-1) (q-2)^(n-2) for n in [2, max_n]."""
+    for q in (3, 4, 5, 6):
+        recurrence._check_sum_request(max_n, q)
     cases = []
     for q in (3, 4, 5, 6):
         for n in range(2, max_n + 1):
@@ -148,6 +150,7 @@ def shift_suite(max_n: int) -> dict:
     canonicalizing; a counterexample is the first failing word in
     lexicographic order with its first failing operation.
     """
+    _check_levels((max_n, q) for q in (3, 4))
     cases = []
     for q in (3, 4):
         for n in range(1, max_n + 1):
@@ -401,7 +404,8 @@ def marginals_suite(max_n: int) -> dict:
 
 def kernels_suite(max_n: int) -> dict:
     """J-chain and Q-chain kernels coincide; chain laws match the indicator
-    images of the cycle laws, contracted from the dense levels."""
+    images of the cycle laws, contracted from the dense levels. Each
+    variant's chain law is extended one step per length."""
     _check_levels((max_n, variant.q) for variant in ChainVariant)
     cases = []
     for variant in ChainVariant:
@@ -412,10 +416,8 @@ def kernels_suite(max_n: int) -> dict:
             bad = {"variant": variant.value, "n": n}
             cases.append(_case(equal, bad, **bad, check="kernel-equal"))
     for variant in ChainVariant:
-        for n in range(3, max_n + 1):
-            ok = chains.chain_law(variant, n) == _binary_law(
-                recurrence.cycle_counts(n, variant.q), variant.marked_colors
-            )
+        for n, law in zip(range(3, max_n + 1), chains._chain_laws(variant)):
+            ok = law == _binary_law(recurrence.cycle_counts(n, variant.q), variant.marked_colors)
             bad = {"variant": variant.value, "n": n}
             cases.append(_case(ok, bad, **bad, check="chain-vs-pushforward"))
     return _report("kernels", cases)

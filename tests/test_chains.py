@@ -5,13 +5,14 @@ and bit strings run before the module was written.
 """
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import islice, permutations
 
 import pytest
 
 from findep.analysis import pushforward, tv_distance
 from findep.chains import (
     ChainVariant,
+    _chain_laws,
     bit_descent_law,
     bit_descent_window_law,
     chain_law,
@@ -168,6 +169,11 @@ def test_chain_law_matches_cycle_pushforward():
     for n in (3, 4, 5, 6):
         assert chain_law(V1, n) == pushforward(cycle_law(n, 4), color_indicator({1, 2}))
         assert chain_law(V2, n) == pushforward(cycle_law(n, 3), color_indicator({1}))
+
+
+def test_chain_laws_extend_step_by_step_to_chain_law():
+    for v in (V1, V2):
+        assert list(islice(_chain_laws(v), 4)) == [chain_law(v, n) for n in (3, 4, 5, 6)]
 
 
 def test_cycle_pushforward_matches_targets_small():

@@ -2,6 +2,10 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -250,6 +254,48 @@ def test_sample_gof_writes_samples_to_out(tmp_path, capsys):
     assert len(out_file.read_text().strip().splitlines()) == 5000
 
 
+# (exit code, sha256 of stdout) of `findep sample <args> --gof`, recorded while
+# the chi-square p-value's scipy import was still at the top of the module.
+GOF_SHA256 = {
+    "necklace --n 7 --q 3 --reps 2000 --seed 5":
+        (0, "a3eb2cd7ff54bd99e91106f59d58deb27883bbe8888a8f36237b8efe20ceb11c"),
+    "eden --n 7 --q 4 --reps 1000 --seed 5":
+        (0, "09dbd1f48f67aaf51a4ae58873355b5e83768df14bc7bca14a0030b3356e59eb"),
+}
+
+
+@pytest.mark.parametrize("args", sorted(GOF_SHA256))
+def test_sample_gof_output_is_pinned(capsys, args):
+    code, out, _ = run(capsys, "sample", *args.split(), "--gof")
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == GOF_SHA256[args]
+
+
+_SCIPY_PROBE = """
+import sys
+import findep, findep.cli
+from findep.cli import main
+
+def loaded(argv):
+    main(argv)
+    return "scipy" in sys.modules
+
+print(int("scipy" in sys.modules),
+      int(loaded(["exact", "cycle", "--n", "5", "--q", "3"])),
+      int(loaded(["verify", "kdep", "--n", "6", "--q", "4", "--k", "1"])),
+      int(loaded(["sample", "necklace", "--n", "4", "--q", "3", "--reps", "200", "--gof"])),
+      file=sys.stderr)
+"""
+
+
+def test_scipy_is_loaded_only_by_the_gof_test():
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    run = subprocess.run([sys.executable, "-c", _SCIPY_PROBE], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stderr.split() == ["0", "0", "0", "1"]
+
+
 def test_verify_partition(capsys):
     code, out, _ = run(capsys, "verify", "partition", "--max-n", "6")
     assert code == 0
@@ -337,7 +383,7 @@ def test_verify_below_suite_minimum_is_usage_error(capsys, suite, least):
 @pytest.mark.parametrize(
     "suite,top",
     [("coupling", 10), ("symmetry", 11), ("restriction", 10), ("mobius", 11),
-     ("window", 11), ("kernels", 11), ("kdep", 10)],
+     ("window", 11), ("kernels", 11), ("kdep", 10), ("shift", 11), ("partition", 10)],
 )
 def test_verify_above_suite_level_bound_exits_3_before_any_level(capsys, monkeypatch, suite, top):
     def boom(*args, **kwargs):

@@ -1,12 +1,13 @@
 """Verification suite reports: shapes, pass/fail semantics."""
 
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations, product
 
 import numpy as np
 import pytest
 
-from findep import analysis, recurrence, suites
+from findep import analysis, chains, recurrence, suites
 from findep.analysis import k_dependence_counterexample, marginalize, pushforward, symmetry_check
 from findep.chains import color_indicator
 from findep.dist import ExactDist
@@ -419,3 +420,20 @@ def test_kdep_fails_on_broken_level(monkeypatch):
     })
     s1, s2 = k_dependence_counterexample(law, 1)
     assert rep["counterexample"] == {"s1": s1, "s2": s2}
+
+
+def test_kernels_builds_each_j_kernel_once(monkeypatch):
+    """Each variant's chain law is extended step by step, so a run builds
+    j_kernel(n) for n in [3, max_n] for the kernel check and n in
+    [3, max_n - 1] for the chain laws, never rebuilding a lower step."""
+    built = []
+    j_kernel = chains.j_kernel
+
+    def counted(variant, n, states=None):
+        built.append((variant, n))
+        return j_kernel(variant, n, states)
+
+    monkeypatch.setattr(chains, "j_kernel", counted)
+    assert suites.kernels_suite(max_n=6)["passed"]
+    per_variant = [3, 4, 5, 6] + [3, 4, 5]
+    assert Counter(built) == Counter((v, n) for v in chains.ChainVariant for n in per_variant)
