@@ -30,18 +30,24 @@ the equality of the two step laws state by state, on the sampler's own
 ``_eden_step_at``.
 
 Randomness. The bounds of every draw a sampler makes depend only on
-(n, q), so ``necklace_sample`` and ``eden_sample`` take a replicate's
-whole index sequence from one ``RngStream.indices`` call and then run a
-deterministic loop. The values equal those of the step-by-step API
-(``RngStream.index`` with ``insert_with_rotation``, or ``eden_init``,
-``eden_step`` and ``eden_read``), which stays as the literal form of each
-procedure and is the reference the tests compare the samplers against.
-The necklace loop keeps its beads in a list with a rotation offset, so a
-step inserts one bead and moves the offset instead of copying and
-rotating the word. Eden states are validated when they are built from
-scratch and once per sample before the read; ``eden_step`` and the
-per-step loop of ``eden_sample`` do not validate, since a step only
-inserts a color drawn from ``allowed_colors`` of its neighbors.
+(n, q) (``_necklace_bounds``, ``_eden_bounds``), so a replicate's word is
+a deterministic function of its whole index sequence (``_necklace_word``,
+``_eden_word``). ``necklace_sample`` and ``eden_sample`` take that
+sequence from one ``RngStream.indices`` call; the CLI takes the same
+values for every replicate from ``replicate_draws``, which computes a
+block of replicates' streams at once with numpy arithmetic and checks
+each block against ``RngStream``. The values equal those of the
+step-by-step API (``RngStream.index`` with ``insert_with_rotation``, or
+``eden_init``, ``eden_step`` and ``eden_read``), which stays as the
+literal form of each procedure and is the reference the tests compare the
+samplers against. The necklace loop keeps its beads in a list with a
+rotation offset, so a step inserts one bead and moves the offset instead
+of copying and rotating the word. The Eden loop grows one state's lists
+in place (``_EdenGrowth``, which ``_eden_step_at`` also runs). Eden states
+are validated when they are built from scratch and once per sample before
+the read; ``eden_step`` and the per-step loop of ``_eden_word`` do not
+validate, since a step only inserts a color drawn from ``allowed_colors``
+of its neighbors.
 
 Interior dual structure is never materialized beyond the colors already
 fixed: a read needs only the outer face, and interior colors never change.
@@ -59,7 +65,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -82,6 +88,7 @@ __all__ = [
     "eden_vs_necklace_kernel_check",
     "insert_with_rotation",
     "necklace_sample",
+    "replicate_draws",
     "validate_eden_state",
 ]
 
@@ -90,7 +97,10 @@ class RngStream:
     """Deterministic random stream: identical (seed, stream) => identical draws.
 
     Distinct stream indices give statistically independent streams, one per
-    replicate.
+    replicate: numpy's PCG64 seeded by ``SeedSequence(entropy=seed,
+    spawn_key=(stream,))``. It is the library form of a replicate's stream
+    and the literal oracle of ``replicate_draws``, which yields
+    ``RngStream(seed, r).indices(bounds)`` for a range of replicates r.
     """
 
     def __init__(self, seed: int, stream: int = 0):
@@ -122,6 +132,215 @@ class RngStream:
         return f"RngStream(seed={self.seed}, stream={self.stream})"
 
 
+# -- every replicate's draws at once ----------------------------------------
+#
+# ``RngStream(seed, r)`` is PCG64 (XSL-RR output, O'Neill 2014) seeded by
+# ``SeedSequence(entropy=seed, spawn_key=(r,))``, and ``indices`` bounds each
+# 32-bit half of its outputs, low half first, by Lemire's multiply-shift
+# (Lemire 2019). ``replicate_draws`` runs the same arithmetic on uint32 and
+# uint64 arrays for a block of replicates. A 128-bit number is a (high, low)
+# pair of uint64 arrays; uint64 products wrap mod 2**64.
+
+_M32, _M64 = 0xFFFFFFFF, 0xFFFFFFFFFFFFFFFF
+_U1, _U32, _U58, _U63, _U64, _U_M32 = (np.uint64(k) for k in (1, 32, 58, 63, 64, _M32))
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+# SeedSequence's hash constants (uint32).
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+# Raw 64-bit outputs computed per block; a block holds at least one replicate.
+_BLOCK_OUTPUTS = 2**14
+
+
+def _mulhi64(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The high 64 bits of the 128-bit products x * y."""
+    x0, x1, y0, y1 = x & _U_M32, x >> _U32, y & _U_M32, y >> _U32
+    p01, p10, high, mid = x0 * y1, x1 * y0, x1 * y1, x0 * y0
+    mid >>= _U32
+    mid += p01 & _U_M32
+    mid += p10 & _U_M32
+    for part in (p01, p10, mid):
+        part >>= _U32
+        high += part
+    return high
+
+
+def _mul128(a, b):
+    (ah, al), (bh, bl) = a, b
+    high = _mulhi64(al, bl)
+    high += ah * bl
+    high += al * bh
+    return high, al * bl
+
+
+def _add128(a, b):
+    low = a[1] + b[1]
+    return a[0] + b[0] + (low < b[1]), low
+
+
+def _hashmix(value: np.ndarray, h: int, mult: int) -> tuple[np.ndarray, int]:
+    """SeedSequence's hashmix of a uint32 array; returns it and the next h."""
+    value = value ^ np.uint32(h)
+    h = h * mult & _M32
+    value = value * np.uint32(h)
+    return value ^ (value >> np.uint32(16)), h
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+    return r ^ (r >> np.uint32(16))
+
+
+def _seed_words(seed: int) -> list[int]:
+    """The uint32 words of a non-negative integer, least significant first."""
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    words = [seed & _M32]
+    while seed >> 32:
+        seed >>= 32
+        words.append(seed & _M32)
+    return words
+
+
+def _pcg64_seeded(words: list[int], spawn: np.ndarray):
+    """(state, inc) of ``PCG64(SeedSequence(entropy=seed, spawn_key=(r,)))``
+    for the seed with uint32 words ``words`` and each r in the uint32 array
+    ``spawn``, as 128-bit column vectors."""
+    entropy = [np.full(spawn.shape, w, np.uint32) for w in words]
+    entropy += [np.zeros(spawn.shape, np.uint32)] * (4 - len(words)) + [spawn]
+    # mix_entropy on a pool of 4 words; the spawn word is never in the pool.
+    h = _INIT_A
+    pool = []
+    for word in entropy[:4]:
+        word, h = _hashmix(word, h, _MULT_A)
+        pool.append(word)
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                word, h = _hashmix(pool[src], h, _MULT_A)
+                pool[dst] = _mix(pool[dst], word)
+    for word in entropy[4:]:
+        for dst in range(4):
+            mixed, h = _hashmix(word, h, _MULT_A)
+            pool[dst] = _mix(pool[dst], mixed)
+    # generate_state(4, uint64): 8 uint32 words, paired little-endian.
+    h = _INIT_B
+    out = []
+    for i in range(8):
+        word, h = _hashmix(pool[i % 4], h, _MULT_B)
+        out.append(word.astype(np.uint64)[:, None])
+    seed0, seed1, seq0, seq1 = (out[i] | out[i + 1] << _U32 for i in range(0, 8, 2))
+    # pcg64_set_seed: state = ((inc + seed) * mult + inc), inc = 2 seq + 1.
+    inc = (seq0 << _U1 | seq1 >> _U63, seq1 << _U1 | _U1)
+    state = _add128(_mul128(_add128(inc, (seed0, seed1)), _u128_row([_PCG64_MULT])), inc)
+    return state, inc
+
+
+def _jumps(n_out: int):
+    """(A_k, C_k) for k = 1..n_out as 128-bit row vectors: k steps of PCG64
+    take (state, inc) to A_k * state + C_k * inc mod 2**128."""
+    a, c = 1, 0
+    a_k, c_k = [], []
+    for _ in range(n_out):
+        a, c = a * _PCG64_MULT % 2**128, (c + a) % 2**128
+        a_k.append(a)
+        c_k.append(c)
+    return _u128_row(a_k), _u128_row(c_k)
+
+
+def _u128_row(xs: list[int]):
+    """128-bit integers as a row vector of (high, low) uint64 halves."""
+    return (
+        np.array([x >> 64 for x in xs], dtype=np.uint64)[None, :],
+        np.array([x & _M64 for x in xs], dtype=np.uint64)[None, :],
+    )
+
+
+def _xsl_rr(high: np.ndarray, low: np.ndarray) -> np.ndarray:
+    """PCG64's 64-bit output of each 128-bit state; overwrites both halves."""
+    low ^= high
+    high >>= _U58  # the rotation
+    out = low >> high
+    np.subtract(_U64, high, out=high)
+    high &= _U63
+    low <<= high
+    out |= low
+    return out
+
+
+def replicate_draws(seed: int, reps: int, bounds: Sequence[int]) -> Iterator[list[int]]:
+    """``RngStream(seed, r).indices(bounds)`` for r = 0..reps-1, in order.
+
+    Computes a block of replicates at once: their seeding, every PCG64
+    output of a row (state k is A_k * state + C_k * inc, one broadcast) and
+    the Lemire products. A row whose Lemire leftover falls below numpy's
+    threshold (a rejection, which draws again; its chance is below
+    b / 2**32 per draw) is taken from ``RngStream`` instead, and so is the
+    first row of each block, which must equal the computed one. Raises
+    ValueError up front for a negative seed, more than 2**32 replicates
+    (the spawn key must be one uint32 word) or a bound outside [1, 2**32]
+    (larger bounds take numpy's 64-bit path, which is not modelled here).
+    """
+    seed = int(seed)
+    words = _seed_words(seed)
+    bounds = np.asarray(bounds, dtype=np.int64)
+    if reps > 2**32:
+        raise ValueError(f"at most 2**32 replicates share a seed, got {reps}")
+    if bounds.size and not (bounds.min() >= 1 and bounds.max() <= 2**32):
+        raise ValueError(f"bounds must lie in [1, 2**32], got {bounds.min()}..{bounds.max()}")
+    return _replicate_rows(seed, words, reps, bounds)
+
+
+def _replicate_rows(seed: int, words: list[int], reps: int, bounds: np.ndarray
+                    ) -> Iterator[list[int]]:
+    live = np.flatnonzero(bounds > 1)  # a bound of 1 draws no bits
+    b = bounds[live].astype(np.uint64)
+    n_out = (len(live) + 1) // 2
+    jumps = _jumps(n_out)
+    per_block = max(1, _BLOCK_OUTPUTS // max(n_out, 1))
+    for r0 in range(0, reps, per_block):
+        spawn = np.arange(r0, min(r0 + per_block, reps), dtype=np.uint32)
+        values, rejected = _lemire_draws(_pcg64_seeded(words, spawn), jumps, b)
+        rows = np.zeros((len(spawn), len(bounds)), dtype=np.uint64)
+        rows[:, live] = values
+        del values
+        for i, row in enumerate(rows):
+            # rows are listed one at a time: a block's lists of Python ints
+            # would take several times the array's memory
+            row = RngStream(seed, r0 + i).indices(bounds) if rejected[i] else row.tolist()
+            if i == 0 and row != RngStream(seed, r0).indices(bounds):
+                raise RuntimeError(
+                    f"replicate {r0} of seed {seed} differs from numpy's own draws; "
+                    "numpy's PCG64, SeedSequence or bounded integers have changed"
+                )
+            yield row
+        del rows, row  # before the next block's arrays
+
+
+def _lemire_draws(seeded, jumps, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each seeded row's draws in [0, b) from its successive 32-bit halves,
+    low half first, and whether the row has a draw that numpy rejects.
+    Works in place where it can: a block's memory is a few of its arrays."""
+    (state, inc), (a_k, c_k) = seeded, jumps
+    high, low = _mul128(a_k, state)
+    step_high, step_low = _mul128(c_k, inc)
+    low += step_low
+    high += step_high
+    high += low < step_low  # the carry
+    del step_high, step_low
+    out = _xsl_rr(high, low)
+    del high, low
+    u32 = np.empty(out.shape + (2,), dtype=np.uint64)
+    np.bitwise_and(out, _U_M32, out=u32[..., 0])
+    np.right_shift(out, _U32, out=u32[..., 1])
+    del out
+    m = u32.reshape(len(u32), -1)[:, : len(b)]
+    m *= b
+    values = m >> _U32
+    m &= _U_M32  # the leftover
+    return values, (m < (np.uint64(2**32) - b) % b).any(axis=1)
+
+
 def allowed_colors(q: int, a: int, b: int) -> list[int]:
     """The colors in [1, q] differing from both a and b, in increasing order.
 
@@ -150,6 +369,10 @@ def _frozen_bounds(bounds: list[int]) -> np.ndarray:
 def _necklace_bounds(n: int, q: int) -> np.ndarray:
     """Bounds of ``necklace_sample``'s draws: q, q-1, q-2, then
     (m, q-2, m+1) for m = 3..n-1."""
+    if n < 3:
+        raise ValueError(f"necklace sampler requires n >= 3, got {n}")
+    if q < 3:
+        raise ValueError(f"necklace sampler requires q >= 3, got {q}")
     bounds = [q, q - 1, q - 2]
     for m in range(3, n):
         bounds += (m, q - 2, m + 1)
@@ -160,6 +383,10 @@ def _necklace_bounds(n: int, q: int) -> np.ndarray:
 def _eden_bounds(n: int, q: int) -> np.ndarray:
     """Bounds of ``eden_sample``'s draws: q, q-1, q-2, then (s+2, q-2)
     for s = 1..n-3, then n."""
+    if n < 3:
+        raise ValueError(f"growth sampler requires n >= 3, got {n}")
+    if q < 3:
+        raise ValueError(f"growth requires q >= 3 colors, got {q}")
     bounds = [q, q - 1, q - 2]
     for size in range(1, n - 2):
         bounds += (size + 2, q - 2)
@@ -260,11 +487,11 @@ def necklace_sample(n: int, q: int, rng: RngStream) -> Word:
     three initial colors, then per step the position i0, color index and
     rotation r of ``insert_with_rotation`` at 1-based position i0+1.
     """
-    if n < 3:
-        raise ValueError(f"necklace sampler requires n >= 3, got {n}")
-    if q < 3:
-        raise ValueError(f"necklace sampler requires q >= 3, got {q}")
-    draws = rng.indices(_necklace_bounds(n, q))
+    return _necklace_word(n, q, rng.indices(_necklace_bounds(n, q)))
+
+
+def _necklace_word(n: int, q: int, draws: Sequence[int]) -> Word:
+    """The necklace word that the draws for ``_necklace_bounds(n, q)`` give."""
     table = _allowed_table(q)
     # The word is phys[off:] + phys[:off].
     phys = list(_first_colors(q, *draws[:3]))
@@ -359,6 +586,48 @@ def eden_init(q: int, rng: RngStream) -> EdenState:
     return _eden_first_state(q, rng.index(q), rng.index(q - 1), rng.index(q - 2))
 
 
+class _EdenGrowth:
+    """The lists and counters of an ``EdenState``, grown in place."""
+
+    __slots__ = ("q", "size", "tree", "tree_edges", "outer", "gaps", "next_tree_id",
+                 "next_outer_id")
+
+    def __init__(self, s: EdenState):
+        self.q, self.size = s.q, s.size
+        self.tree, self.tree_edges = list(s.tree), list(s.tree_edges)
+        self.outer, self.gaps = list(s.outer), list(s.gaps)
+        self.next_tree_id, self.next_outer_id = s.next_tree_id, s.next_outer_id
+
+    def step(self, gap_index: int, color_index: int) -> None:
+        """Grow by the boundary vertex of the given gap, with the color
+        ``allowed_colors(q, left, right)[color_index]`` for the gap's two
+        endpoint colors."""
+        outer, gaps = self.outer, self.gaps
+        left_id, right_id, w = gaps[gap_index]
+        left_color = outer[gap_index][1]
+        right_color = outer[(gap_index + 1) % len(outer)][1]
+        z = _allowed_table(self.q)[left_color][right_color][color_index]
+        new_id, t1 = self.next_outer_id, self.next_tree_id
+        outer.insert(gap_index + 1, (new_id, z))
+        gaps[gap_index : gap_index + 1] = ((left_id, new_id, t1), (new_id, right_id, t1 + 1))
+        self.tree.append(w)
+        self.tree_edges += ((w, t1), (w, t1 + 1))
+        self.size += 1
+        self.next_tree_id, self.next_outer_id = t1 + 2, new_id + 1
+
+    def state(self) -> EdenState:
+        return EdenState(
+            q=self.q,
+            size=self.size,
+            tree=tuple(self.tree),
+            tree_edges=tuple(self.tree_edges),
+            outer=tuple(self.outer),
+            gaps=tuple(self.gaps),
+            next_tree_id=self.next_tree_id,
+            next_outer_id=self.next_outer_id,
+        )
+
+
 def _eden_step_at(s: EdenState, gap_index: int, color_index: int) -> EdenState:
     """Grow by the boundary vertex of the given gap, with the given color choice.
 
@@ -367,35 +636,9 @@ def _eden_step_at(s: EdenState, gap_index: int, color_index: int) -> EdenState:
     The result is not validated: the new color differs from both of its
     neighbors by construction.
     """
-    n_out = len(s.outer)
-    left_id, right_id, w = s.gaps[gap_index]
-    left_color = s.outer[gap_index][1]
-    right_color = s.outer[(gap_index + 1) % n_out][1]
-    z = allowed_colors(s.q, left_color, right_color)[color_index]
-
-    new_outer_id = s.next_outer_id
-    t1 = s.next_tree_id
-    t2 = s.next_tree_id + 1
-    outer = (
-        s.outer[: gap_index + 1]
-        + ((new_outer_id, z),)
-        + s.outer[gap_index + 1 :]
-    )
-    gaps = (
-        s.gaps[:gap_index]
-        + ((left_id, new_outer_id, t1), (new_outer_id, right_id, t2))
-        + s.gaps[gap_index + 1 :]
-    )
-    return EdenState(
-        q=s.q,
-        size=s.size + 1,
-        tree=s.tree + (w,),
-        tree_edges=s.tree_edges + ((w, t1), (w, t2)),
-        outer=outer,
-        gaps=gaps,
-        next_tree_id=t2 + 1,
-        next_outer_id=new_outer_id + 1,
-    )
+    growth = _EdenGrowth(s)
+    growth.step(gap_index, color_index)
+    return growth.state()
 
 
 def eden_step(s: EdenState, rng: RngStream) -> EdenState:
@@ -440,14 +683,16 @@ def eden_sample(n: int, q: int, rng: RngStream) -> Word:
     ``eden_step`` and ``eden_read`` would. The final state is validated
     before the read.
     """
-    if n < 3:
-        raise ValueError(f"growth sampler requires n >= 3, got {n}")
-    if q < 3:
-        raise ValueError(f"growth requires q >= 3 colors, got {q}")
-    draws = rng.indices(_eden_bounds(n, q))
-    s = _eden_first_state(q, *draws[:3])
+    return _eden_word(n, q, rng.indices(_eden_bounds(n, q)))
+
+
+def _eden_word(n: int, q: int, draws: Sequence[int]) -> Word:
+    """The Eden word that the draws for ``_eden_bounds(n, q)`` give; the
+    state grows in place and is frozen and validated once, before the read."""
+    growth = _EdenGrowth(_eden_first_state(q, *draws[:3]))
     for gap_index, color_index in zip(draws[3:-1:2], draws[4:-1:2]):
-        s = _eden_step_at(s, gap_index, color_index)
+        growth.step(gap_index, color_index)
+    s = growth.state()
     validate_eden_state(s)
     return _eden_read_from(s, draws[-1])
 

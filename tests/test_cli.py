@@ -212,6 +212,66 @@ def test_sample_output_is_pinned(capsys, sampler, q, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of `findep sample <args>` stdout, recorded while every replicate
+# still drew through its own RngStream: many draw blocks, and a seed longer
+# than one uint32 word with long rows.
+SAMPLE_SHA256 = {
+    "necklace --n 40 --q 5 --reps 3000 --seed 1099511627783":
+        "c576aaa9ed3b1077465dc59fd6e269202b6e17645d1e6f3d023c558853a0bb25",
+    "eden --n 1000 --q 3 --reps 3 --seed 123456789012345678901234567890123":
+        "f999e171b2125bfdbc187b5994673f97012817af32256bff3e589e83fb47a4b0",
+}
+
+
+@pytest.mark.parametrize("args", sorted(SAMPLE_SHA256))
+def test_sample_block_output_is_pinned(capsys, args):
+    code, out, _ = run(capsys, "sample", *args.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SAMPLE_SHA256[args]
+
+
+@pytest.fixture
+def no_draws(monkeypatch):
+    """Fail the test if `sample` computes any replicate's draws."""
+    checked = cli.replicate_draws
+
+    def argument_checks_only(seed, reps, bounds):
+        checked(seed, reps, bounds)  # checks its arguments; the rows are lazy
+        raise AssertionError("a replicate was drawn")
+
+    monkeypatch.setattr(cli, "replicate_draws", argument_checks_only)
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["necklace", "--n", "2", "--q", "3"], "necklace sampler requires n >= 3, got 2"),
+        (["necklace", "--n", "5", "--q", "2"], "necklace sampler requires q >= 3, got 2"),
+        (["eden", "--n", "2", "--q", "3"], "growth sampler requires n >= 3, got 2"),
+        (["eden", "--n", "5", "--q", "2"], "growth requires q >= 3 colors, got 2"),
+        (["necklace", "--n", "5", "--q", "3", "--seed", "-1"], "expected non-negative integer"),
+        # the largest bound is q: numpy draws above 2**32 on another path
+        (["necklace", "--n", "3", "--q", str(2**32 + 1)], "[1, 2**32]"),
+        (["eden", "--n", "3", "--q", str(2**32 + 1)], "[1, 2**32]"),
+        # replicate r is spawn key (r,), which must stay one uint32 word
+        (["eden", "--n", "4", "--q", "3", "--reps", str(2**32 + 1)], "at most 2**32"),
+    ],
+)
+def test_sample_argument_errors_exit_2_before_any_draw(capsys, no_draws, argv, message):
+    if "--reps" not in argv:
+        argv = argv + ["--reps", "3"]
+    code, out, err = run(capsys, "sample", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+
+
+def test_sample_negative_env_seed_is_usage_error(capsys, monkeypatch, no_draws):
+    monkeypatch.setenv("FINDEP_SEED", "-3")
+    code, out, err = run(capsys, "sample", "eden", "--n", "5", "--q", "3", "--reps", "2")
+    assert (code, out, err) == (2, "", "error: expected non-negative integer\n")
+
+
 @pytest.mark.parametrize("reps", ["0", "-1"])
 def test_sample_reps_below_one_is_usage_error(capsys, reps):
     code, out, err = run(capsys, "sample", "necklace", "--n", "4", "--q", "3", "--reps", reps)

@@ -15,9 +15,13 @@ from findep import growth
 from findep.analysis import chi_square_gof
 from findep.growth import (
     RngStream,
+    _eden_bounds,
     _eden_read_from,
     _eden_state_with_outer,
     _eden_step_at,
+    _eden_word,
+    _necklace_bounds,
+    _necklace_word,
     allowed_colors,
     coupling_kernel,
     eden_init,
@@ -27,6 +31,7 @@ from findep.growth import (
     eden_vs_necklace_kernel_check,
     insert_with_rotation,
     necklace_sample,
+    replicate_draws,
     validate_eden_state,
 )
 from findep.recurrence import cycle_law
@@ -314,13 +319,16 @@ def test_samplers_match_step_by_step_reference(n, q):
     streams = [(seed, stream) for seed in (0, 7, 2024) for stream in (0, 1, 5)]
     if n == 200:
         streams = streams[::4]
+    necklace_rows = {seed: list(replicate_draws(seed, 6, _necklace_bounds(n, q)))
+                     for seed, _ in streams}
+    eden_rows = {seed: list(replicate_draws(seed, 6, _eden_bounds(n, q))) for seed, _ in streams}
     for seed, stream in streams:
-        assert necklace_sample(n, q, RngStream(seed, stream)) == _necklace_reference(
-            n, q, RngStream(seed, stream)
-        ), (seed, stream)
-        assert eden_sample(n, q, RngStream(seed, stream)) == _eden_reference(
-            n, q, RngStream(seed, stream)
-        ), (seed, stream)
+        want = _necklace_reference(n, q, RngStream(seed, stream))
+        assert necklace_sample(n, q, RngStream(seed, stream)) == want, (seed, stream)
+        assert _necklace_word(n, q, necklace_rows[seed][stream]) == want, (seed, stream)
+        want = _eden_reference(n, q, RngStream(seed, stream))
+        assert eden_sample(n, q, RngStream(seed, stream)) == want, (seed, stream)
+        assert _eden_word(n, q, eden_rows[seed][stream]) == want, (seed, stream)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 99])
@@ -339,6 +347,78 @@ def test_indices_equal_index_draws(seed):
 def test_indices_reject_nonpositive_bound():
     with pytest.raises(ValueError):
         RngStream(0).indices([3, 0])
+
+
+# -- replicate_draws against the literal per-replicate streams ----------------------
+
+
+def _literal_rows(seed, reps, bounds):
+    return [RngStream(seed, r).indices(bounds) for r in range(reps)]
+
+
+# Runs of 1 draw nothing; powers of two such as 2**31 and 2**32 never reject,
+# and 2**32 takes a whole 32-bit half; odd and even counts of live draws
+# leave and use the spare 32-bit half.
+_EDGE_BOUNDS = [
+    [],
+    [1, 1, 1],
+    [5],
+    [2, 3],
+    [3, 1, 1, 1, 2**31, 2**32, 1, 7],
+    [2**32, 1, 2**31, 2**31, 2**32, 9, 1, 1],
+    [1] * 4 + [2**31] * 5 + [2**32] * 4 + [1] * 3 + [6],
+]
+
+
+@pytest.mark.parametrize("seed", [0, 5, 2**32 + 1, 3**90])  # 3**90: entropy beyond the pool
+@pytest.mark.parametrize("bounds", _EDGE_BOUNDS)
+def test_replicate_draws_equal_literal_streams(seed, bounds):
+    assert list(replicate_draws(seed, 9, bounds)) == _literal_rows(seed, 9, bounds)
+
+
+@pytest.mark.parametrize("per_block", [1, 3])
+def test_replicate_draws_cross_block_edges(monkeypatch, per_block):
+    for n in [*range(3, 13), 200]:
+        for bounds in (_necklace_bounds(n, 4), _eden_bounds(n, 3)):
+            n_out = (int((bounds > 1).sum()) + 1) // 2
+            monkeypatch.setattr(growth, "_BLOCK_OUTPUTS", per_block * n_out)
+            seed = 2**32 + 1 if n % 2 else 5
+            assert list(replicate_draws(seed, 7, bounds)) == _literal_rows(seed, 7, bounds), n
+
+
+def test_replicate_draws_recompute_rejected_rows(monkeypatch):
+    """Bound 2**31 + 1 rejects a 32-bit draw with probability about 1/2, and
+    a rejected draw takes another 32 bits, which only the literal stream
+    draws: the rows equal the literal ones only if those rows are redrawn."""
+    bounds = [2**31 + 1] * 3 + [2**31] * 2
+    want = _literal_rows(0, 40, bounds)
+    redrawn = []
+    literal = RngStream.indices
+
+    def counted(self, b):
+        redrawn.append(self.stream)
+        return literal(self, b)
+
+    monkeypatch.setattr(RngStream, "indices", counted)
+    assert list(replicate_draws(0, 40, bounds)) == want
+    # the 40 rows are one block, whose row 0 is also drawn for the self-check
+    assert len(set(redrawn) - {0}) > 20
+
+
+def test_replicate_draws_check_their_block_against_numpy(monkeypatch):
+    """A kernel that no longer matches numpy's stream raises on its first block."""
+    monkeypatch.setattr(growth, "_PCG64_MULT", growth._PCG64_MULT ^ 4)
+    with pytest.raises(RuntimeError, match="differs from numpy"):
+        next(replicate_draws(3, 4, _necklace_bounds(6, 4)))
+
+
+@pytest.mark.parametrize(
+    "seed,reps,bounds",
+    [(-1, 3, [3]), (0, 2**32 + 1, [3]), (0, 3, [3, 2**32 + 1]), (0, 3, [3, 0])],
+)
+def test_replicate_draws_reject_unmodelled_arguments_up_front(seed, reps, bounds):
+    with pytest.raises(ValueError):
+        replicate_draws(seed, reps, bounds)
 
 
 # -- validate_eden_state can fail ----------------------------------------------------
