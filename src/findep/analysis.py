@@ -265,6 +265,12 @@ class GofReport:
         }
 
 
+def _check_alpha(alpha: float) -> None:
+    """Raise ValueError unless the GoF significance level lies in (0, 1)."""
+    if not 0 < alpha < 1:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+
+
 def chi_square_gof(
     counts: Mapping[State, int], d: ExactDist, alpha: float = 0.001
 ) -> GofReport:
@@ -275,8 +281,7 @@ def chi_square_gof(
     regularized upper incomplete gamma tail of the chi-square law. Observed
     states outside the support of d fail automatically with a diagnostic.
     """
-    if not 0 < alpha < 1:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    _check_alpha(alpha)
     total = sum(counts.values())
     if total < 1:
         raise ValueError("need at least one observation")

@@ -17,16 +17,16 @@ from collections import Counter
 from typing import Optional
 
 from . import __version__
-from .analysis import chi_square_gof
+from .analysis import _check_alpha, chi_square_gof
 from .errors import BudgetExceeded
 from .growth import _eden_bounds, _eden_word, _necklace_bounds, _necklace_word, replicate_draws
 # The public samplers are not called here (they draw a replicate through its
 # own RngStream), but perfbench's self-test checks that its tracer rebinds
 # them at this lookup site, so the names stay.
 from .growth import eden_sample, necklace_sample  # noqa: F401
-from .recurrence import DEFAULT_BUDGET, _law_counts, cycle_law, is_theorem_grade
+from .recurrence import DEFAULT_BUDGET, _check_law_request, _law_counts, cycle_law, is_theorem_grade
 from .suites import SUITES, kdep_report, run_all, run_suite
-from .words import Word, row_texts
+from .words import Word, row_texts, symbols_text
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -132,9 +132,12 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     budget = args.budget if args.budget is not None else _env_int("FINDEP_BUDGET", DEFAULT_BUDGET)
     bounds_of, word_of = _SAMPLERS[args.sampler]
     bounds = bounds_of(args.n, args.q)
+    if args.gof:  # the GoF's arguments are checked before any draw
+        _check_alpha(alpha)
+        _check_law_request(args.n, args.q, budget)
     # Row r holds RngStream(seed, r).indices(bounds): replicate r draws from
     # stream r. Words are kept as text, a fraction of a Word's memory.
-    texts = [word_of(args.n, args.q, row).text()
+    texts = [symbols_text(word_of(args.n, args.q, row), args.q)
              for row in replicate_draws(seed, args.reps, bounds)]
 
     sample_meta = {

@@ -26,28 +26,30 @@ The exact one-step transition shared by both procedures is exposed as
 and as the tests' literal form of the step; ``verify coupling`` instead
 pushes whole dense count levels through the same step
 (``suites._transport_counts``). ``eden_vs_necklace_kernel_check`` verifies
-the equality of the two step laws state by state, on the sampler's own
-``_eden_step_at``.
+the equality of the two step laws state by state, on the samplers' own
+insertion step ``_insert``.
 
 Randomness. The bounds of every draw a sampler makes depend only on
 (n, q) (``_necklace_bounds``, ``_eden_bounds``), so a replicate's word is
 a deterministic function of its whole index sequence (``_necklace_word``,
-``_eden_word``). ``necklace_sample`` and ``eden_sample`` take that
-sequence from one ``RngStream.indices`` call; the CLI takes the same
-values for every replicate from ``replicate_draws``, which computes a
-block of replicates' streams at once with numpy arithmetic and checks
-each block against ``RngStream``. The values equal those of the
-step-by-step API (``RngStream.index`` with ``insert_with_rotation``, or
-``eden_init``, ``eden_step`` and ``eden_read``), which stays as the
-literal form of each procedure and is the reference the tests compare the
-samplers against. The necklace loop keeps its beads in a list with a
-rotation offset, so a step inserts one bead and moves the offset instead
-of copying and rotating the word. The Eden loop grows one state's lists
-in place (``_EdenGrowth``, which ``_eden_step_at`` also runs). Eden states
-are validated when they are built from scratch and once per sample before
-the read; ``eden_step`` and the per-step loop of ``_eden_word`` do not
-validate, since a step only inserts a color drawn from ``allowed_colors``
-of its neighbors.
+``_eden_word``, which return the symbol tuple). ``necklace_sample`` and
+``eden_sample`` take that sequence from one ``RngStream.indices`` call;
+the CLI takes the same values for every replicate from
+``replicate_draws``, which computes a block of replicates' streams at
+once with numpy arithmetic and checks each block against ``RngStream``.
+The values equal those of the step-by-step API (``RngStream.index`` with
+``insert_with_rotation``, or ``eden_init``, ``eden_step`` and
+``eden_read``), which stays as the literal form of each procedure and is
+the reference the tests compare the samplers against.
+
+Both samplers grow a plain list of colors with one insertion step
+(``_insert``). The necklace loop keeps its beads with a rotation offset,
+so a step inserts one bead and moves the offset instead of copying and
+rotating the word. The Eden loop keeps only the outer colors: the tree
+never affects the coloring, and gap i of the list stands for the boundary
+tree vertex of the literal state's gap i. ``eden_init`` validates the
+literal state it builds; ``eden_step`` does not, since a step only
+inserts a color drawn from ``allowed_colors`` of its neighbors.
 
 Interior dual structure is never materialized beyond the colors already
 fixed: a read needs only the outer face, and interior colors never change.
@@ -73,7 +75,7 @@ from .dist import ExactDist, Kernel
 # b_circ is no longer called here, but perfbench's self-test checks that its
 # tracer rebinds it at this lookup site, so the name stays.
 from .recurrence import b_circ, cycle_counts  # noqa: F401
-from .words import Word, rotl, tuple_is_cyclically_proper
+from .words import Word, rotl
 
 __all__ = [
     "EdenState",
@@ -359,6 +361,13 @@ def _allowed_table(q: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     )
 
 
+def _insert(cyc: list[int], p: int, ci: int, table) -> None:
+    """Insert into the cyclic color list ``cyc``, just before index p, the
+    color ``allowed_colors(q, cyc[p-1], cyc[p % len])[ci]`` (``table`` is
+    ``_allowed_table(q)``): the one insertion step of both samplers."""
+    cyc.insert(p, table[cyc[p - 1]][cyc[p % len(cyc)]][ci])
+
+
 def _frozen_bounds(bounds: list[int]) -> np.ndarray:
     a = np.array(bounds, dtype=np.int64)
     a.flags.writeable = False
@@ -487,22 +496,23 @@ def necklace_sample(n: int, q: int, rng: RngStream) -> Word:
     three initial colors, then per step the position i0, color index and
     rotation r of ``insert_with_rotation`` at 1-based position i0+1.
     """
-    return _necklace_word(n, q, rng.indices(_necklace_bounds(n, q)))
+    return Word(_necklace_word(n, q, rng.indices(_necklace_bounds(n, q))), q)
 
 
-def _necklace_word(n: int, q: int, draws: Sequence[int]) -> Word:
-    """The necklace word that the draws for ``_necklace_bounds(n, q)`` give."""
+def _necklace_word(n: int, q: int, draws: Sequence[int]) -> tuple[int, ...]:
+    """The symbols of the necklace word that the draws for
+    ``_necklace_bounds(n, q)`` give."""
     table = _allowed_table(q)
     # The word is phys[off:] + phys[:off].
     phys = list(_first_colors(q, *draws[:3]))
     off = 0
     for m, i0, ci, r in zip(range(3, n), draws[3::3], draws[4::3], draws[5::3]):
         p = (off + i0) % m
-        phys.insert(p, table[phys[p - 1]][phys[p]][ci])
+        _insert(phys, p, ci, table)
         if p < off:
             off += 1
         off = (off + r) % (m + 1)
-    return Word(tuple(phys[off:] + phys[:off]), q)
+    return tuple(phys[off:] + phys[:off])
 
 
 # -- Eden growth ------------------------------------------------------------
@@ -562,9 +572,11 @@ def validate_eden_state(s: EdenState) -> None:
             raise AssertionError(f"adjacent outer colors equal at position {i}")
 
 
-def _eden_first_state(q: int, i1: int, i2: int, i3: int) -> EdenState:
-    """Cluster of size 1 whose triangle gets ``_first_colors(q, i1, i2, i3)``."""
-    c1, c2, c3 = _first_colors(q, i1, i2, i3)
+def eden_init(q: int, rng: RngStream) -> EdenState:
+    """Cluster of size 1 with a uniformly colored initial triangle."""
+    if q < 3:
+        raise ValueError(f"growth requires q >= 3 colors, got {q}")
+    c1, c2, c3 = _first_colors(q, rng.index(q), rng.index(q - 1), rng.index(q - 2))
     state = EdenState(
         q=q,
         size=1,
@@ -579,66 +591,31 @@ def _eden_first_state(q: int, i1: int, i2: int, i3: int) -> EdenState:
     return state
 
 
-def eden_init(q: int, rng: RngStream) -> EdenState:
-    """Cluster of size 1 with a uniformly colored initial triangle."""
-    if q < 3:
-        raise ValueError(f"growth requires q >= 3 colors, got {q}")
-    return _eden_first_state(q, rng.index(q), rng.index(q - 1), rng.index(q - 2))
-
-
-class _EdenGrowth:
-    """The lists and counters of an ``EdenState``, grown in place."""
-
-    __slots__ = ("q", "size", "tree", "tree_edges", "outer", "gaps", "next_tree_id",
-                 "next_outer_id")
-
-    def __init__(self, s: EdenState):
-        self.q, self.size = s.q, s.size
-        self.tree, self.tree_edges = list(s.tree), list(s.tree_edges)
-        self.outer, self.gaps = list(s.outer), list(s.gaps)
-        self.next_tree_id, self.next_outer_id = s.next_tree_id, s.next_outer_id
-
-    def step(self, gap_index: int, color_index: int) -> None:
-        """Grow by the boundary vertex of the given gap, with the color
-        ``allowed_colors(q, left, right)[color_index]`` for the gap's two
-        endpoint colors."""
-        outer, gaps = self.outer, self.gaps
-        left_id, right_id, w = gaps[gap_index]
-        left_color = outer[gap_index][1]
-        right_color = outer[(gap_index + 1) % len(outer)][1]
-        z = _allowed_table(self.q)[left_color][right_color][color_index]
-        new_id, t1 = self.next_outer_id, self.next_tree_id
-        outer.insert(gap_index + 1, (new_id, z))
-        gaps[gap_index : gap_index + 1] = ((left_id, new_id, t1), (new_id, right_id, t1 + 1))
-        self.tree.append(w)
-        self.tree_edges += ((w, t1), (w, t1 + 1))
-        self.size += 1
-        self.next_tree_id, self.next_outer_id = t1 + 2, new_id + 1
-
-    def state(self) -> EdenState:
-        return EdenState(
-            q=self.q,
-            size=self.size,
-            tree=tuple(self.tree),
-            tree_edges=tuple(self.tree_edges),
-            outer=tuple(self.outer),
-            gaps=tuple(self.gaps),
-            next_tree_id=self.next_tree_id,
-            next_outer_id=self.next_outer_id,
-        )
-
-
 def _eden_step_at(s: EdenState, gap_index: int, color_index: int) -> EdenState:
     """Grow by the boundary vertex of the given gap, with the given color choice.
 
     ``color_index`` selects from ``allowed_colors`` of the gap's two
     endpoint colors. Deterministic; ``eden_step`` draws the two choices.
     The result is not validated: the new color differs from both of its
-    neighbors by construction.
+    neighbors by construction. This literal step tracks the tree and is
+    the reference that the samplers' ``_insert`` is tested against.
     """
-    growth = _EdenGrowth(s)
-    growth.step(gap_index, color_index)
-    return growth.state()
+    left_id, right_id, w = s.gaps[gap_index]
+    left_color = s.outer[gap_index][1]
+    right_color = s.outer[(gap_index + 1) % len(s.outer)][1]
+    z = allowed_colors(s.q, left_color, right_color)[color_index]
+    new_id, t1 = s.next_outer_id, s.next_tree_id
+    return EdenState(
+        q=s.q,
+        size=s.size + 1,
+        tree=s.tree + (w,),
+        tree_edges=s.tree_edges + ((w, t1), (w, t1 + 1)),
+        outer=s.outer[: gap_index + 1] + ((new_id, z),) + s.outer[gap_index + 1 :],
+        gaps=s.gaps[:gap_index] + ((left_id, new_id, t1), (new_id, right_id, t1 + 1))
+        + s.gaps[gap_index + 1 :],
+        next_tree_id=t1 + 2,
+        next_outer_id=new_id + 1,
+    )
 
 
 def eden_step(s: EdenState, rng: RngStream) -> EdenState:
@@ -680,62 +657,23 @@ def eden_sample(n: int, q: int, rng: RngStream) -> Word:
 
     Draws ``_eden_bounds(n, q)``: the initial triangle's colors, the gap
     and color of each step, then the read's start, as ``eden_init``,
-    ``eden_step`` and ``eden_read`` would. The final state is validated
-    before the read.
+    ``eden_step`` and ``eden_read`` would. Only the outer colors are grown:
+    the word equals the read of the literal state, whose tree never
+    affects the coloring.
     """
-    return _eden_word(n, q, rng.indices(_eden_bounds(n, q)))
+    return Word(_eden_word(n, q, rng.indices(_eden_bounds(n, q))), q)
 
 
-def _eden_word(n: int, q: int, draws: Sequence[int]) -> Word:
-    """The Eden word that the draws for ``_eden_bounds(n, q)`` give; the
-    state grows in place and is frozen and validated once, before the read."""
-    growth = _EdenGrowth(_eden_first_state(q, *draws[:3]))
+def _eden_word(n: int, q: int, draws: Sequence[int]) -> tuple[int, ...]:
+    """The symbols of the Eden word that the draws for ``_eden_bounds(n, q)``
+    give. Gap i sits between ``outer[i]`` and ``outer[(i+1) % len]``, so the
+    stacked vertex goes in at index i+1."""
+    table = _allowed_table(q)
+    outer = list(_first_colors(q, *draws[:3]))
     for gap_index, color_index in zip(draws[3:-1:2], draws[4:-1:2]):
-        growth.step(gap_index, color_index)
-    s = growth.state()
-    validate_eden_state(s)
-    return _eden_read_from(s, draws[-1])
-
-
-def _eden_state_with_outer(x: Word) -> EdenState:
-    """A valid state whose outer cycle carries the given coloring.
-
-    The cluster is laid out as a path; the pairing of gaps with boundary
-    vertices is one fixed consistent choice. The one-step law from a state
-    depends on the state only through its outer coloring, so any valid
-    realization serves for exhaustive checks.
-    """
-    n = len(x)
-    if n < 3:
-        raise ValueError("outer cycle needs at least 3 vertices")
-    if not tuple_is_cyclically_proper(x.symbols):
-        raise ValueError("outer coloring must be cyclically proper")
-    size = n - 2
-    path = tuple(range(size))
-    edges = [(i, i + 1) for i in range(size - 1)]
-    boundary = list(range(size, size + n))
-    free_slots: list[int] = []  # cluster vertex owning each boundary edge
-    if size == 1:
-        free_slots = [0, 0, 0]
-    else:
-        free_slots.extend([0, 0])           # path end: root keeps 2 free
-        free_slots.extend(range(1, size - 1))  # interior: 1 free each
-        free_slots.extend([size - 1, size - 1])  # other end: 2 free
-    edges.extend((free_slots[j], boundary[j]) for j in range(n))
-    outer = tuple((i, x.symbols[i]) for i in range(n))
-    gaps = tuple((i, (i + 1) % n, boundary[i]) for i in range(n))
-    state = EdenState(
-        q=x.q,
-        size=size,
-        tree=path,
-        tree_edges=tuple(edges),
-        outer=outer,
-        gaps=gaps,
-        next_tree_id=size + n,
-        next_outer_id=n,
-    )
-    validate_eden_state(state)
-    return state
+        _insert(outer, gap_index + 1, color_index, table)
+    start = draws[-1]
+    return tuple(outer[start:] + outer[:start])
 
 
 def eden_vs_necklace_kernel_check(n: int, q: int) -> bool:
@@ -743,20 +681,23 @@ def eden_vs_necklace_kernel_check(n: int, q: int) -> bool:
 
     For every reachable outer coloring t (positive insertion count, read
     in lexicographic order from the dense level ``cycle_counts(n, q)``),
-    builds a state carrying it and counts the outcomes of all (gap, color,
-    start) choices of one growth step followed by a read; the read from
-    ``start`` is the stepped outer colors rotated left by ``start``.
-    ``_insertion_row(t, q)`` counts all (gap, color, rotation) triples of
-    one insertion step; both range over n (q-2) (n+1) triples of weight 1,
-    so equal counts are equal laws.
+    counts the outcomes of all (gap, color, start) choices of one Eden
+    growth step on the outer colors (the sampler's ``_insert`` at gap+1)
+    followed by a read; the read from ``start`` is the stepped colors
+    rotated left by ``start``. ``_insertion_row(t, q)``, the literal
+    necklace step, counts all (gap, color, rotation) triples of one
+    insertion step; both range over n (q-2) (n+1) triples of weight 1, so
+    equal counts are equal laws.
     """
+    table = _allowed_table(q)
     for t in map(tuple, (np.argwhere(cycle_counts(n, q)) + 1).tolist()):
-        s = _eden_state_with_outer(Word(t, q))
         outcomes: Counter = Counter()
-        for gap_index in range(len(s.gaps)):
+        for gap_index in range(n):
             for color_index in range(q - 2):
-                colors = tuple(c for _, c in _eden_step_at(s, gap_index, color_index).outer)
-                for start in range(len(colors)):
+                outer = list(t)
+                _insert(outer, gap_index + 1, color_index, table)
+                colors = tuple(outer)
+                for start in range(n + 1):
                     outcomes[rotl(colors, start)] += 1
         if outcomes != _insertion_row(t, q):
             return False

@@ -54,9 +54,7 @@ class Word:
         return cls(tuple(int(part) for part in text.split(",")), q)
 
     def text(self) -> str:
-        if self.q <= 9:
-            return "".join(str(s) for s in self.symbols)
-        return ",".join(str(s) for s in self.symbols)
+        return symbols_text(self.symbols, self.q)
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -69,6 +67,11 @@ class Word:
 
     def __repr__(self) -> str:
         return f"Word({self.text()!r}, q={self.q})"
+
+
+def symbols_text(symbols: Sequence[int], q: int) -> str:
+    """The text form of a word's symbols: digits for q <= 9, else comma-separated."""
+    return ("" if q <= 9 else ",").join(map(str, symbols))
 
 
 def row_texts(rows: np.ndarray, q: int) -> list[str]:

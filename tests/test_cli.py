@@ -266,6 +266,26 @@ def test_sample_argument_errors_exit_2_before_any_draw(capsys, no_draws, argv, m
     assert err.startswith("error: ") and message in err
 
 
+@pytest.mark.parametrize(
+    "argv,env_alpha,code,message",
+    [
+        # the exact law of n = 15 is past the enumeration bound
+        (["eden", "--n", "15", "--q", "3", "--reps", "200000", "--gof"], None, 3, "n <= 14"),
+        (["necklace", "--n", "5", "--q", "3", "--reps", "50000", "--gof", "--alpha", "0"],
+         None, 2, "alpha"),
+        (["eden", "--n", "5", "--q", "3", "--reps", "50000", "--gof"], "nan", 2, "alpha"),
+    ],
+)
+def test_sample_gof_arguments_are_checked_before_any_draw(
+    capsys, monkeypatch, no_draws, argv, env_alpha, code, message
+):
+    if env_alpha is not None:
+        monkeypatch.setenv("FINDEP_ALPHA", env_alpha)
+    got, out, err = run(capsys, "sample", *argv)
+    assert (got, out) == (code, "")
+    assert err.startswith("error: ") and message in err
+
+
 def test_sample_negative_env_seed_is_usage_error(capsys, monkeypatch, no_draws):
     monkeypatch.setenv("FINDEP_SEED", "-3")
     code, out, err = run(capsys, "sample", "eden", "--n", "5", "--q", "3", "--reps", "2")

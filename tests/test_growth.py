@@ -5,9 +5,11 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from itertools import product
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import findep
@@ -17,7 +19,6 @@ from findep.growth import (
     RngStream,
     _eden_bounds,
     _eden_read_from,
-    _eden_state_with_outer,
     _eden_step_at,
     _eden_word,
     _necklace_bounds,
@@ -34,7 +35,7 @@ from findep.growth import (
     replicate_draws,
     validate_eden_state,
 )
-from findep.recurrence import cycle_law
+from findep.recurrence import cycle_counts, cycle_law
 from findep.words import Word, is_cyclically_proper
 
 
@@ -236,29 +237,33 @@ def test_eden_vs_necklace_kernel(n, q):
     assert eden_vs_necklace_kernel_check(n, q)
 
 
+def _one_slot_right(insert, cyc, p, ci, table):
+    """Insert the color that the gap's neighbors chose one slot to its right."""
+    cyc.insert(p + 1, table[cyc[p - 1]][cyc[p % len(cyc)]][ci])
+
+
 @pytest.mark.parametrize(
     "wrong,q",
     [
-        (lambda step, s, g, c: step(s, 0, c), 3),  # always the first gap
-        (lambda step, s, g, c: step(s, 0, c), 4),
-        (lambda step, s, g, c: step(s, g, 0), 4),  # always the first allowed color
+        (lambda insert, cyc, p, ci, table: insert(cyc, 1, ci, table), 3),  # always the first gap
+        (lambda insert, cyc, p, ci, table: insert(cyc, 1, ci, table), 4),
+        # always the first allowed color; at q = 3 there is only one
+        (lambda insert, cyc, p, ci, table: insert(cyc, p, 0, table), 4),
+        (_one_slot_right, 3),
+        (_one_slot_right, 4),
     ],
 )
 def test_eden_vs_necklace_kernel_check_can_fail(monkeypatch, wrong, q):
-    step = growth._eden_step_at
-    monkeypatch.setattr(growth, "_eden_step_at", lambda s, g, c: wrong(step, s, g, c))
+    insert = growth._insert
+    monkeypatch.setattr(growth, "_insert", lambda *args: wrong(insert, *args))
     assert not eden_vs_necklace_kernel_check(4, q)
 
 
-def test_eden_state_with_outer_requires_cyclically_proper():
-    with pytest.raises(ValueError):
-        _eden_state_with_outer(W("121", 3))
-
-
 def test_eden_read_from_start():
-    s = _eden_state_with_outer(W("1234"))
-    assert _eden_read_from(s, 0) == W("1234")
-    assert _eden_read_from(s, 2) == W("3412")
+    s = _eden_step_at(eden_init(4, RngStream(3)), 2, 1)
+    colors = tuple(c for _, c in s.outer)
+    assert _eden_read_from(s, 0) == Word(colors, 4)
+    assert _eden_read_from(s, 2) == Word(colors[2:] + colors[:2], 4)
 
 
 def test_eden_state_json_snapshot():
@@ -325,10 +330,28 @@ def test_samplers_match_step_by_step_reference(n, q):
     for seed, stream in streams:
         want = _necklace_reference(n, q, RngStream(seed, stream))
         assert necklace_sample(n, q, RngStream(seed, stream)) == want, (seed, stream)
-        assert _necklace_word(n, q, necklace_rows[seed][stream]) == want, (seed, stream)
+        assert _necklace_word(n, q, necklace_rows[seed][stream]) == want.symbols, (seed, stream)
         want = _eden_reference(n, q, RngStream(seed, stream))
         assert eden_sample(n, q, RngStream(seed, stream)) == want, (seed, stream)
-        assert _eden_word(n, q, eden_rows[seed][stream]) == want, (seed, stream)
+        assert _eden_word(n, q, eden_rows[seed][stream]) == want.symbols, (seed, stream)
+
+
+@pytest.mark.parametrize(
+    "word_of,bounds_of",
+    [(_necklace_word, _necklace_bounds), (_eden_word, _eden_bounds)],
+    ids=["necklace", "eden"],
+)
+@pytest.mark.parametrize("n,q", [(5, 3), (6, 3), (5, 4)])
+def test_word_builders_have_the_exact_cycle_law(word_of, bounds_of, n, q):
+    """Every draw row, each of equal chance, gives the words in proportion
+    to their insertion counts b_circ."""
+    rows = list(product(*map(range, bounds_of(n, q))))
+    words = Counter(word_of(n, q, row) for row in rows)
+    level = cycle_counts(n, q)
+    z = int(level.sum())
+    assert set(words) == set(map(tuple, (np.argwhere(level) + 1).tolist()))
+    for w, count in words.items():
+        assert count * z == int(level[tuple(c - 1 for c in w)]) * len(rows), w
 
 
 @pytest.mark.parametrize("seed", [0, 1, 99])

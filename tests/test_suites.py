@@ -7,7 +7,7 @@ from itertools import permutations, product
 import numpy as np
 import pytest
 
-from findep import analysis, chains, recurrence, suites
+from findep import analysis, chains, growth, recurrence, suites
 from findep.analysis import k_dependence_counterexample, marginalize, pushforward, symmetry_check
 from findep.chains import color_indicator
 from findep.dist import ExactDist
@@ -162,6 +162,16 @@ def test_coupling_transport_fails_on_broken_child_level(monkeypatch):
     assert by_case[(3, 3)]["eden_step_law"] is True
     assert by_case[(3, 4)]["passed"] is True
     assert rep["counterexample"] == {"n": 3, "q": 3}
+
+
+def test_coupling_eden_half_fails_on_off_by_one_gap(monkeypatch):
+    def one_slot_right(cyc, p, ci, table):
+        cyc.insert(p + 1, table[cyc[p - 1]][cyc[p % len(cyc)]][ci])
+
+    monkeypatch.setattr(growth, "_insert", one_slot_right)
+    rep = suites.coupling_suite(max_n=3)
+    assert rep["passed"] is False
+    assert all(c["transport"] and not c["eden_step_law"] for c in rep["cases"])
 
 
 def test_transport_holds_where_unreduced_factors_overflow():
