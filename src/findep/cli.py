@@ -14,7 +14,7 @@ import math
 import os
 import sys
 from collections import Counter
-from typing import Optional
+from typing import Iterable, Iterator, Optional, Union
 
 from . import __version__
 from .analysis import _check_alpha, chi_square_gof
@@ -61,41 +61,57 @@ def _env_float(name: str, default: float) -> float:
         return default
 
 
-def _write(text: str, out: Optional[str]) -> None:
+def _write(text: Union[str, Iterable[str]], out: Optional[str]) -> None:
+    """Write text, or each string of an iterable in turn, to out or stdout."""
+    chunks = [text] if isinstance(text, str) else text
     if out:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
-def _dist_dump(rows, counts: list[int], z: int, q: int, meta: dict, fmt: str) -> str:
-    """The ``findep.dist/1`` JSON or CSV text of the law counts[i] / z on rows.
+# States per block of a streamed law dump.
+_DUMP_BLOCK = 1 << 14
+
+
+def _dist_dump(rows, counts: list[int], z: int, q: int, meta: dict, fmt: str) -> Iterator[str]:
+    """The ``findep.dist/1`` JSON or CSV text of the law counts[i] / z on rows,
+    as the header and then one string per block of ``_DUMP_BLOCK`` states.
 
     Byte-identical to ``json.dumps`` (indent=2) of the document built from
     ``ExactDist.to_json_entries``: each state's fraction is reduced by
     gcd(count, z), as ``Fraction`` reduces it, and the states are in text order.
     """
-    texts = row_texts(rows, q)
     fracs = {}
     for c in set(counts):
         g = math.gcd(c, z)
         fracs[c] = (str(c // g), str(z // g))
-    states = zip(texts, counts)
     if q > 9:  # comma-joined texts: code order is not text order
-        states = sorted(states)
-    if fmt == "csv":
-        return "state,num,den\n" + "".join(
-            f"{t},{fracs[c][0]},{fracs[c][1]}\n" for t, c in states
-        )
-    # json.dumps renders the header; every entry has the same indent=2 shape.
-    head = json.dumps({"schema": _SCHEMA_DIST, **meta, "total_states": len(texts)}, indent=2)
-    entries = ",\n".join(
-        f'    {{\n      "state": "{t}",\n      "num": "{fracs[c][0]}",\n'
-        f'      "den": "{fracs[c][1]}"\n    }}'
-        for t, c in states
+        texts = row_texts(rows, q)
+        order = sorted(range(len(texts)), key=texts.__getitem__)
+        rows, counts = rows[order], [counts[i] for i in order]
+    blocks = (
+        (row_texts(rows[i:i + _DUMP_BLOCK], q), counts[i:i + _DUMP_BLOCK])
+        for i in range(0, len(counts), _DUMP_BLOCK)
     )
-    return f'{head[:-2]},\n  "states": [\n{entries}\n  ]\n}}\n'
+    if fmt == "csv":
+        yield "state,num,den\n"
+        for texts, cs in blocks:
+            yield "".join(f"{t},{fracs[c][0]},{fracs[c][1]}\n" for t, c in zip(texts, cs))
+        return
+    # json.dumps renders the header; every entry has the same indent=2 shape.
+    head = json.dumps({"schema": _SCHEMA_DIST, **meta, "total_states": len(counts)}, indent=2)
+    yield f'{head[:-2]},\n  "states": [\n'
+    sep = ""
+    for texts, cs in blocks:
+        yield sep + ",\n".join(
+            f'    {{\n      "state": "{t}",\n      "num": "{fracs[c][0]}",\n'
+            f'      "den": "{fracs[c][1]}"\n    }}'
+            for t, c in zip(texts, cs)
+        )
+        sep = ",\n"
+    yield "\n  ]\n}\n"
 
 
 def _cmd_exact(args: argparse.Namespace) -> int:

@@ -699,6 +699,8 @@ def eden_vs_necklace_kernel_check(n: int, q: int) -> bool:
                 colors = tuple(outer)
                 for start in range(n + 1):
                     outcomes[rotl(colors, start)] += 1
-        if outcomes != _insertion_row(t, q):
+        # Both hold positive counts only, so plain dict equality (in C, not
+        # Counter.__eq__'s per-key loop) decides equal counts.
+        if dict(outcomes) != dict(_insertion_row(t, q)):
             return False
     return True

@@ -16,20 +16,24 @@ length-n windows of the line process.
 
 Evaluation strategy: per-word values are memoized under rotation
 canonicalization, which is sound because the cyclic count is invariant
-under rotation. Whole levels come from a bottom-up pass over dense numpy
-int64 arrays of shape (q,)*n, one broadcast step per level, that
-canonicalizes nothing, so ``verify shift`` checks the symmetries on them.
-Every sized verify suite reads the cycle and line laws only as levels,
-through ``cycle_counts`` and ``line_counts`` (``symmetry`` through
-``_law_counts``). The two engines are cross-checked in tests.
+under rotation. Whole levels come from a bottom-up pass over the proper
+words only: level m is an int64 array of shape (q,) + (q-1,)*(m-1),
+indexed by a word's first color and its m-1 nonzero color increments
+mod q, one gather per deletion, that canonicalizes nothing.
+``cycle_counts`` and ``line_counts`` scatter level n into a read-only
+dense (q,)*n view, zero off the proper words, on which ``verify shift``
+checks the symmetries. Every sized verify suite reads the cycle and line
+laws only as these views (``symmetry`` through ``_law_counts``). The two
+engines are cross-checked in tests.
 
-Laws come only from the dense levels: ``cycle_law``, ``line_window_law``
-and the CLI's law dumps read the nonzero entries of level n through
-``_law_counts``, and a law is built anew on every call. That bounds them
-to n <= 14, q**n within the budget, and q**n < 2**31 (a level of 2**31
-int64 counts takes 16 GiB), and partition sums to n <= 14; beyond any
-bound they raise ``BudgetExceeded`` before allocating. Every level is checked to hold counts in [0, m!], so an int64
-overflow raises instead of giving a law.
+Laws come only from the levels: ``cycle_law``, ``line_window_law`` and
+the CLI's law dumps read the nonzero cells of level n through
+``_law_counts``, which never allocates q**n cells, and a law is built
+anew on every call. That bounds them to n <= 14, q**n within the budget,
+and q**n < 2**31 (the dense view of 2**31 int64 counts would take
+16 GiB), and partition sums to n <= 14; beyond any bound they raise
+``BudgetExceeded`` before allocating. Every level is checked to hold
+counts in [0, m!], so an int64 overflow raises instead of giving a law.
 
 Thread-safety: all functions are pure. The shared memo tables are only
 ever written with values equal to the single-threaded result, so
@@ -39,6 +43,7 @@ concurrent evaluation returns identical results.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from itertools import product
 from typing import Sequence, Union
 
@@ -198,19 +203,30 @@ def z_circ_closed(n: int, q: int) -> int:
     return math.factorial(n) * q * (q - 1) * (q - 2) ** (n - 2)
 
 
-# -- dense bottom-up evaluation --------------------------------------------
+# -- bottom-up evaluation on proper words -----------------------------------
 #
-# Level m is an int64 array of shape (q,)*m whose entry [x1-1, ..., xm-1] is
-# b(x1...xm). Its slice [a] holds the words that start with symbol a: the
-# deletion of x1 is level m-1 itself, the deletion of a later x_i is
-# level[m-1][a] broadcast along axis i, and ``_differ`` masks zero the words
-# that are not (cyclically) proper. ``_levels`` refuses levels of 2**31 cells
-# or more (16 GiB of int64) before allocating.
+# Only proper words can have a nonzero count, so a level stores just those.
+# Level m >= 1 is an int64 array of shape (q,) + (q-1,)*(m-1): cell
+# [c1, e2, ..., em] is the word with x1 = c1 and x_i = x_(i-1) + d_i
+# (mod q), d_i = e_i + 1 (0-based colors); on the cycle the cells with
+# d_2 + ... + d_m = 0 (mod q), whose last color equals the first, hold 0.
+# Level 0 is a 0-d array. Slice [a] holds the words that start with color
+# a. Deleting x1 reads level m-1 at first color a + d_2; deleting xm reads
+# its slice [a], broadcast; deleting an interior x_i merges d_i and
+# d_(i+1) into one increment, and a merged 0 marks an improper child,
+# which counts 0. Each slice is computed from level m-1 alone, so no count
+# of one slice is copied or relabeled into another and ``verify shift``
+# still checks the color symmetry on the dense view. ``_levels`` refuses
+# levels whose q**m dense view would hold 2**31 cells or more (16 GiB of
+# int64) before allocating.
 #
 # Computed levels are cached per (q, cyclic) and shared across calls: the
 # partition suite evaluates many n for one q and reuses all lower levels.
+# The dense (q,)*n view that the verify suites read is scattered from
+# level n on first request and cached beside it.
 
 _LEVEL_CACHE: dict[tuple[int, bool], list[np.ndarray]] = {}
+_DENSE_CACHE: dict[tuple[int, bool, int], np.ndarray] = {}
 
 
 def _differ(m: int, q: int, i: int, j: int) -> np.ndarray:
@@ -229,29 +245,61 @@ def _checked(vals: np.ndarray, m: int) -> np.ndarray:
     return vals
 
 
+def _level_codes(q: int, m: int) -> np.ndarray:
+    """The row-major index in (q,)*m of the word at each cell of level m."""
+    color = code = np.arange(q, dtype=np.int64) if m else np.zeros((), dtype=np.int64)
+    for _ in range(m - 1):
+        color = (color[..., None] + np.arange(1, q)) % q
+        code = code[..., None] * q + color
+    return code
+
+
+@lru_cache(maxsize=2)
+def _closing(q: int, m: int) -> np.ndarray:
+    """The cyclically proper cells of a level-m slice: d_2 + ... + d_m != 0
+    (mod q), shape (q-1,)*(m-1). Read-only."""
+    s = np.zeros((), dtype=np.int64)
+    for _ in range(m - 1):
+        s = (s[..., None] + np.arange(1, q)) % q
+    mask = s != 0
+    mask.flags.writeable = False
+    return mask
+
+
 def _level_values(prev: np.ndarray, a: int, q: int, cyclic: bool, out: np.ndarray) -> np.ndarray:
     """Fill ``out`` with slice [a] of level m = prev.ndim + 1, the counts of
-    the length-m words that start with symbol a, from level m-1 ``prev``;
-    return it checked. ``out`` has the shape of ``prev``."""
+    the proper length-m words that start with color a, from level m-1
+    ``prev``; return it checked. ``out`` has shape (q-1,)*(m-1)."""
     m = prev.ndim + 1
-    out[...] = prev
-    for i in range(m - 1):
-        out += np.expand_dims(prev[a], i)
-    for i in range(m - 2):
-        out *= _differ(m - 1, q, i, i + 1)
-    if m > 1:  # x1 = a differs from x2 and, on the cycle, from xm
-        for j in {1, m - 1} if cyclic else {1}:
-            out *= _differ(m, q, 0, j)[a]
+    if m == 1:  # one deletion, to the empty word
+        out[...] = prev
+        return _checked(out, m)
+    # x1: the child starts at color a + d_2; xm: the child is x1..x(m-1)
+    np.take(prev, (a + np.arange(1, q)) % q, axis=0, out=out)
+    out += prev[a][..., None]
+    # x_i, 1 < i < m: d_i and d_(i+1), axes i-2 and i-1 of out, merge into
+    # increment index ``merged``; -1 (a merged 0) reads a wrong cell, reset to 0
+    merged = (np.arange(q - 1)[:, None] + np.arange(q - 1) + 2) % q - 1
+    improper = np.nonzero(merged < 0)
+    part = np.empty_like(out)
+    for i in range(2, m):
+        child = prev[a].reshape((q - 1) ** (i - 2), q - 1, (q - 1) ** (m - 1 - i))
+        gathered = part.reshape(child.shape[0], q - 1, q - 1, child.shape[2])
+        np.take(child, merged, axis=1, out=gathered)
+        gathered[:, improper[0], improper[1]] = 0
+        out += part
+    if cyclic:
+        out *= _closing(q, m)
     return _checked(out, m)
 
 
 def _levels(q: int, cyclic: bool, upto: int) -> list[np.ndarray]:
-    """Dense count arrays for levels 0..upto (cached)."""
+    """Count arrays on proper words for levels 0..upto (cached)."""
     if q**upto >= _CELL_LIMIT:
         raise BudgetExceeded(f"{q}**{upto} int64 counts take 16 GiB or more")
     levels = _LEVEL_CACHE.setdefault((q, cyclic), [np.ones((), dtype=np.int64)])
     for m in range(len(levels), upto + 1):
-        level = np.empty((q,) * m, dtype=np.int64)
+        level = np.empty((q,) + (q - 1,) * (m - 1), dtype=np.int64)
         for a in range(q):
             _level_values(levels[m - 1], a, q, cyclic, level[a, ...])
         levels.append(level)
@@ -275,9 +323,9 @@ def _sum_counts(n: int, q: int, *, cyclic: bool) -> int:
         return 1
     if q**n <= _CHUNK:
         return int(_levels(q, cyclic, n)[n].sum())
-    # The top level is summed slice by slice so memory stays at O(q**(n-1)).
+    # The top level is summed slice by slice, so it is never stored.
     prev = _levels(q, cyclic, n - 1)[n - 1]
-    buf = np.empty_like(prev)
+    buf = np.empty((q - 1,) * (n - 1), dtype=np.int64)
     return sum(int(_level_values(prev, a, q, cyclic, buf).sum()) for a in range(q))
 
 
@@ -302,11 +350,21 @@ def _check_law_request(n: int, q: int, budget: int) -> None:
         raise BudgetExceeded(f"{q}**{n} words exceed the enumeration budget {budget}")
 
 
+def _dense(level: np.ndarray, q: int) -> np.ndarray:
+    """Level n scattered into a (q,)*n array that holds 0 off the proper words."""
+    dense = np.zeros((q,) * level.ndim, dtype=np.int64)
+    dense.reshape(-1)[_level_codes(q, level.ndim).reshape(-1)] = level.reshape(-1)
+    return dense
+
+
 def _counts_view(n: int, q: int, cyclic: bool) -> np.ndarray:
     _check_law_request(n, q, DEFAULT_BUDGET)
-    view = _levels(q, cyclic, n)[n].view()
-    view.flags.writeable = False
-    return view
+    key = (q, cyclic, n)
+    if key not in _DENSE_CACHE:
+        view = _dense(_levels(q, cyclic, n)[n], q)
+        view.flags.writeable = False
+        _DENSE_CACHE[key] = view
+    return _DENSE_CACHE[key]
 
 
 def cycle_counts(n: int, q: int) -> np.ndarray:
@@ -324,18 +382,27 @@ def line_counts(n: int, q: int) -> np.ndarray:
 
 
 def _law_counts(n: int, q: int, budget: int, *, cyclic: bool) -> tuple[np.ndarray, list[int], int]:
-    """The law's support and weights, straight from the dense level n.
+    """The law's support and weights, straight from level n.
 
     Returns (rows, counts, z): rows[i] holds the 1-based symbols of the i-th
     word with a positive count, in lexicographic order (which is text
     order for q <= 9); counts[i] is its count as a Python int; z is the sum
-    of the counts, so the word has mass counts[i] / z.
+    of the counts, so the word has mass counts[i] / z. No array of q**n
+    cells is allocated.
     """
     _check_law_request(n, q, budget)
-    level = _levels(q, cyclic, n)[n]
-    rows = np.argwhere(level).astype(np.int32) + 1
-    counts = level[level != 0].tolist()
-    return rows, counts, sum(counts)
+    level = _levels(q, cyclic, n)[n].reshape(-1)
+    cells = np.flatnonzero(level)
+    codes = _level_codes(q, n).reshape(-1)[cells]
+    order = np.argsort(codes)  # lexicographic, as np.argwhere gives it
+    # Decoded one symbol per row of a (n, len) array: rows is its transpose.
+    code = codes[order].astype(np.int32)  # q**n < 2**31, or _levels raised
+    symbols = np.empty((n, code.size), dtype=np.int32)
+    for i in reversed(range(n)):
+        code, symbols[i] = np.divmod(code, q)
+    symbols += 1
+    counts = level[cells[order]].tolist()
+    return symbols.T, counts, sum(counts)
 
 
 def _law(n: int, q: int, budget: int, *, cyclic: bool) -> ExactDist:

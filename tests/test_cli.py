@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -112,6 +113,58 @@ def test_exact_output_is_pinned(capsys, args):
     code, out, _ = run(capsys, "exact", *args.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == EXACT_SHA256[args]
+
+
+# sha256 of the perfbench-sized dumps (perfbench/workloads.py
+# RECORDED_SHA256), pinned by digest only: the Fraction serializer would
+# take too long at 177k states.
+LARGE_EXACT_SHA256 = {
+    "cycle --n 11 --q 4": "9c8b465cc958b42d092427f83aac55d2ec27160e679f91d00efe4b7727ab494b",
+    "line --n 10 --k 1 --q 4 --format csv":
+        "5588961ae036d6b7d349522342f4076b909b08d470fb3387ab093fdbe3c94d75",
+    "cycle --n 14 --q 3": "e352c3768c4807d3353736b65feb80a030521e8ff3ee30e8449691a677a4c982",
+}
+
+
+@pytest.mark.parametrize("args", sorted(LARGE_EXACT_SHA256))
+def test_large_exact_output_is_pinned(capsys, args):
+    code, out, _ = run(capsys, "exact", *args.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == LARGE_EXACT_SHA256[args]
+
+
+def test_exact_never_scatters_a_dense_level(capsys, monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("findep exact scattered a dense (q,)*n level")
+
+    monkeypatch.setattr(recurrence, "_dense", boom)
+    monkeypatch.setattr(recurrence, "_LEVEL_CACHE", {})
+    for args in ("cycle --n 8 --q 5", "line --n 3 --k 1 --q 12 --format csv"):
+        code, out, _ = run(capsys, "exact", *args.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == EXACT_SHA256[args]
+    code, out, _ = run(capsys, "exact", *"line --n 10 --k 1 --q 4 --format csv".split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == LARGE_EXACT_SHA256[
+        "line --n 10 --k 1 --q 4 --format csv"]
+
+
+def test_exact_allocates_far_less_than_the_dense_level(tmp_path, monkeypatch):
+    # The dense view of (14, 3) holds 3**14 int64 counts, 38 MB; the
+    # encoded level 14 holds 3 * 2**13 and the dump 16,380 states. numpy
+    # reports its buffers to tracemalloc.
+    monkeypatch.setattr(recurrence, "_LEVEL_CACHE", {})
+    out_file = tmp_path / "law.json"
+    tracemalloc.start()
+    try:
+        code = main(["exact", "cycle", "--n", "14", "--q", "3", "--out", str(out_file)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    digest = hashlib.sha256(out_file.read_bytes()).hexdigest()
+    assert digest == LARGE_EXACT_SHA256["cycle --n 14 --q 3"]
+    assert peak < 3**14 * 8 // 2, peak
 
 
 def _oracle_dump(args: str) -> str:

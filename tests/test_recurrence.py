@@ -13,7 +13,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from findep import recurrence
+from findep import recurrence, suites
 from findep.analysis import marginalize
 from findep.dist import ExactDist
 from findep.errors import BudgetExceeded
@@ -255,14 +255,79 @@ def test_cycle_law_guards(monkeypatch):
 
 
 def test_level_counts_are_checked_against_m_factorial():
-    out = np.empty((3, 3), dtype=np.int64)
+    # Slice [0] of level 3 at q = 3 has shape (2, 2), from level 2 of shape (3, 2).
+    out = np.empty((2, 2), dtype=np.int64)
     # A length-3 word sums three level-2 counts, each at most 2! = 2.
-    vals = recurrence._level_values(np.full((3, 3), 2, dtype=np.int64), 0, 3, True, out)
+    vals = recurrence._level_values(np.full((3, 2), 2, dtype=np.int64), 0, 3, True, out)
     assert vals.max() == 6
     with pytest.raises(OverflowError):
-        recurrence._level_values(np.full((3, 3), 3, dtype=np.int64), 0, 3, True, out)
+        recurrence._level_values(np.full((3, 2), 3, dtype=np.int64), 0, 3, True, out)
     with pytest.raises(OverflowError):  # the int64 sum wraps to a negative count
-        recurrence._level_values(np.full((3, 3), 2**62, dtype=np.int64), 0, 3, True, out)
+        recurrence._level_values(np.full((3, 2), 2**62, dtype=np.int64), 0, 3, True, out)
+
+
+def _encoded_word(cell, q):
+    """The 1-based word at cell [c1, e2, ..., em] of an encoded level."""
+    word = list(cell[:1])
+    for e in cell[1:]:
+        word.append((word[-1] + e + 1) % q)
+    return tuple(x + 1 for x in word)
+
+
+@pytest.mark.parametrize("q", [3, 4, 5])
+def test_encoded_levels_equal_oracle_on_every_cell(q):
+    for n in range(0, 8):
+        circ, vec = recurrence._levels(q, True, n)[n], recurrence._levels(q, False, n)[n]
+        assert circ.shape == vec.shape == ((q,) + (q - 1,) * (n - 1) if n else ())
+        for cell in np.ndindex(circ.shape):
+            t = _encoded_word(cell, q)
+            assert circ[cell] == oracle_b_circ(t), t
+            assert vec[cell] == oracle_b_vec(t), t
+
+
+@pytest.mark.parametrize("q", [3, 4, 5])
+def test_dense_view_is_zero_exactly_off_the_proper_words(q):
+    for n in range(0, 7):
+        circ, vec = recurrence.cycle_counts(n, q), recurrence.line_counts(n, q)
+        proper = np.zeros((q,) * n, dtype=bool)
+        cyc_proper = np.zeros((q,) * n, dtype=bool)
+        for idx in np.ndindex(proper.shape):
+            proper[idx] = _proper(idx)
+            cyc_proper[idx] = _cyc_proper(idx)
+        # Every proper word of the line can be built by insertion; on the
+        # cycle some cyclically proper words count 0 (n >= 4).
+        assert np.array_equal(vec != 0, proper), n
+        assert not circ[~cyc_proper].any(), n
+        written = np.zeros(q**n, dtype=bool)
+        written[recurrence._level_codes(q, n).reshape(-1)] = True
+        assert np.array_equal(written.reshape(proper.shape), proper), n
+
+
+@pytest.mark.parametrize("q,top", [(3, 8), (4, 8), (5, 8), (10, 4)])
+def test_law_counts_equal_the_nonzero_cells_of_the_dense_view(q, top):
+    for cyclic in (True, False):
+        for n in range(0, top + 1):
+            dense = recurrence._dense(recurrence._levels(q, cyclic, n)[n], q)
+            rows, counts, z = recurrence._law_counts(n, q, 10**8, cyclic=cyclic)
+            assert rows.dtype == np.int32
+            assert np.array_equal(rows, np.argwhere(dense) + 1), (n, cyclic)
+            assert counts == dense[dense != 0].tolist() and z == sum(counts), (n, cyclic)
+
+
+def test_a_bumped_slice_breaks_the_color_symmetry_of_the_dense_level(monkeypatch):
+    q, m = 4, 5
+
+    def fresh_caches():
+        monkeypatch.setattr(recurrence, "_LEVEL_CACHE", {})
+        monkeypatch.setattr(recurrence, "_DENSE_CACHE", {})
+
+    fresh_caches()
+    assert not suites._symmetry_fails(recurrence.cycle_counts(m, q))["color-permutation"].any()
+    fresh_caches()
+    prev = recurrence._levels(q, True, m - 1)[m - 1]
+    cells = prev[1].reshape(-1)
+    cells[np.flatnonzero(cells)[0]] += 1
+    assert suites._symmetry_fails(recurrence.cycle_counts(m, q))["color-permutation"].any()
 
 
 @pytest.mark.parametrize("q", [3, 4])
