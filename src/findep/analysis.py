@@ -25,7 +25,7 @@ import numpy as np
 
 from .dist import ExactDist, State, state_text
 from .errors import BudgetExceeded
-from .recurrence import DEFAULT_BUDGET
+from .recurrence import DEFAULT_BUDGET, _check_k
 from .words import Word, apply_color_perm, reflect, rotate, rotl
 
 __all__ = [
@@ -197,8 +197,10 @@ def k_dependence_counterexample(d: ExactDist, k: int) -> Optional[_Pair]:
     """First dependent admissible pair as 1-based coordinate tuples, or None.
 
     Enumerates every pair of disjoint nonempty subsets at cyclic distance
-    greater than k (definition-faithful); limited to n <= 10.
+    greater than k (definition-faithful); limited to n <= 10. A negative k
+    raises ValueError.
     """
+    _check_k(k)
     _check_pair_limit(_state_len(d))
     return _dependent_pair(*_dist_counts(d), k)
 
@@ -251,18 +253,6 @@ class GofReport:
     n_samples: int
     n_cells: int
     failure_reason: Optional[str] = None
-
-    def to_json_obj(self) -> dict:
-        return {
-            "statistic": self.statistic,
-            "dof": self.dof,
-            "p_value": self.p_value,
-            "alpha": self.alpha,
-            "passed": self.passed,
-            "n_samples": self.n_samples,
-            "n_cells": self.n_cells,
-            "failure_reason": self.failure_reason,
-        }
 
 
 def _check_alpha(alpha: float) -> None:

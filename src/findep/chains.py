@@ -19,9 +19,13 @@ the natural insertion step on permutations. Their one-step kernels
 coincide exactly (``kernel_equal``), which together with the matching
 three-site initial laws forces equality of the laws for every size.
 
-Kernels are represented densely over the reachable state space only,
-discovered by closure from the initial law; variant (ii) states are
-hard-core (no two cyclically adjacent ones).
+The J step counts its outcomes with ``words.insertion_orbits``, as the
+coloring insertion step does. Kernels are represented densely over the
+reachable state space only, discovered by closure from the initial law;
+variant (ii) states are hard-core (no two cyclically adjacent ones).
+``verify kernels`` finds each closure as it walks the lengths once
+(``_kernel_walk``); ``_reachable`` rebuilds it from length 3 for the
+default domains of ``j_kernel`` and ``q_kernel``.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from typing import Callable, Iterable, Iterator, Optional
 
 from .dist import ExactDist, Kernel
 from .recurrence import line_window_law
-from .words import Word, rotl
+from .words import Word, insertion_orbits, rotations
 
 BinaryState = tuple[int, ...]
 
@@ -173,31 +177,30 @@ def _has_adjacent_ones(t: BinaryState) -> bool:
     return any(t[i] == 1 and t[(i + 1) % n] == 1 for i in range(n))
 
 
+# variant -> the bits the J step may insert between gap neighbors (a, b).
+# Variant (i): if the neighbors agree, Z is their complement (the two
+# excluded colors are then one marked pair), once per allowed color, else a
+# fair bit. Variant (ii): Z = 1 iff both are 0 (the one allowed color is
+# then the marked one).
+_J_RULES = {
+    ChainVariant.COLORS_ONE_TWO_Q4: lambda a, b: (1 - b,) * 2 if a == b else (0, 1),
+    ChainVariant.COLOR_ONE_Q3: lambda a, b: (int(a == b == 0),),
+}
+
+# variant -> (symbols the Q step replaces, the blocks that replace them)
+_Q_RULES = {
+    ChainVariant.COLORS_ONE_TWO_Q4: (1, ((0, 1), (1, 0))),
+    ChainVariant.COLOR_ONE_Q3: (2, ((0, 1, 0),)),
+}
+
+
 def _j_row(variant: ChainVariant, t: BinaryState) -> Counter:
     """One J-chain step: the indicator image of the coloring insertion step.
 
-    Insert a bit Z just before a uniform position I, then rotate uniformly.
-    Variant (i): if the two gap neighbors agree, Z is forced to their
-    complement (the two excluded colors are then exactly one marked pair),
-    otherwise Z is a fair bit. Variant (ii): Z = 1 iff both gap neighbors
-    are 0 (the unique allowed color is the marked one exactly then).
+    Insert a bit Z just before a uniform position I, then rotate uniformly:
+    ``insertion_orbits`` with the variant's ``_J_RULES``.
     """
-    n = len(t)
-    row: Counter = Counter()
-    if variant is ChainVariant.COLORS_ONE_TWO_Q4:
-        for i0 in range(n):
-            for b in (0, 1):
-                z = (1 - t[i0]) if t[i0 - 1] == t[i0] else b
-                y = t[:i0] + (z,) + t[i0:]
-                for r in range(n + 1):
-                    row[rotl(y, r)] += 1
-    else:
-        for i0 in range(n):
-            z = 1 if (t[i0 - 1] == 0 and t[i0] == 0) else 0
-            y = t[:i0] + (z,) + t[i0:]
-            for r in range(n + 1):
-                row[rotl(y, r)] += 1
-    return row
+    return insertion_orbits(t, _J_RULES[variant])
 
 
 def _q_row(variant: ChainVariant, t: BinaryState) -> Counter:
@@ -208,27 +211,17 @@ def _q_row(variant: ChainVariant, t: BinaryState) -> Counter:
     with B a fair bit. Variant (ii): inserting a new maximum makes it a
     peak and silences its two neighbors, so the two symbols at a uniformly
     chosen adjacent pair are replaced by (0, 1, 0). A uniform rotation
-    follows in both cases.
+    follows in both cases, so rotating t first changes no count: each
+    rotation s of t stands for one position, and the block replaces the
+    first ``cut`` symbols of s (``_Q_RULES``).
     """
-    n = len(t)
+    if variant is ChainVariant.COLOR_ONE_Q3 and _has_adjacent_ones(t):
+        raise ValueError(f"state {t} has adjacent ones")
+    cut, blocks = _Q_RULES[variant]
     row: Counter = Counter()
-    if variant is ChainVariant.COLORS_ONE_TWO_Q4:
-        for i0 in range(n):
-            for b in (0, 1):
-                y = t[:i0] + (b, 1 - b) + t[i0 + 1 :]
-                for r in range(n + 1):
-                    row[rotl(y, r)] += 1
-    else:
-        if _has_adjacent_ones(t):
-            raise ValueError(f"state {t} has adjacent ones")
-        for i0 in range(n):
-            a = (i0 - 1) % n
-            if a < i0:
-                y = t[:a] + (0, 1, 0) + t[i0 + 1 :]
-            else:  # wrap: replace (last, first)
-                y = (1, 0) + t[1 : n - 1] + (0,)
-            for r in range(n + 1):
-                row[rotl(y, r)] += 1
+    for s in rotations(t):
+        for block in blocks:
+            row.update(rotations(block + s[cut:]))
     return row
 
 
@@ -246,11 +239,7 @@ def _build_kernel(variant, n, row_fn, states) -> Kernel:
         raise ValueError(f"chains require n >= 3, got {n}")
     if states is None:
         states = _reachable(variant, n, row_fn)
-    rows = {}
-    for t in states:
-        t = tuple(t)
-        rows[t] = ExactDist.from_weights(row_fn(variant, t))
-    return Kernel(rows)
+    return Kernel({t: ExactDist.from_weights(row_fn(variant, t)) for t in map(tuple, states)})
 
 
 def j_kernel(
@@ -286,6 +275,20 @@ def _chain_laws(variant: ChainVariant) -> Iterator[ExactDist]:
     for m in count(3):
         yield law
         law = j_kernel(variant, m, states=list(law.support)).push(law)
+
+
+def _kernel_walk(variant: ChainVariant) -> Iterator[tuple[ExactDist, Kernel, Kernel]]:
+    """For n = 3, 4, ...: the J-chain law of length n, the J kernel on its
+    support, which steps it to n+1, and the Q kernel on the successors of
+    the previous Q kernel's rows: both domains are ``_reachable``'s."""
+    law = initial_law(variant)
+    q_states = list(law.support)
+    for n in count(3):
+        jk = j_kernel(variant, n, states=law.support)
+        qk = q_kernel(variant, n, states=q_states)
+        yield law, jk, qk
+        law = jk.push(law)
+        q_states = sorted({s for t in qk.states for s in qk.row(t).support})
 
 
 def chain_law(variant: ChainVariant, n: int) -> ExactDist:

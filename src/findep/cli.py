@@ -14,6 +14,7 @@ import math
 import os
 import sys
 from collections import Counter
+from dataclasses import asdict
 from typing import Iterable, Iterator, Optional, Union
 
 from . import __version__
@@ -24,7 +25,8 @@ from .growth import _eden_bounds, _eden_word, _necklace_bounds, _necklace_word, 
 # own RngStream), but perfbench's self-test checks that its tracer rebinds
 # them at this lookup site, so the names stay.
 from .growth import eden_sample, necklace_sample  # noqa: F401
-from .recurrence import DEFAULT_BUDGET, _check_law_request, _law_counts, cycle_law, is_theorem_grade
+from .recurrence import DEFAULT_BUDGET, _check_k, _check_law_request, _law_counts
+from .recurrence import cycle_law, is_theorem_grade
 from .suites import SUITES, kdep_report, run_all, run_suite
 from .words import Word, row_texts, symbols_text
 
@@ -119,8 +121,7 @@ def _cmd_exact(args: argparse.Namespace) -> int:
     if args.law == "cycle":
         meta = {"kind": "cycle", "n": args.n, "q": args.q}
     else:
-        if args.k < 0:
-            raise ValueError(f"need k >= 0, got {args.k}")
+        _check_k(args.k)
         meta = {
             "kind": "line-window",
             "n": args.n,
@@ -144,13 +145,22 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     if args.reps < 1:
         raise ValueError(f"--reps must be at least 1, got {args.reps}")
     seed = args.seed if args.seed is not None else _env_int("FINDEP_SEED", 0)
-    alpha = args.alpha if args.alpha is not None else _env_float("FINDEP_ALPHA", 0.001)
-    budget = args.budget if args.budget is not None else _env_int("FINDEP_BUDGET", DEFAULT_BUDGET)
     bounds_of, word_of = _SAMPLERS[args.sampler]
     bounds = bounds_of(args.n, args.q)
-    if args.gof:  # the GoF's arguments are checked before any draw
+    # The GoF's arguments, and flags that would be ignored, are checked
+    # before any draw.
+    if args.gof:
+        if args.format is not None:
+            raise ValueError("--format does not apply with --gof, whose report is JSON")
+        alpha = args.alpha if args.alpha is not None else _env_float("FINDEP_ALPHA", 0.001)
+        budget = (args.budget if args.budget is not None
+                  else _env_int("FINDEP_BUDGET", DEFAULT_BUDGET))
         _check_alpha(alpha)
         _check_law_request(args.n, args.q, budget)
+    else:
+        for flag, value in (("--alpha", args.alpha), ("--budget", args.budget)):
+            if value is not None:
+                raise ValueError(f"{flag} applies only with --gof")
     # Row r holds RngStream(seed, r).indices(bounds): replicate r draws from
     # stream r. Words are kept as text, a fraction of a Word's memory.
     texts = [symbols_text(word_of(args.n, args.q, row), args.q)
@@ -182,7 +192,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     exact = cycle_law(args.n, args.q, budget=budget)
     report = chi_square_gof(counts, exact, alpha=alpha)
     doc = {"schema": _SCHEMA_GOF, **{k: v for k, v in sample_meta.items() if k != "schema"},
-           **report.to_json_obj()}
+           **asdict(report)}
     sys.stdout.write(json.dumps(doc, indent=2) + "\n")
     return EXIT_OK if report.passed else EXIT_VERIFY_FAIL
 
@@ -274,7 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample.add_argument("--alpha", type=float, default=None,
                           help="GoF significance level (default 0.001)")
     p_sample.add_argument("--budget", type=int, default=None)
-    p_sample.add_argument("--format", choices=("text", "json", "csv"), default="text")
+    p_sample.add_argument("--format", choices=("text", "json", "csv"), default=None,
+                          help="sample output format (default text); not with --gof")
     p_sample.add_argument("--out", default=None)
     p_sample.set_defaults(func=_cmd_sample)
 

@@ -25,9 +25,10 @@ The exact one-step transition shared by both procedures is exposed as
 ``coupling_kernel``, a ``Kernel`` of ``Fraction`` rows kept as library API
 and as the tests' literal form of the step; ``verify coupling`` instead
 pushes whole dense count levels through the same step
-(``suites._transport_counts``). ``eden_vs_necklace_kernel_check`` verifies
-the equality of the two step laws state by state, on the samplers' own
-insertion step ``_insert``.
+(``suites._transport_counts``). A row of it is ``_insertion_row``, the
+necklace step's count of outcomes through ``words.insertion_orbits``.
+``eden_vs_necklace_kernel_check`` verifies the equality of the two step
+laws state by state, on the samplers' own insertion step ``_insert``.
 
 Randomness. The bounds of every draw a sampler makes depend only on
 (n, q) (``_necklace_bounds``, ``_eden_bounds``), so a replicate's word is
@@ -67,6 +68,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -75,7 +77,7 @@ from .dist import ExactDist, Kernel
 # b_circ is no longer called here, but perfbench's self-test checks that its
 # tracer rebinds it at this lookup site, so the name stays.
 from .recurrence import b_circ, cycle_counts  # noqa: F401
-from .words import Word, rotl
+from .words import Word, insertion_orbits, rotations, rotl, tuple_is_cyclically_proper
 
 __all__ = [
     "EdenState",
@@ -126,9 +128,6 @@ class RngStream:
         numpy raises ValueError if a bound is not positive.
         """
         return self._gen.integers(0, np.asarray(bounds, dtype=np.int64)).tolist()
-
-    def choice(self, seq: Sequence):
-        return seq[self.index(len(seq))]
 
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, stream={self.stream})"
@@ -429,40 +428,11 @@ def insert_with_rotation(x: Word, i: int, z: int, r: int) -> Word:
 
 
 def _insertion_row(t: tuple[int, ...], q: int) -> Counter:
-    """Outcome counts of one insertion step from the cyclic word t.
-
-    Uniform over: insertion position i in [n] (new symbol goes just before
-    position i), color z differing from the cyclic neighbors at the gap,
-    and rotation r in [n+1]. Each triple has weight 1; the total is
-    n * (q-2) * (n+1).
-    """
-    n = len(t)
-    row: Counter = Counter()
-    for i0 in range(n):
-        for z in allowed_colors(q, t[i0 - 1], t[i0]):
-            y = t[:i0] + (z,) + t[i0:]
-            for r in range(n + 1):
-                row[rotl(y, r)] += 1
-    return row
-
-
-def _cyclically_proper_words(n: int, q: int):
-    """DFS enumeration of the cyclically proper words in [q]**n."""
-    if n == 0:
-        yield ()
-        return
-
-    def extend(prefix: tuple[int, ...]):
-        if len(prefix) == n:
-            if n == 1 or prefix[-1] != prefix[0]:
-                yield prefix
-            return
-        for c in range(1, q + 1):
-            if c != prefix[-1]:
-                yield from extend(prefix + (c,))
-
-    for first in range(1, q + 1):
-        yield from extend((first,))
+    """Outcome counts of one insertion step from the cyclic word t: the
+    ``insertion_orbits`` of every color differing from the neighbors at the
+    gap, n (q-2) (n+1) triples of weight 1."""
+    table = _allowed_table(q)
+    return insertion_orbits(t, lambda a, b: table[a][b])
 
 
 def coupling_kernel(n: int, q: int) -> Kernel:
@@ -479,7 +449,7 @@ def coupling_kernel(n: int, q: int) -> Kernel:
     if q < 3:
         raise ValueError(f"kernel requires q >= 3, got {q}")
     rows = {}
-    for t in _cyclically_proper_words(n, q):
+    for t in filter(tuple_is_cyclically_proper, product(range(1, q + 1), repeat=n)):
         counts = _insertion_row(t, q)
         rows[Word(t, q)] = ExactDist.from_weights(
             {Word(s, q): c for s, c in counts.items()}
@@ -683,8 +653,8 @@ def eden_vs_necklace_kernel_check(n: int, q: int) -> bool:
     in lexicographic order from the dense level ``cycle_counts(n, q)``),
     counts the outcomes of all (gap, color, start) choices of one Eden
     growth step on the outer colors (the sampler's ``_insert`` at gap+1)
-    followed by a read; the read from ``start`` is the stepped colors
-    rotated left by ``start``. ``_insertion_row(t, q)``, the literal
+    followed by a read; the reads from every start are the ``rotations``
+    of the stepped colors. ``_insertion_row(t, q)``, the literal
     necklace step, counts all (gap, color, rotation) triples of one
     insertion step; both range over n (q-2) (n+1) triples of weight 1, so
     equal counts are equal laws.
@@ -696,9 +666,7 @@ def eden_vs_necklace_kernel_check(n: int, q: int) -> bool:
             for color_index in range(q - 2):
                 outer = list(t)
                 _insert(outer, gap_index + 1, color_index, table)
-                colors = tuple(outer)
-                for start in range(n + 1):
-                    outcomes[rotl(colors, start)] += 1
+                outcomes.update(rotations(tuple(outer)))
         # Both hold positive counts only, so plain dict equality (in C, not
         # Counter.__eq__'s per-key loop) decides equal counts.
         if dict(outcomes) != dict(_insertion_row(t, q)):

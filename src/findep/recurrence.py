@@ -429,14 +429,18 @@ def line_window_law(n: int, k: int, q: int, *, budget: int = DEFAULT_BUDGET) -> 
     and computed, but no consistency claim is made (callers can check
     ``is_theorem_grade``).
     """
+    _check_k(k)
+    return _law(n, q, budget, cyclic=False)
+
+
+def _check_k(k: int) -> None:
+    """Raise ValueError for a negative dependence range k."""
     if k < 0:
         raise ValueError(f"need k >= 0, got {k}")
-    return _law(n, q, budget, cyclic=False)
 
 
 def restriction_sum(x: WordLike, k: int, q: int) -> int:
     """Sum of b_circ(x + y) over all length-k extension words y."""
-    if k < 0:
-        raise ValueError(f"need k >= 0, got {k}")
+    _check_k(k)
     t = as_symbols(x, q)
     return sum(b_circ(t + y, q) for y in product(range(1, q + 1), repeat=k))

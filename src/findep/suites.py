@@ -294,6 +294,7 @@ def kdep_suite(max_n: int) -> dict:
 
 def kdep_report(n: int, q: int, k: int) -> dict:
     """Report of the one case "the cycle law at (n, q) is k-dependent"."""
+    recurrence._check_k(k)
     if n < 2 * k + 2:
         raise ValueError(
             f"no coordinate pair is at cyclic distance > {k} when n = {n}; "
@@ -405,22 +406,18 @@ def marginals_suite(max_n: int) -> dict:
 def kernels_suite(max_n: int) -> dict:
     """J-chain and Q-chain kernels coincide; chain laws match the indicator
     images of the cycle laws, contracted from the dense levels. Each
-    variant's chain law is extended one step per length."""
+    variant is walked once (``chains._kernel_walk``): one J and one Q
+    kernel per length, the J kernel also extending the chain law."""
     _check_levels((max_n, variant.q) for variant in ChainVariant)
-    cases = []
+    equal_cases, law_cases = [], []
     for variant in ChainVariant:
-        for n in range(3, max_n + 1):
-            equal = chains.kernel_equal(
-                chains.j_kernel(variant, n), chains.q_kernel(variant, n)
-            )
+        for n, (law, jk, qk) in zip(range(3, max_n + 1), chains._kernel_walk(variant)):
             bad = {"variant": variant.value, "n": n}
-            cases.append(_case(equal, bad, **bad, check="kernel-equal"))
-    for variant in ChainVariant:
-        for n, law in zip(range(3, max_n + 1), chains._chain_laws(variant)):
+            equal_cases.append(_case(chains.kernel_equal(jk, qk), bad, **bad,
+                                     check="kernel-equal"))
             ok = law == _binary_law(recurrence.cycle_counts(n, variant.q), variant.marked_colors)
-            bad = {"variant": variant.value, "n": n}
-            cases.append(_case(ok, bad, **bad, check="chain-vs-pushforward"))
-    return _report("kernels", cases)
+            law_cases.append(_case(ok, bad, **bad, check="chain-vs-pushforward"))
+    return _report("kernels", equal_cases + law_cases)
 
 
 def blockfactor_suite() -> dict:

@@ -10,8 +10,9 @@ tasks without synchronization.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -94,6 +95,26 @@ def rotl(t: tuple[int, ...], r: int) -> tuple[int, ...]:
         raise ValueError("cannot rotate the empty word")
     r %= n
     return t[r:] + t[:r]
+
+
+def rotations(t: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Every rotation of t: ``[rotl(t, r) for r in range(len(t))]``."""
+    return [t[r:] + t[:r] for r in range(len(t))]
+
+
+def insertion_orbits(t: tuple[int, ...], allowed: Callable[[int, int], Iterable[int]]) -> Counter:
+    """Outcome counts of one insertion step from the cyclic tuple t.
+
+    Counts every (gap i0, symbol z in ``allowed(t[i0-1], t[i0])``, rotation
+    r) outcome with weight 1: z goes just before t[i0] and the extended
+    tuple is rotated left by r in [0, len(t)]. The necklace and J-chain
+    steps are this count, each with its own ``allowed``.
+    """
+    row: Counter = Counter()
+    for i0 in range(len(t)):
+        for z in allowed(t[i0 - 1], t[i0]):
+            row.update(rotations(t[:i0] + (z,) + t[i0:]))
+    return row
 
 
 def tuple_is_proper(t: Sequence[int]) -> bool:

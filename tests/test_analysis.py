@@ -89,6 +89,12 @@ def test_k_dependence_negative_with_counterexample():
     assert not are_independent(cycle_law(5, 3), s1, s2)
 
 
+def test_k_dependence_rejects_negative_k():
+    for check in (k_dependence_counterexample, verify_k_dependence):
+        with pytest.raises(ValueError, match="k >= 0"):
+            check(cycle_law(6, 4), -1)
+
+
 def test_k_dependence_budget_guard():
     with pytest.raises(BudgetExceeded):
         verify_k_dependence(cycle_law(11, 3, budget=10**7), 2)

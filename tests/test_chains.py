@@ -4,8 +4,9 @@ Frozen values come from independent enumeration scripts over permutations
 and bit strings run before the module was written.
 """
 
+from collections import Counter
 from fractions import Fraction
-from itertools import islice, permutations
+from itertools import islice, permutations, product
 
 import pytest
 
@@ -13,6 +14,9 @@ from findep.analysis import pushforward, tv_distance
 from findep.chains import (
     ChainVariant,
     _chain_laws,
+    _has_adjacent_ones,
+    _j_row,
+    _q_row,
     bit_descent_law,
     bit_descent_window_law,
     chain_law,
@@ -30,7 +34,7 @@ from findep.chains import (
 )
 from findep.dist import ExactDist
 from findep.recurrence import cycle_law
-from findep.words import Word
+from findep.words import Word, rotl
 
 F = Fraction
 V1 = ChainVariant.COLORS_ONE_TWO_Q4
@@ -132,6 +136,58 @@ def test_variant_ii_row_from_000():
         row = kern.row((0, 0, 0))
         expected = ExactDist.from_weights({s: 1 for s in rotations((1, 0, 0, 0))})
         assert row == expected
+
+
+def _literal_j_row(variant, t):
+    """The J step written out per variant, one rotl per outcome."""
+    n = len(t)
+    row = Counter()
+    if variant is V1:
+        for i0 in range(n):
+            for b in (0, 1):
+                z = (1 - t[i0]) if t[i0 - 1] == t[i0] else b
+                y = t[:i0] + (z,) + t[i0:]
+                for r in range(n + 1):
+                    row[rotl(y, r)] += 1
+    else:
+        for i0 in range(n):
+            z = 1 if (t[i0 - 1] == 0 and t[i0] == 0) else 0
+            y = t[:i0] + (z,) + t[i0:]
+            for r in range(n + 1):
+                row[rotl(y, r)] += 1
+    return row
+
+
+def _literal_q_row(variant, t):
+    """The Q step written out per variant, one rotl per outcome."""
+    n = len(t)
+    row = Counter()
+    if variant is V1:
+        for i0 in range(n):
+            for b in (0, 1):
+                y = t[:i0] + (b, 1 - b) + t[i0 + 1 :]
+                for r in range(n + 1):
+                    row[rotl(y, r)] += 1
+    else:
+        for i0 in range(n):
+            a = (i0 - 1) % n
+            if a < i0:
+                y = t[:a] + (0, 1, 0) + t[i0 + 1 :]
+            else:  # wrap: replace (last, first)
+                y = (1, 0) + t[1 : n - 1] + (0,)
+            for r in range(n + 1):
+                row[rotl(y, r)] += 1
+    return row
+
+
+@pytest.mark.parametrize("variant", [V1, V2])
+def test_rows_match_their_literal_steps(variant):
+    for n in range(1, 8):
+        for t in product((0, 1), repeat=n):
+            assert _j_row(variant, t) == _literal_j_row(variant, t)
+            # a Q step of variant (ii) replaces an adjacent pair, so n >= 2
+            if n >= 2 and not (variant is V2 and _has_adjacent_ones(t)):
+                assert _q_row(variant, t) == _literal_q_row(variant, t)
 
 
 def test_variant_ii_j_rule_never_creates_adjacent_ones():

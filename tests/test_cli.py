@@ -339,6 +339,30 @@ def test_sample_gof_arguments_are_checked_before_any_draw(
     assert err.startswith("error: ") and message in err
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["--alpha", "0.01"], "--alpha applies only with --gof"),
+        (["--budget", "1000"], "--budget applies only with --gof"),
+        (["--gof", "--format", "text"], "--format does not apply with --gof"),
+        (["--gof", "--format", "json"], "--format does not apply with --gof"),
+    ],
+)
+def test_sample_ignored_flags_exit_2_before_any_draw(capsys, no_draws, argv, message):
+    code, out, err = run(capsys, "sample", "necklace", "--n", "5", "--q", "3",
+                         "--reps", "100", *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("alpha,budget", [("0.01", "1000"), ("abc", "x")])
+def test_sample_without_gof_never_reads_alpha_or_budget(capsys, monkeypatch, alpha, budget):
+    monkeypatch.setenv("FINDEP_ALPHA", alpha)
+    monkeypatch.setenv("FINDEP_BUDGET", budget)
+    code, out, err = run(capsys, "sample", "necklace", "--n", "4", "--q", "3", "--reps", "2")
+    assert (code, len(out.splitlines()), err) == (0, 2, "")
+
+
 def test_sample_negative_env_seed_is_usage_error(capsys, monkeypatch, no_draws):
     monkeypatch.setenv("FINDEP_SEED", "-3")
     code, out, err = run(capsys, "sample", "eden", "--n", "5", "--q", "3", "--reps", "2")
@@ -547,6 +571,15 @@ def test_verify_kdep_without_admissible_pair_is_usage_error(capsys):
     code, _, err = run(capsys, "verify", "kdep", "--n", "3", "--q", "4", "--k", "1")
     assert code == 2
     assert "n >= 4" in err
+
+
+def test_verify_kdep_negative_k_is_usage_error_before_any_level(capsys, monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("a level was read")
+
+    monkeypatch.setattr(recurrence, "_levels", boom)
+    code, out, err = run(capsys, "verify", "kdep", "--n", "6", "--q", "4", "--k", "-1")
+    assert (code, out, err) == (2, "", "error: need k >= 0, got -1\n")
 
 
 @pytest.mark.parametrize(

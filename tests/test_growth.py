@@ -21,6 +21,7 @@ from findep.growth import (
     _eden_read_from,
     _eden_step_at,
     _eden_word,
+    _insertion_row,
     _necklace_bounds,
     _necklace_word,
     allowed_colors,
@@ -36,7 +37,7 @@ from findep.growth import (
     validate_eden_state,
 )
 from findep.recurrence import cycle_counts, cycle_law
-from findep.words import Word, is_cyclically_proper
+from findep.words import Word, is_cyclically_proper, rotl, tuple_is_cyclically_proper
 
 
 def W(text, q=4):
@@ -78,6 +79,47 @@ def test_kernel_requires_small_preconditions():
         coupling_kernel(2, 3)
     with pytest.raises(ValueError):
         coupling_kernel(3, 2)
+
+
+def _literal_insertion_row(t, q):
+    """One necklace step written out: a rotl per (gap, color, rotation)."""
+    n = len(t)
+    row = Counter()
+    for i0 in range(n):
+        for z in allowed_colors(q, t[i0 - 1], t[i0]):
+            y = t[:i0] + (z,) + t[i0:]
+            for r in range(n + 1):
+                row[rotl(y, r)] += 1
+    return row
+
+
+@pytest.mark.parametrize("q", [3, 4])
+def test_insertion_row_matches_literal_step(q):
+    for n in range(1, 8):
+        for t in filter(tuple_is_cyclically_proper, product(range(1, q + 1), repeat=n)):
+            assert _insertion_row(t, q) == _literal_insertion_row(t, q)
+
+
+def _dfs_cyclically_proper_words(n, q):
+    """The cyclically proper words of length n, extended color by color."""
+    def extend(prefix):
+        if len(prefix) == n:
+            if prefix[-1] != prefix[0]:
+                yield prefix
+            return
+        for c in range(1, q + 1):
+            if c != prefix[-1]:
+                yield from extend(prefix + (c,))
+
+    for first in range(1, q + 1):
+        yield from extend((first,))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize("q", [3, 4])
+def test_kernel_states_in_dfs_order(n, q):
+    states = [w.symbols for w in coupling_kernel(n, q).states]
+    assert states == list(_dfs_cyclically_proper_words(n, q))
 
 
 @pytest.mark.parametrize("n,q", [(3, 3), (4, 3), (3, 4)])

@@ -433,17 +433,44 @@ def test_kdep_fails_on_broken_level(monkeypatch):
 
 
 def test_kernels_builds_each_j_kernel_once(monkeypatch):
-    """Each variant's chain law is extended step by step, so a run builds
-    j_kernel(n) for n in [3, max_n] for the kernel check and n in
-    [3, max_n - 1] for the chain laws, never rebuilding a lower step."""
+    """Each variant is walked once: a run builds one J kernel (which also
+    extends the chain law) and one Q kernel per length n in [3, max_n]."""
     built = []
-    j_kernel = chains.j_kernel
+    for name in ("j_kernel", "q_kernel"):
+        def counted(variant, n, states=None, build=getattr(chains, name), name=name):
+            built.append((name, variant, n))
+            return build(variant, n, states)
 
-    def counted(variant, n, states=None):
-        built.append((variant, n))
-        return j_kernel(variant, n, states)
-
-    monkeypatch.setattr(chains, "j_kernel", counted)
+        monkeypatch.setattr(chains, name, counted)
     assert suites.kernels_suite(max_n=6)["passed"]
-    per_variant = [3, 4, 5, 6] + [3, 4, 5]
-    assert Counter(built) == Counter((v, n) for v in chains.ChainVariant for n in per_variant)
+    assert Counter(built) == Counter(
+        (name, v, n) for name in ("j_kernel", "q_kernel")
+        for v in chains.ChainVariant for n in (3, 4, 5, 6)
+    )
+
+
+def test_kernels_suite_never_recomputes_a_closure(monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("a reachable closure was recomputed")
+
+    monkeypatch.setattr(chains, "_reachable", boom)
+    assert suites.kernels_suite(max_n=6)["passed"]
+
+
+def test_kernels_fails_where_the_q_step_is_broken(monkeypatch):
+    """From length 5, variant (ii)'s broken Q step also reaches the all-zero
+    state: the Q rows differ at n = 5, and at n = 6 the Q domain has that
+    extra state, which the J chain never reaches."""
+    q_row = chains._q_row
+
+    def reaching_zero(variant, t):
+        row = q_row(variant, t)
+        if variant is chains.ChainVariant.COLOR_ONE_Q3 and len(t) == 5:
+            row[(0,) * 6] += 1
+        return row
+
+    monkeypatch.setattr(chains, "_q_row", reaching_zero)
+    rep = suites.kernels_suite(max_n=7)
+    failing = [(c["variant"], c["n"], c["check"]) for c in rep["cases"] if not c["passed"]]
+    assert failing == [("color-1-of-3", 5, "kernel-equal"), ("color-1-of-3", 6, "kernel-equal")]
+    assert rep["counterexample"] == {"variant": "color-1-of-3", "n": 5}

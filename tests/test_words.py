@@ -10,10 +10,13 @@ from findep.words import (
     Word,
     apply_color_perm,
     delete_at,
+    insertion_orbits,
     is_cyclically_proper,
     is_proper,
     reflect,
     rotate,
+    rotations,
+    rotl,
     row_texts,
 )
 
@@ -131,3 +134,28 @@ def test_cyclic_properness_reflection_invariant(x):
 def test_rotation_preserves_multiset(x):
     if len(x) > 0:
         assert sorted(rotate(x, 3).symbols) == sorted(x.symbols)
+
+
+# -- rotations and insertion orbits -------------------------------------------
+
+
+def test_rotations_are_every_rotl():
+    for n in range(1, 7):
+        for t in product((1, 2, 3), repeat=n):
+            assert rotations(t) == [rotl(t, r) for r in range(n)]
+    assert rotations(()) == []
+
+
+def test_insertion_orbits_counts_every_gap_symbol_and_rotation():
+    allowed = lambda a, b: [c for c in (1, 2, 3, 4) if c not in (a, b)]
+    row = insertion_orbits((1, 2, 3), allowed)
+    # 3 gaps, 2 colors each, 4 rotations, each outcome once
+    assert sum(row.values()) == 3 * 2 * 4
+    assert row[(1, 4, 2, 3)] == 1  # 4 before index 1, no rotation
+    assert row[(4, 2, 3, 1)] == 1  # the same, rotated left by 1
+    assert row[(1, 2, 3, 4)] == 1  # 4 before index 0, rotated left by 1
+    # 3 before index 0 or before index 2 gives the same cyclic word
+    row = insertion_orbits((1, 2, 1, 2), lambda a, b: (3,))
+    assert row[(3, 1, 2, 1, 2)] == 2
+    assert sum(row.values()) == 4 * 5
+    assert insertion_orbits((1, 1), lambda a, b: ()) == {}
