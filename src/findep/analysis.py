@@ -34,6 +34,7 @@ __all__ = [
     "chi_square_gof",
     "k_dependence_counterexample",
     "marginalize",
+    "min_gof_samples",
     "pushforward",
     "symmetry_check",
     "tv_distance",
@@ -261,79 +262,78 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
 
 
+def _pool(expected: Sequence, least) -> list[int]:
+    """Pool ascending expectations left to right until each pooled cell
+    expects at least ``least``; a leftover joins the last cell (or is the
+    only one). The end index of each pooled cell."""
+    ends, acc = [], 0
+    for i, e in enumerate(expected, 1):
+        acc += e
+        if acc >= least:
+            ends.append(i)
+            acc = 0
+    if acc:
+        ends[-1:] = [len(expected)]
+    return ends
+
+
+def min_gof_samples(d: ExactDist) -> int:
+    """The fewest samples that ``chi_square_gof`` against d pools into at
+    least two cells (dof >= 1), read from the expectations alone. Two cells
+    at n samples mean two at any more: the first cell closes no later, and
+    the rest then expects more."""
+    if len(d) < 2:
+        raise ValueError("a law with one state leaves a chi-square test nothing to test")
+    weights, total = d.weights()
+    ascending = sorted(weights.values())
+
+    def two_cells(n: int) -> bool:  # expectations w * n / total, scaled by total
+        return len(_pool([w * n for w in ascending], 5 * total)) >= 2
+
+    lo, hi = 0, 1  # two_cells(hi) once the doubling stops, never two_cells(lo)
+    while not two_cells(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if two_cells(mid) else (mid, hi)
+    return hi
+
+
 def chi_square_gof(
     counts: Mapping[State, int], d: ExactDist, alpha: float = 0.001
 ) -> GofReport:
     """Chi-square test of observed counts against the exact law d.
 
     States are pooled (lowest expectation first, deterministically by state
-    text) until every cell has expected count >= 5; the decision uses the
-    regularized upper incomplete gamma tail of the chi-square law. Observed
-    states outside the support of d fail automatically with a diagnostic.
+    text) until every cell has expected count >= 5 (``_pool``); the decision
+    uses the regularized upper incomplete gamma tail of the chi-square law,
+    and one pooled cell passes with dof 0. Observed states outside the
+    support of d fail automatically with a diagnostic.
     """
     _check_alpha(alpha)
     total = sum(counts.values())
     if total < 1:
         raise ValueError("need at least one observation")
-    foreign = sorted(
-        (state_text(s) for s, c in counts.items() if c and s not in d),
-    )
+    foreign = sorted(state_text(s) for s, c in counts.items() if c and s not in d)
     if foreign:
-        return GofReport(
-            statistic=float("inf"),
-            dof=0,
-            p_value=0.0,
-            alpha=alpha,
-            passed=False,
-            n_samples=total,
-            n_cells=0,
-            failure_reason=f"observed states outside the exact support: {foreign[:5]}",
-        )
+        reason = f"observed states outside the exact support: {foreign[:5]}"
+        return GofReport(statistic=float("inf"), dof=0, p_value=0.0, alpha=alpha,
+                         passed=False, n_samples=total, n_cells=0, failure_reason=reason)
 
-    cells = [
-        (p * total, counts.get(s, 0)) for s, p in d.sorted_items()
-    ]  # (exact expectation, observed)
-    cells.sort(key=lambda c: c[0])
-    pooled: list[tuple[Fraction, int]] = []
-    acc_e, acc_o = Fraction(0), 0
-    for e, o in cells:
-        acc_e += e
-        acc_o += o
-        if acc_e >= 5:
-            pooled.append((acc_e, acc_o))
-            acc_e, acc_o = Fraction(0), 0
-    if acc_e > 0:
-        if pooled:
-            last_e, last_o = pooled.pop()
-            pooled.append((last_e + acc_e, last_o + acc_o))
-        else:
-            pooled.append((acc_e, acc_o))
+    # (exact expectation, observed), by expectation
+    cells = sorted(((p * total, counts.get(s, 0)) for s, p in d.sorted_items()),
+                   key=lambda c: c[0])
+    pooled, start = [], 0
+    for end in _pool([e for e, _ in cells], 5):
+        pooled.append((sum(e for e, _ in cells[start:end]), sum(o for _, o in cells[start:end])))
+        start = end
+    stat, dof, p_value = 0.0, len(pooled) - 1, 1.0
+    if dof:
+        stat = sum((o - float(e)) ** 2 / float(e) for e, o in pooled)
+        # imported here, not at the top: scipy.special takes longer to import
+        # than the rest of findep, and only this p-value needs it
+        from scipy.special import gammaincc
 
-    if len(pooled) < 2:
-        return GofReport(
-            statistic=0.0,
-            dof=0,
-            p_value=1.0,
-            alpha=alpha,
-            passed=True,
-            n_samples=total,
-            n_cells=len(pooled),
-            failure_reason=None,
-        )
-    stat = sum((o - float(e)) ** 2 / float(e) for e, o in pooled)
-    dof = len(pooled) - 1
-    # imported here, not at the top: scipy.special takes longer to import
-    # than the rest of findep, and only this p-value needs it
-    from scipy.special import gammaincc
-
-    p_value = float(gammaincc(dof / 2.0, stat / 2.0))
-    return GofReport(
-        statistic=stat,
-        dof=dof,
-        p_value=p_value,
-        alpha=alpha,
-        passed=p_value >= alpha,
-        n_samples=total,
-        n_cells=len(pooled),
-        failure_reason=None,
-    )
+        p_value = float(gammaincc(dof / 2.0, stat / 2.0))
+    return GofReport(statistic=stat, dof=dof, p_value=p_value, alpha=alpha,
+                     passed=p_value >= alpha, n_samples=total, n_cells=len(pooled))

@@ -10,22 +10,20 @@ The cycle-law colorings have remarkable one- and two-color marginals. With
 * marking one of four colors gives the law of the cyclic descent
   indicators of i.i.d. fair bits.
 
-The target laws are computed here by brute-force enumeration (permutations
-or bit strings; ties between i.i.d. uniforms are null events, so the finite
-models are exact). The first two equalities are driven by a pair of Markov
-insertion chains per variant: the J-chain, obtained by applying the
-indicator to the coloring insertion step, and the Q-chain, obtained from
-the natural insertion step on permutations. Their one-step kernels
-coincide exactly (``kernel_equal``), which together with the matching
-three-site initial laws forces equality of the laws for every size.
+The target laws are counted by brute force over one table (``_TARGETS``:
+permutations or bit strings; ties between i.i.d. uniforms are null
+events, so the finite models are exact). The first two equalities are
+driven by a pair of Markov insertion chains per variant: the J-chain, the
+indicator image of the coloring insertion step (``words.insertion_orbits``),
+and the Q-chain, that of the insertion step on permutations. Their
+one-step kernels coincide exactly, which with the matching three-site
+initial laws forces equality of the laws for every size.
 
-The J step counts its outcomes with ``words.insertion_orbits``, as the
-coloring insertion step does. Kernels are represented densely over the
-reachable state space only, discovered by closure from the initial law;
-variant (ii) states are hard-core (no two cyclically adjacent ones).
-``verify kernels`` finds each closure as it walks the lengths once
-(``_kernel_walk``); ``_reachable`` rebuilds it from length 3 for the
-default domains of ``j_kernel`` and ``q_kernel``.
+``_kernel_walk`` walks the lengths once on integer counts: the chain law,
+and the J and Q rows on the states reachable from the initial law (variant
+(ii) states are hard-core: no two cyclically adjacent ones). Every row is
+checked to count each outcome once, so equal counts mean equal laws. The
+``Kernel``/``ExactDist`` functions normalize these same counts.
 """
 
 from __future__ import annotations
@@ -35,6 +33,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import count, islice, permutations, product
+from operator import and_, gt, lt
 from typing import Callable, Iterable, Iterator, Optional
 
 from .dist import ExactDist, Kernel
@@ -42,6 +41,7 @@ from .recurrence import line_window_law
 from .words import Word, insertion_orbits, rotations
 
 BinaryState = tuple[int, ...]
+_States = Optional[Iterable[BinaryState]]
 
 __all__ = [
     "BinaryState",
@@ -90,86 +90,90 @@ def iota_text(w: Word) -> str:
     return "".join(str(s) if s in (1, 2) else "*" for s in w.symbols)
 
 
-def _check_n(n: int, lo: int, hi: int) -> None:
+# indicator -> (the offsets of the values it reads around a site, its test
+# run site by site on the value sequences at those offsets)
+_INDICATORS = {
+    "descent": ((0, 1), lambda cur, nxt: map(gt, cur, nxt)),
+    "peak": ((-1, 0, 1), lambda prev, cur, nxt: map(and_, map(lt, prev, cur), map(gt, cur, nxt))),
+}
+_PERMS = lambda m: permutations(range(m))
+_BITS = lambda m: product((0, 1), repeat=m)
+
+# target law -> (the values enumerated, the indicator, cyclic or on a line
+# window, smallest n, largest n)
+_TARGETS = {
+    "cyclic-descent": (_PERMS, "descent", True, 3, 9),
+    "cyclic-peak": (_PERMS, "peak", True, 3, 9),
+    "cyclic-bit-descent": (_BITS, "descent", True, 3, 20),
+    "line-descent": (_PERMS, "descent", False, 1, 8),
+    "line-peak": (_PERMS, "peak", False, 1, 7),
+    "line-bit-descent": (_BITS, "descent", False, 1, 20),
+}
+
+
+def _target_counts(target: str, n: int) -> dict[BinaryState, int]:
+    """Counts of the n-site indicator vectors of a ``_TARGETS`` law over its
+    values. Site i reads the values at i + offset: modulo n on a cycle of n
+    values; on a line of n + (span of the offsets) values, from value 0 on."""
+    values, indicator, cyclic, lo, hi = _TARGETS[target]
     if not lo <= n <= hi:
         raise ValueError(f"n must lie in [{lo}, {hi}], got {n}")
+    offsets, test = _INDICATORS[indicator]
+    a, b = -offsets[0], offsets[-1]
+
+    def sites(x: tuple[int, ...]) -> tuple[bool, ...]:
+        if cyclic:  # wrap the ends around, so each offset reads one slice
+            x = x[n - a :] + x + x[:b]
+        return tuple(test(*[x[a + o : a + o + n] for o in offsets]))
+
+    counts = Counter(map(sites, values(n if cyclic else n + a + b)))
+    return {tuple(map(int, s)): c for s, c in counts.items()}
 
 
 def descent_law(n: int) -> ExactDist:
-    """Exact law of the cyclic descent indicators of a uniform permutation.
-
-    State i is 1 iff the permutation value at i exceeds the one at i+1
-    (indices mod n).
-    """
-    _check_n(n, 3, 9)
-    counts: Counter = Counter()
-    for pi in permutations(range(n)):
-        counts[tuple(int(pi[i] > pi[(i + 1) % n]) for i in range(n))] += 1
-    return ExactDist.from_weights(counts)
+    """Cyclic descent indicators of a uniform permutation: value i > value i+1 (mod n)."""
+    return ExactDist.from_weights(_target_counts("cyclic-descent", n))
 
 
 def peak_law(n: int) -> ExactDist:
-    """Exact law of the cyclic peak indicators of a uniform permutation.
-
-    State i is 1 iff the value at i exceeds both cyclic neighbors.
-    """
-    _check_n(n, 3, 9)
-    counts: Counter = Counter()
-    for pi in permutations(range(n)):
-        counts[
-            tuple(int(pi[(i - 1) % n] < pi[i] > pi[(i + 1) % n]) for i in range(n))
-        ] += 1
-    return ExactDist.from_weights(counts)
+    """Cyclic peak indicators of a uniform permutation: value i > both cyclic neighbors."""
+    return ExactDist.from_weights(_target_counts("cyclic-peak", n))
 
 
 def bit_descent_law(n: int) -> ExactDist:
-    """Exact law of the cyclic descent indicators of i.i.d. fair bits."""
-    _check_n(n, 3, 20)
-    counts: Counter = Counter()
-    for bits in product((0, 1), repeat=n):
-        counts[tuple(int(bits[i] > bits[(i + 1) % n]) for i in range(n))] += 1
-    return ExactDist.from_weights(counts)
+    """Cyclic descent indicators of n i.i.d. fair bits."""
+    return ExactDist.from_weights(_target_counts("cyclic-bit-descent", n))
 
 
 def descent_window_law(n: int) -> ExactDist:
-    """Law of n consecutive descent indicators on the line (n+1 values)."""
-    _check_n(n, 1, 8)
-    counts: Counter = Counter()
-    for pi in permutations(range(n + 1)):
-        counts[tuple(int(pi[i] > pi[i + 1]) for i in range(n))] += 1
-    return ExactDist.from_weights(counts)
+    """n consecutive descent indicators on the line (n+1 values)."""
+    return ExactDist.from_weights(_target_counts("line-descent", n))
 
 
 def peak_window_law(n: int) -> ExactDist:
-    """Law of n consecutive peak indicators on the line (n+2 values)."""
-    _check_n(n, 1, 7)
-    counts: Counter = Counter()
-    for pi in permutations(range(n + 2)):
-        counts[tuple(int(pi[i] < pi[i + 1] > pi[i + 2]) for i in range(n))] += 1
-    return ExactDist.from_weights(counts)
+    """n consecutive peak indicators on the line (n+2 values)."""
+    return ExactDist.from_weights(_target_counts("line-peak", n))
 
 
 def bit_descent_window_law(n: int) -> ExactDist:
-    """Law of n consecutive bit-descent indicators on the line (n+1 bits)."""
-    _check_n(n, 1, 20)
-    counts: Counter = Counter()
-    for bits in product((0, 1), repeat=n + 1):
-        counts[tuple(int(bits[i] > bits[i + 1]) for i in range(n))] += 1
-    return ExactDist.from_weights(counts)
+    """n consecutive bit-descent indicators on the line (n+1 bits)."""
+    return ExactDist.from_weights(_target_counts("line-bit-descent", n))
 
 
-def initial_law(variant: ChainVariant) -> ExactDist:
-    """The three-site starting law of the insertion chains.
+def _initial_counts(variant: ChainVariant) -> Counter:
+    """The three-site starting law of the insertion chains, as counts.
 
     Variant (i): uniform over the six binary vectors of weight 1 or 2
     (cyclic descent sets of three distinct values). Variant (ii): uniform
     over the three singletons (cyclic peak sets of three distinct values).
     """
-    if variant is ChainVariant.COLORS_ONE_TWO_Q4:
-        states = [t for t in product((0, 1), repeat=3) if 1 <= sum(t) <= 2]
-    else:
-        states = [t for t in product((0, 1), repeat=3) if sum(t) == 1]
-    return ExactDist.from_weights({s: 1 for s in states})
+    weights = (1, 2) if variant is ChainVariant.COLORS_ONE_TWO_Q4 else (1,)
+    return Counter(t for t in product((0, 1), repeat=3) if sum(t) in weights)
+
+
+def initial_law(variant: ChainVariant) -> ExactDist:
+    """The three-site starting law of the insertion chains (``_initial_counts``)."""
+    return ExactDist.from_weights(_initial_counts(variant))
 
 
 def _has_adjacent_ones(t: BinaryState) -> bool:
@@ -225,35 +229,57 @@ def _q_row(variant: ChainVariant, t: BinaryState) -> Counter:
     return row
 
 
-def _reachable(variant: ChainVariant, n: int, row_fn) -> list[BinaryState]:
-    states = set(initial_law(variant).support)
-    size = 3
-    while size < n:
-        states = {succ for s in states for succ in row_fn(variant, s)}
-        size += 1
-    return sorted(states)
+def _row(row_fn, variant: ChainVariant, t: BinaryState) -> Counter:
+    """``row_fn(variant, t)``, checked to count each (gap, one of the q - 2
+    inserted colors, rotation) once, (q-2) n (n+1) for n = len(t): rows of
+    one length then share a total, so they are equal as laws iff as counts."""
+    row = row_fn(variant, t)
+    total, expected = sum(row.values()), (variant.q - 2) * len(t) * (len(t) + 1)
+    if total != expected:
+        raise ValueError(f"the row from {t} counts {total} outcomes, not {expected}")
+    return row
 
 
-def _build_kernel(variant, n, row_fn, states) -> Kernel:
+def _kernel_walk(variant: ChainVariant) -> Iterator[tuple[Counter, dict, dict]]:
+    """For n = 3, 4, ...: the J-chain law of length n as counts, the J rows
+    on its support, and the Q rows on the successors of the last Q rows."""
+    law = _initial_counts(variant)
+    q_states = list(law)
+    for n in count(3):
+        j_rows = {t: _row(_j_row, variant, t) for t in law}
+        q_rows = {t: _row(_q_row, variant, t) for t in q_states}
+        yield law, j_rows, q_rows
+        stepped: Counter = Counter()
+        for t, c in law.items():
+            for s, k in j_rows[t].items():
+                stepped[s] += c * k
+        law = stepped
+        q_states = {s for row in q_rows.values() for s in row}
+
+
+def _walk_at(variant: ChainVariant, n: int) -> tuple[Counter, dict, dict]:
     if n < 3:
         raise ValueError(f"chains require n >= 3, got {n}")
-    if states is None:
-        states = _reachable(variant, n, row_fn)
-    return Kernel({t: ExactDist.from_weights(row_fn(variant, t)) for t in map(tuple, states)})
+    return next(islice(_kernel_walk(variant), n - 3, None))
 
 
-def j_kernel(
-    variant: ChainVariant, n: int, states: Optional[Iterable[BinaryState]] = None
-) -> Kernel:
+def _build_kernel(variant, n, row_fn, states, walked: int) -> Kernel:
+    """row_fn's kernel on states, by default on item ``walked`` of the walk."""
+    if states is None or n < 3:  # _walk_at raises for n < 3
+        rows = _walk_at(variant, n)[walked]
+    else:
+        rows = {t: _row(row_fn, variant, t) for t in map(tuple, states)}
+    return Kernel({t: ExactDist.from_weights(row) for t, row in rows.items()})
+
+
+def j_kernel(variant: ChainVariant, n: int, states: _States = None) -> Kernel:
     """The J-chain kernel on length-n states (reachable closure by default)."""
-    return _build_kernel(variant, n, _j_row, states)
+    return _build_kernel(variant, n, _j_row, states, 1)
 
 
-def q_kernel(
-    variant: ChainVariant, n: int, states: Optional[Iterable[BinaryState]] = None
-) -> Kernel:
+def q_kernel(variant: ChainVariant, n: int, states: _States = None) -> Kernel:
     """The Q-chain kernel on length-n states (reachable closure by default)."""
-    return _build_kernel(variant, n, _q_row, states)
+    return _build_kernel(variant, n, _q_row, states, 2)
 
 
 def kernel_equal(a: Kernel, b: Kernel) -> bool:
@@ -262,40 +288,14 @@ def kernel_equal(a: Kernel, b: Kernel) -> bool:
     Kernels over state spaces of different word lengths are incomparable
     and raise; same-length kernels with different domains are unequal.
     """
-    a_states = list(a.states)
-    b_states = list(b.states)
-    if a_states and b_states and len(a_states[0]) != len(b_states[0]):
+    if len({len(t) for k in (a, b) for t in islice(k.states, 1)}) > 1:
         raise ValueError("kernels live on state spaces of different lengths")
     return a == b
 
 
-def _chain_laws(variant: ChainVariant) -> Iterator[ExactDist]:
-    """The J-chain laws of lengths 3, 4, ..., each one step from the last."""
-    law = initial_law(variant)
-    for m in count(3):
-        yield law
-        law = j_kernel(variant, m, states=list(law.support)).push(law)
-
-
-def _kernel_walk(variant: ChainVariant) -> Iterator[tuple[ExactDist, Kernel, Kernel]]:
-    """For n = 3, 4, ...: the J-chain law of length n, the J kernel on its
-    support, which steps it to n+1, and the Q kernel on the successors of
-    the previous Q kernel's rows: both domains are ``_reachable``'s."""
-    law = initial_law(variant)
-    q_states = list(law.support)
-    for n in count(3):
-        jk = j_kernel(variant, n, states=law.support)
-        qk = q_kernel(variant, n, states=q_states)
-        yield law, jk, qk
-        law = jk.push(law)
-        q_states = sorted({s for t in qk.states for s in qk.row(t).support})
-
-
 def chain_law(variant: ChainVariant, n: int) -> ExactDist:
     """The length-n law of the J-chain started from the initial law."""
-    if n < 3:
-        raise ValueError(f"chains require n >= 3, got {n}")
-    return next(islice(_chain_laws(variant), n - 3, None))
+    return ExactDist.from_weights(_walk_at(variant, n)[0])
 
 
 @dataclass(frozen=True)

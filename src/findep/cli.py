@@ -18,14 +18,14 @@ from dataclasses import asdict
 from typing import Iterable, Iterator, Optional, Union
 
 from . import __version__
-from .analysis import _check_alpha, chi_square_gof
+from .analysis import _check_alpha, chi_square_gof, min_gof_samples
 from .errors import BudgetExceeded
 from .growth import _eden_bounds, _eden_word, _necklace_bounds, _necklace_word, replicate_draws
 # The public samplers are not called here (they draw a replicate through its
 # own RngStream), but perfbench's self-test checks that its tracer rebinds
 # them at this lookup site, so the names stay.
 from .growth import eden_sample, necklace_sample  # noqa: F401
-from .recurrence import DEFAULT_BUDGET, _check_k, _check_law_request, _law_counts
+from .recurrence import DEFAULT_BUDGET, _check_k, _law_counts
 from .recurrence import cycle_law, is_theorem_grade
 from .suites import SUITES, kdep_report, run_all, run_suite
 from .words import Word, row_texts, symbols_text
@@ -41,25 +41,20 @@ _SCHEMA_GOF = "findep.gof/1"
 _SCHEMA_REPORT = "findep.report/1"
 
 
-def _env_int(name: str, default: int) -> int:
+def _setting(flag, name: str, default, parse=int):
+    """The flag's value if given, else the environment variable ``name``
+    parsed by ``parse`` (int or float), else default. A variable that does
+    not parse is ignored with a warning."""
+    if flag is not None:
+        return flag
     raw = os.environ.get(name)
     if raw is None:
         return default
     try:
-        return int(raw)
+        return parse(raw)
     except ValueError:
-        print(f"warning: ignoring non-integer {name}={raw!r}", file=sys.stderr)
-        return default
-
-
-def _env_float(name: str, default: float) -> float:
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        return float(raw)
-    except ValueError:
-        print(f"warning: ignoring non-numeric {name}={raw!r}", file=sys.stderr)
+        kind = "integer" if parse is int else "numeric"
+        print(f"warning: ignoring non-{kind} {name}={raw!r}", file=sys.stderr)
         return default
 
 
@@ -117,7 +112,7 @@ def _dist_dump(rows, counts: list[int], z: int, q: int, meta: dict, fmt: str) ->
 
 
 def _cmd_exact(args: argparse.Namespace) -> int:
-    budget = args.budget if args.budget is not None else _env_int("FINDEP_BUDGET", DEFAULT_BUDGET)
+    budget = _setting(args.budget, "FINDEP_BUDGET", DEFAULT_BUDGET)
     if args.law == "cycle":
         meta = {"kind": "cycle", "n": args.n, "q": args.q}
     else:
@@ -144,7 +139,7 @@ _SAMPLERS = {
 def _cmd_sample(args: argparse.Namespace) -> int:
     if args.reps < 1:
         raise ValueError(f"--reps must be at least 1, got {args.reps}")
-    seed = args.seed if args.seed is not None else _env_int("FINDEP_SEED", 0)
+    seed = _setting(args.seed, "FINDEP_SEED", 0)
     bounds_of, word_of = _SAMPLERS[args.sampler]
     bounds = bounds_of(args.n, args.q)
     # The GoF's arguments, and flags that would be ignored, are checked
@@ -152,11 +147,14 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     if args.gof:
         if args.format is not None:
             raise ValueError("--format does not apply with --gof, whose report is JSON")
-        alpha = args.alpha if args.alpha is not None else _env_float("FINDEP_ALPHA", 0.001)
-        budget = (args.budget if args.budget is not None
-                  else _env_int("FINDEP_BUDGET", DEFAULT_BUDGET))
+        alpha = _setting(args.alpha, "FINDEP_ALPHA", 0.001, float)
+        budget = _setting(args.budget, "FINDEP_BUDGET", DEFAULT_BUDGET)
         _check_alpha(alpha)
-        _check_law_request(args.n, args.q, budget)
+        exact = cycle_law(args.n, args.q, budget=budget)
+        need = min_gof_samples(exact)
+        if args.reps < need:
+            raise ValueError(f"--gof pools {args.reps} draws into one cell, which tests "
+                             f"nothing; two cells need --reps >= {need}")
     else:
         for flag, value in (("--alpha", args.alpha), ("--budget", args.budget)):
             if value is not None:
@@ -189,7 +187,6 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     if args.out:
         _write("".join(t + "\n" for t in texts), args.out)
     counts = {Word.parse(t, args.q): c for t, c in Counter(texts).items()}
-    exact = cycle_law(args.n, args.q, budget=budget)
     report = chi_square_gof(counts, exact, alpha=alpha)
     doc = {"schema": _SCHEMA_GOF, **{k: v for k, v in sample_meta.items() if k != "schema"},
            **asdict(report)}

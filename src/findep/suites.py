@@ -18,13 +18,13 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import permutations
-from typing import Iterable, Optional
+from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
 from . import analysis, chains, growth, recurrence
 from .chains import ChainVariant
-from .dist import ExactDist, state_text
+from .dist import state_text
 # cycle_law is no longer called here, but perfbench's self-test checks that
 # its tracer rebinds it at this lookup site, so the name stays.
 from .recurrence import cycle_law  # noqa: F401
@@ -347,34 +347,34 @@ def coupling_suite(max_n: int) -> dict:
     return _report("coupling", cases)
 
 
-def _binary_law(level: np.ndarray, marked: Iterable[int]) -> ExactDist:
-    """``pushforward(law, color_indicator(marked))`` of a level's law: every
-    axis is contracted with the q x 2 0/1 matrix that sends color c to 1 iff
-    c is marked, giving the counts of the bit tuples as shape (2,)*n."""
+def _binary_counts(level: np.ndarray, marked: Iterable[int]) -> dict[tuple[int, ...], int]:
+    """The nonzero counts of ``pushforward(law, color_indicator(marked))``
+    of a level's law: every axis is contracted with the q x 2 0/1 matrix
+    that sends color c to 1 iff c is marked, giving shape (2,)*n."""
     q = level.shape[0]
     ind = np.array([[c not in marked, c in marked] for c in range(1, q + 1)], dtype=np.int64)
     bits = level
     for _ in range(level.ndim):  # each contraction moves the new axis last
         bits = np.tensordot(bits, ind, axes=(0, 0))
     states = map(tuple, np.argwhere(bits).tolist())
-    return ExactDist.from_weights(dict(zip(states, bits[bits != 0].tolist())))
+    return dict(zip(states, bits[bits != 0].tolist()))
 
 
-# (law, q, marked colors, target law[, longest cycle]) of the marginals suite
-_CYCLIC_MARGINALS = (
-    ("cyclic-descent", 4, {1, 2}, chains.descent_law, 8),
-    ("cyclic-peak", 3, {1}, chains.peak_law, 8),
-    ("cyclic-bit-descent", 4, {1}, chains.bit_descent_law, 9),
-)
-_LINE_MARGINALS = (
-    ("line-descent", 4, {1, 2}, chains.descent_window_law),
-    ("line-peak", 3, {1}, chains.peak_window_law),
-    ("line-bit-descent", 4, {1}, chains.bit_descent_window_law),
-)
+def _same_law(a: Mapping, b: Mapping) -> bool:
+    """Two positive count maps give one law: the same support, and
+    a[s] * sum(b) == b[s] * sum(a) in Python ints."""
+    ta, tb = sum(a.values()), sum(b.values())
+    return a.keys() == b.keys() and all(a[s] * tb == b[s] * ta for s in a)
 
 
-def _marginal_case(law: str, n: int, level: np.ndarray, marked, target) -> dict:
-    return _case(_binary_law(level, marked) == target(n), {"n": n}, law=law, n=n)
+# marginal process -> (q, marked colors, longest cycle); its target laws are
+# "cyclic-" and "line-" + the process in chains._TARGETS
+_MARGINALS = {"descent": (4, {1, 2}, 8), "peak": (3, {1}, 8), "bit-descent": (4, {1}, 9)}
+
+
+def _marginal_case(law: str, n: int, level: np.ndarray, marked) -> dict:
+    ok = _same_law(_binary_counts(level, marked), chains._target_counts(law, n))
+    return _case(ok, {"n": n}, law=law, n=n)
 
 
 def marginals_suite(max_n: int) -> dict:
@@ -383,12 +383,13 @@ def marginals_suite(max_n: int) -> dict:
     Cyclic: two marked colors of four give permutation descents; one of
     three gives permutation peaks; one of four gives fair-bit descents
     (with one-site marginal exactly 1/4). Line: windows agree with the
-    linear brute-force laws. Cycles stop at length min(max_n, 8), or 9 for
-    bit descents, and line windows at min(max_n, 6); see ``_binary_law``.
+    linear brute-force laws. Each case is ``_same_law`` of two count maps,
+    ``_binary_counts`` and ``chains._target_counts``. Cycles stop at length
+    min(max_n, 8), or 9 for bit descents, and line windows at min(max_n, 6).
     """
     cases = [
-        _marginal_case(law, n, recurrence.cycle_counts(n, q), marked, target)
-        for law, q, marked, target, top in _CYCLIC_MARGINALS
+        _marginal_case(f"cyclic-{law}", n, recurrence.cycle_counts(n, q), marked)
+        for law, (q, marked, top) in _MARGINALS.items()
         for n in range(3, min(max_n, top) + 1)
     ]
     level = recurrence.cycle_counts(5, 4)
@@ -396,26 +397,27 @@ def marginals_suite(max_n: int) -> dict:
     cases.append(_case(one_site == Fraction(1, 4), {"value": str(one_site)},
                        law="one-site-marginal", value=str(one_site), expected="1/4"))
     cases += [
-        _marginal_case(law, n, recurrence.line_counts(n, q), marked, target)
+        _marginal_case(f"line-{law}", n, recurrence.line_counts(n, q), marked)
         for n in range(1, min(max_n, 6) + 1)
-        for law, q, marked, target in _LINE_MARGINALS
+        for law, (q, marked, _) in _MARGINALS.items()
     ]
     return _report("marginals", cases)
 
 
 def kernels_suite(max_n: int) -> dict:
     """J-chain and Q-chain kernels coincide; chain laws match the indicator
-    images of the cycle laws, contracted from the dense levels. Each
-    variant is walked once (``chains._kernel_walk``): one J and one Q
-    kernel per length, the J kernel also extending the chain law."""
+    images of the cycle laws, contracted from the dense levels. Each variant
+    is walked once on integer counts (``chains._kernel_walk``), whose rows
+    share one total per length: J and Q rows are compared as count dicts,
+    the chain law with ``_binary_counts`` by ``_same_law``."""
     _check_levels((max_n, variant.q) for variant in ChainVariant)
     equal_cases, law_cases = [], []
     for variant in ChainVariant:
-        for n, (law, jk, qk) in zip(range(3, max_n + 1), chains._kernel_walk(variant)):
+        for n, (law, j_rows, q_rows) in zip(range(3, max_n + 1), chains._kernel_walk(variant)):
             bad = {"variant": variant.value, "n": n}
-            equal_cases.append(_case(chains.kernel_equal(jk, qk), bad, **bad,
-                                     check="kernel-equal"))
-            ok = law == _binary_law(recurrence.cycle_counts(n, variant.q), variant.marked_colors)
+            equal_cases.append(_case(j_rows == q_rows, bad, **bad, check="kernel-equal"))
+            level = recurrence.cycle_counts(n, variant.q)
+            ok = _same_law(law, _binary_counts(level, variant.marked_colors))
             law_cases.append(_case(ok, bad, **bad, check="chain-vs-pushforward"))
     return _report("kernels", equal_cases + law_cases)
 

@@ -10,6 +10,7 @@ from findep.analysis import (
     chi_square_gof,
     k_dependence_counterexample,
     marginalize,
+    min_gof_samples,
     pushforward,
     symmetry_check,
     tv_distance,
@@ -244,3 +245,20 @@ def test_chi_square_pools_small_expectations():
     assert report2.n_cells == 3
     assert report2.dof == 2
     assert report2.passed
+
+
+@pytest.mark.parametrize("weights", [{"a": 1, "b": 1, "c": 98}, {"a": 1, "b": 1},
+                                     {"a": 10, "b": 10, "c": 80}, {"a": 3, "b": 5, "c": 7}])
+def test_min_gof_samples_is_where_pooling_first_gives_two_cells(weights):
+    d = ExactDist.from_weights(weights)
+    need = min_gof_samples(d)
+    cells = [chi_square_gof({"a": n}, d).n_cells for n in range(1, need + 20)]
+    assert cells[: need - 1] == [1] * (need - 1)
+    assert min(cells[need - 1 :]) >= 2
+
+
+def test_min_gof_samples_of_small_laws():
+    assert min_gof_samples(cycle_law(3, 3)) == 10  # six states of 1/6
+    assert min_gof_samples(ExactDist.from_weights({"a": 1, "b": 1})) == 10
+    with pytest.raises(ValueError):
+        min_gof_samples(ExactDist.point_mass("a"))

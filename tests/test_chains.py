@@ -12,11 +12,14 @@ import pytest
 
 from findep.analysis import pushforward, tv_distance
 from findep.chains import (
+    _TARGETS,
     ChainVariant,
-    _chain_laws,
     _has_adjacent_ones,
     _j_row,
+    _kernel_walk,
     _q_row,
+    _row,
+    _target_counts,
     bit_descent_law,
     bit_descent_window_law,
     chain_law,
@@ -229,7 +232,58 @@ def test_chain_law_matches_cycle_pushforward():
 
 def test_chain_laws_extend_step_by_step_to_chain_law():
     for v in (V1, V2):
-        assert list(islice(_chain_laws(v), 4)) == [chain_law(v, n) for n in (3, 4, 5, 6)]
+        laws = [ExactDist.from_weights(law) for law, _, _ in islice(_kernel_walk(v), 4)]
+        assert laws == [chain_law(v, n) for n in (3, 4, 5, 6)]
+
+
+def _literal_closure(variant, n, kernel):
+    """The states of length n reachable from the initial law, one
+    ``kernel`` row at a time."""
+    states = set(initial_law(variant).support)
+    for m in range(3, n):
+        states = {s for t in states for s in kernel(variant, m, states=[t]).row(t).support}
+    return states
+
+
+@pytest.mark.parametrize("variant", [V1, V2])
+def test_walk_matches_exactdist_chain_and_kernels(variant):
+    """The integer walk against its Fraction form: the law stepped by
+    ``Kernel.push`` of J kernels on its support, and the Q rows against
+    ``q_kernel`` rows on the literal Q closure."""
+    law = initial_law(variant)
+    for n, (counts, j_rows, q_rows) in zip(range(3, 8), _kernel_walk(variant)):
+        assert ExactDist.from_weights(counts) == law, n
+        assert set(j_rows) == set(law.support)
+        assert set(q_rows) == _literal_closure(variant, n, q_kernel), n
+        qk = q_kernel(variant, n, states=q_rows)
+        for t, row in q_rows.items():
+            assert ExactDist.from_weights(row) == qk.row(t)
+        law = j_kernel(variant, n, states=law.support).push(law)
+
+
+def test_walk_rows_differ_between_variants():
+    _, j_rows, _ = next(_kernel_walk(V1))
+    _, _, q_rows = next(_kernel_walk(V2))
+    assert j_rows != q_rows
+    shared = set(j_rows) & set(q_rows)
+    assert shared and all(j_rows[t] != q_rows[t] for t in shared)
+
+
+def test_a_row_of_the_wrong_total_raises(monkeypatch):
+    def one_more(variant, t):
+        row = _j_row(variant, t)
+        row[t + (0,)] += 1
+        return row
+
+    assert sum(_row(_j_row, V1, (1, 0, 0)).values()) == 2 * 3 * 4
+    assert sum(_row(_q_row, V2, (1, 0, 0)).values()) == 3 * 4
+    with pytest.raises(ValueError, match="counts 25 outcomes, not 24"):
+        _row(one_more, V1, (1, 0, 0))
+    monkeypatch.setattr("findep.chains._j_row", one_more)
+    with pytest.raises(ValueError, match="not 12"):
+        next(_kernel_walk(V2))
+    with pytest.raises(ValueError):
+        chain_law(V1, 4)
 
 
 def test_cycle_pushforward_matches_targets_small():
@@ -249,6 +303,36 @@ def _oracle_linear_descents(n):
     for pi in permutations(range(n + 1)):
         c[tuple(int(pi[i] > pi[i + 1]) for i in range(n))] += 1
     return ExactDist.from_weights(c)
+
+
+# each target of chains._TARGETS, written out as its own loop
+_BRUTE = {
+    "cyclic-descent": lambda n: Counter(
+        tuple(int(p[i] > p[(i + 1) % n]) for i in range(n)) for p in permutations(range(n))),
+    "cyclic-peak": lambda n: Counter(
+        tuple(int(p[(i - 1) % n] < p[i] > p[(i + 1) % n]) for i in range(n))
+        for p in permutations(range(n))),
+    "cyclic-bit-descent": lambda n: Counter(
+        tuple(int(b[i] > b[(i + 1) % n]) for i in range(n)) for b in product((0, 1), repeat=n)),
+    "line-descent": lambda n: Counter(
+        tuple(int(p[i] > p[i + 1]) for i in range(n)) for p in permutations(range(n + 1))),
+    "line-peak": lambda n: Counter(
+        tuple(int(p[i] < p[i + 1] > p[i + 2]) for i in range(n))
+        for p in permutations(range(n + 2))),
+    "line-bit-descent": lambda n: Counter(
+        tuple(int(b[i] > b[i + 1]) for i in range(n)) for b in product((0, 1), repeat=n + 1)),
+}
+
+
+@pytest.mark.parametrize("target", sorted(_BRUTE))
+def test_target_counts_match_their_loops(target):
+    assert set(_BRUTE) == set(_TARGETS)
+    _, _, _, lo, hi = _TARGETS[target]
+    for n in range(lo, min(hi, 7) + 1):
+        assert _target_counts(target, n) == _BRUTE[target](n), n
+    for n in (lo - 1, hi + 1):
+        with pytest.raises(ValueError):
+            _target_counts(target, n)
 
 
 def test_descent_window_law_matches_oracle():

@@ -339,6 +339,24 @@ def test_sample_gof_arguments_are_checked_before_any_draw(
     assert err.startswith("error: ") and message in err
 
 
+@pytest.mark.parametrize("sampler", ["necklace", "eden"])
+@pytest.mark.parametrize("reps", [1, 9])
+def test_sample_gof_of_one_cell_exits_2_before_any_draw(capsys, no_draws, sampler, reps):
+    """At (3, 3) the six states expect reps / 6 each: fewer than 10 draws
+    pool into one cell, a test with no degree of freedom."""
+    code, out, err = run(capsys, "sample", sampler, "--n", "3", "--q", "3",
+                         "--reps", str(reps), "--gof")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "--reps >= 10" in err
+
+
+def test_sample_gof_of_two_cells_runs(capsys):
+    code, out, _ = run(capsys, "sample", "necklace", "--n", "3", "--q", "3",
+                       "--reps", "10", "--gof")
+    doc = json.loads(out)
+    assert (code, doc["n_cells"], doc["dof"]) == (0, 2, 1)
+
+
 @pytest.mark.parametrize(
     "argv,message",
     [

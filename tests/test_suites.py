@@ -1,8 +1,7 @@
 """Verification suite reports: shapes, pass/fail semantics."""
 
-from collections import Counter
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import islice, permutations, product
 
 import numpy as np
 import pytest
@@ -347,10 +346,26 @@ def test_check_levels_admits_the_largest_levels():
 def test_binary_law_matches_pushforward(n, q):
     for marked in ({1}, {1, 2}):
         ind = color_indicator(marked)
-        cyc = suites._binary_law(recurrence.cycle_counts(n, q), marked)
-        assert cyc == pushforward(cycle_law(n, q), ind), marked
-        line = suites._binary_law(recurrence.line_counts(n, q), marked)
-        assert line == pushforward(line_window_law(n, 1, q), ind), marked
+        cyc = suites._binary_counts(recurrence.cycle_counts(n, q), marked)
+        assert ExactDist.from_weights(cyc) == pushforward(cycle_law(n, q), ind), marked
+        line = suites._binary_counts(recurrence.line_counts(n, q), marked)
+        assert ExactDist.from_weights(line) == pushforward(line_window_law(n, 1, q), ind), marked
+
+
+def test_same_law_compares_normalized_counts():
+    assert suites._same_law({(0,): 1, (1,): 3}, {(1,): 6, (0,): 2})
+    assert not suites._same_law({(0,): 1, (1,): 3}, {(0,): 1, (1,): 2})
+    assert not suites._same_law({(0,): 1, (1,): 3}, {(0,): 1, (1,): 3, (2,): 1})
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_same_law_fails_on_a_variant_mismatch(n):
+    """Variant (i)'s chain law against the level that variant (ii) reads
+    (q = 3, color 1 marked), and against its own level."""
+    v1 = chains.ChainVariant.COLORS_ONE_TWO_Q4
+    law = next(islice(chains._kernel_walk(v1), n - 3, None))[0]
+    assert not suites._same_law(law, suites._binary_counts(recurrence.cycle_counts(n, 3), {1}))
+    assert suites._same_law(law, suites._binary_counts(recurrence.cycle_counts(n, 4), {1, 2}))
 
 
 @pytest.mark.parametrize("k,q", [(1, 3), (1, 4), (2, 3), (2, 4)])
@@ -432,29 +447,32 @@ def test_kdep_fails_on_broken_level(monkeypatch):
     assert rep["counterexample"] == {"s1": s1, "s2": s2}
 
 
-def test_kernels_builds_each_j_kernel_once(monkeypatch):
-    """Each variant is walked once: a run builds one J kernel (which also
-    extends the chain law) and one Q kernel per length n in [3, max_n]."""
-    built = []
-    for name in ("j_kernel", "q_kernel"):
-        def counted(variant, n, states=None, build=getattr(chains, name), name=name):
-            built.append((name, variant, n))
-            return build(variant, n, states)
+@pytest.mark.parametrize("name", ["kernels", "marginals"])
+def test_kernels_and_marginals_build_no_exactdist(monkeypatch, name):
+    def boom(*args, **kwargs):
+        raise AssertionError("an ExactDist was built")
 
-        monkeypatch.setattr(chains, name, counted)
-    assert suites.kernels_suite(max_n=6)["passed"]
-    assert Counter(built) == Counter(
-        (name, v, n) for name in ("j_kernel", "q_kernel")
-        for v in chains.ChainVariant for n in (3, 4, 5, 6)
-    )
+    monkeypatch.setattr(ExactDist, "__init__", boom)
+    assert run_suite(name)["passed"]
 
 
 def test_kernels_suite_never_recomputes_a_closure(monkeypatch):
+    """One walk per variant, and never the library's default domains,
+    which walk again from length 3."""
+    walks = []
+    walk = chains._kernel_walk
+
+    def counted(variant):
+        walks.append(variant)
+        return walk(variant)
+
     def boom(*args, **kwargs):
         raise AssertionError("a reachable closure was recomputed")
 
-    monkeypatch.setattr(chains, "_reachable", boom)
+    monkeypatch.setattr(chains, "_kernel_walk", counted)
+    monkeypatch.setattr(chains, "_walk_at", boom)
     assert suites.kernels_suite(max_n=6)["passed"]
+    assert walks == list(chains.ChainVariant)
 
 
 def test_kernels_fails_where_the_q_step_is_broken(monkeypatch):
@@ -466,6 +484,7 @@ def test_kernels_fails_where_the_q_step_is_broken(monkeypatch):
     def reaching_zero(variant, t):
         row = q_row(variant, t)
         if variant is chains.ChainVariant.COLOR_ONE_Q3 and len(t) == 5:
+            row[max(row, key=row.get)] -= 1  # keeps the row's total
             row[(0,) * 6] += 1
         return row
 
@@ -474,3 +493,17 @@ def test_kernels_fails_where_the_q_step_is_broken(monkeypatch):
     failing = [(c["variant"], c["n"], c["check"]) for c in rep["cases"] if not c["passed"]]
     assert failing == [("color-1-of-3", 5, "kernel-equal"), ("color-1-of-3", 6, "kernel-equal")]
     assert rep["counterexample"] == {"variant": "color-1-of-3", "n": 5}
+
+
+def test_kernels_raises_on_a_q_row_of_the_wrong_total(monkeypatch):
+    q_row = chains._q_row
+
+    def one_more(variant, t):
+        row = q_row(variant, t)
+        if variant is chains.ChainVariant.COLOR_ONE_Q3 and len(t) == 5:
+            row[(0,) * 6] += 1
+        return row
+
+    monkeypatch.setattr(chains, "_q_row", one_more)
+    with pytest.raises(ValueError, match="counts 31 outcomes, not 30"):
+        suites.kernels_suite(max_n=7)
