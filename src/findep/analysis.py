@@ -6,12 +6,13 @@ at a configurable level (default 0.001). All operations are pure. scipy is
 loaded only by ``chi_square_gof``, for its p-value (``sample --gof``), so no
 other command pays for importing it.
 
-Independence has one engine, ``_Marginals``: a law as a count tensor with
+Independence has one engine, ``_independent``: a law as a count tensor with
 one axis per coordinate, the joint marginal of S1 | S2 as a sum over the
 other axes, m1 and m2 as sums of that joint, and a pair (S1, S2) accepted
 iff joint * total == outer(m1, m2) exactly, in Python ints.
 The public functions decode an ``ExactDist`` into it (``_dist_counts``);
 ``verify kdep`` hands ``_dependent_pair`` the dense level and its sum.
+k-dependence is decided on the maximal pairs alone (``_maximal_pairs``).
 """
 
 from __future__ import annotations
@@ -98,32 +99,18 @@ def _dist_counts(d: ExactDist) -> tuple[np.ndarray, int]:
     return counts, total
 
 
-class _Marginals:
-    """Integer marginal tables of the law counts / total, cached per
-    coordinate tuple. Every entry and marginal sum is at most ``total``, which
-    fits int64, so sums are exact; products are taken as Python ints."""
-
-    def __init__(self, counts: np.ndarray, total: int):
-        self.counts, self.total = counts, total
-        self._cache: dict[tuple[int, ...], np.ndarray] = {}
-
-    def __call__(self, coords0: tuple[int, ...]) -> np.ndarray:
-        """Marginal counts on the sorted 0-based coordinates, one axis each."""
-        got = self._cache.get(coords0)
-        if got is None:
-            rest = tuple(i for i in range(self.counts.ndim) if i not in coords0)
-            got = self._cache[coords0] = self.counts.sum(axis=rest)
-        return got
-
-    def independent(self, s1_0: tuple[int, ...], s2_0: tuple[int, ...]) -> bool:
-        """Exact factorization: joint * total == outer(m1, m2) on every cell,
-        with m1 and m2 summed from the joint (the union's marginal)."""
-        union = tuple(sorted(s1_0 + s2_0))
-        joint = self(union).transpose([union.index(c) for c in s1_0 + s2_0])
-        joint = joint.reshape(self.counts.shape[0] ** len(s1_0), -1)
-        m1 = joint.sum(axis=1).astype(object)
-        m2 = joint.sum(axis=0).astype(object)
-        return bool((joint.astype(object) * self.total == np.multiply.outer(m1, m2)).all())
+def _independent(counts: np.ndarray, total: int, s1: tuple, s2: tuple) -> bool:
+    """Exact factorization of the law counts / total on the sorted 0-based
+    coordinate sets s1 and s2: joint * total == outer(m1, m2) on every cell,
+    the joint summed over the other axes and m1, m2 from the joint. Every
+    sum is at most ``total``, which fits int64; products are Python ints."""
+    union = tuple(sorted(s1 + s2))
+    rest = tuple(i for i in range(counts.ndim) if i not in union)
+    joint = counts.sum(axis=rest).transpose([union.index(c) for c in s1 + s2])
+    joint = joint.reshape(counts.shape[0] ** len(s1), -1)
+    m1 = joint.sum(axis=1).astype(object)
+    m2 = joint.sum(axis=0).astype(object)
+    return bool((joint.astype(object) * total == np.multiply.outer(m1, m2)).all())
 
 
 def are_independent(d: ExactDist, s1: Iterable[int], s2: Iterable[int]) -> bool:
@@ -142,7 +129,8 @@ def are_independent(d: ExactDist, s1: Iterable[int], s2: Iterable[int]) -> bool:
             raise ValueError(f"coordinate {c} not in [1, {n}]")
     if not set1 or not set2:
         return True
-    return _Marginals(*_dist_counts(d)).independent(
+    return _independent(
+        *_dist_counts(d),
         tuple(sorted(c - 1 for c in set1)),
         tuple(sorted(c - 1 for c in set2)),
     )
@@ -176,6 +164,15 @@ def _admissible_pairs(n: int, k: int):
     yield from extend(0, [], [])
 
 
+def _maximal_pairs(n: int, k: int):
+    """The admissible pairs that no free site can join: each free site lies
+    within distance k of both sets. Every admissible pair lies inside one of
+    them, in one orientation or the other."""
+    near = lambda p, s: any(_cyclic_distance(p, j, n) <= k for j in s)
+    return ((s1, s2) for s1, s2 in _admissible_pairs(n, k)
+            if all(near(p, s1) and near(p, s2) for p in range(n) if p not in s1 + s2))
+
+
 _Pair = tuple[tuple[int, ...], tuple[int, ...]]
 
 
@@ -186,20 +183,23 @@ def _check_pair_limit(n: int) -> None:
 
 def _dependent_pair(counts: np.ndarray, total: int, k: int) -> Optional[_Pair]:
     """``k_dependence_counterexample`` of the law counts / total; callers
-    check ``_check_pair_limit`` first."""
-    marginals = _Marginals(counts, total)
-    for s1_0, s2_0 in _admissible_pairs(counts.ndim, k):
-        if not marginals.independent(s1_0, s2_0):
-            return tuple(c + 1 for c in s1_0), tuple(c + 1 for c in s2_0)
-    return None
+    check ``_check_pair_limit`` first. Independence passes to subsets, so
+    the maximal pairs decide; only a dependent law walks every admissible
+    pair, in canonical order, to name the first dependent one."""
+    n = counts.ndim
+    if all(_independent(counts, total, *pair) for pair in _maximal_pairs(n, k)):
+        return None
+    s1, s2 = next(p for p in _admissible_pairs(n, k) if not _independent(counts, total, *p))
+    return tuple(c + 1 for c in s1), tuple(c + 1 for c in s2)
 
 
 def k_dependence_counterexample(d: ExactDist, k: int) -> Optional[_Pair]:
     """First dependent admissible pair as 1-based coordinate tuples, or None.
 
-    Enumerates every pair of disjoint nonempty subsets at cyclic distance
-    greater than k (definition-faithful); limited to n <= 10. A negative k
-    raises ValueError.
+    The pairs are the disjoint nonempty subsets at cyclic distance greater
+    than k, in canonical order (definition-faithful); the maximal ones
+    decide, and a dependent law is walked in order to its first dependent
+    pair. Limited to n <= 10. A negative k raises ValueError.
     """
     _check_k(k)
     _check_pair_limit(_state_len(d))
@@ -306,9 +306,10 @@ def chi_square_gof(
 
     States are pooled (lowest expectation first, deterministically by state
     text) until every cell has expected count >= 5 (``_pool``); the decision
-    uses the regularized upper incomplete gamma tail of the chi-square law,
-    and one pooled cell passes with dof 0. Observed states outside the
-    support of d fail automatically with a diagnostic.
+    uses the regularized upper incomplete gamma tail of the chi-square law.
+    Observed states outside the support of d fail automatically with a
+    diagnostic. Fewer samples than ``min_gof_samples(d)`` pool into one
+    cell, which leaves nothing to test: ValueError.
     """
     _check_alpha(alpha)
     total = sum(counts.values())
@@ -327,13 +328,15 @@ def chi_square_gof(
     for end in _pool([e for e, _ in cells], 5):
         pooled.append((sum(e for e, _ in cells[start:end]), sum(o for _, o in cells[start:end])))
         start = end
-    stat, dof, p_value = 0.0, len(pooled) - 1, 1.0
-    if dof:
-        stat = sum((o - float(e)) ** 2 / float(e) for e, o in pooled)
-        # imported here, not at the top: scipy.special takes longer to import
-        # than the rest of findep, and only this p-value needs it
-        from scipy.special import gammaincc
+    if len(pooled) < 2:
+        raise ValueError(f"{total} samples pool into one cell; a chi-square test "
+                         f"needs min_gof_samples(d) = {min_gof_samples(d)}")
+    dof = len(pooled) - 1
+    stat = sum((o - float(e)) ** 2 / float(e) for e, o in pooled)
+    # imported here, not at the top: scipy.special takes longer to import
+    # than the rest of findep, and only this p-value needs it
+    from scipy.special import gammaincc
 
-        p_value = float(gammaincc(dof / 2.0, stat / 2.0))
+    p_value = float(gammaincc(dof / 2.0, stat / 2.0))
     return GofReport(statistic=stat, dof=dof, p_value=p_value, alpha=alpha,
                      passed=p_value >= alpha, n_samples=total, n_cells=len(pooled))

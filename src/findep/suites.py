@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import permutations
 from typing import Iterable, Mapping, Optional
 
 import numpy as np
@@ -126,29 +125,29 @@ def mobius_suite(max_n: int) -> dict:
     return _report("mobius", cases)
 
 
-_OPS = ("rotation", "reflection", "color-permutation")
-
-
 def _symmetry_fails(c: np.ndarray) -> dict[str, np.ndarray]:
     """Per operation, the cells of the count tensor c (shape (q,)*n, n >= 1)
-    that differ under some rotation, the reflection, or some color
-    permutation."""
+    that differ from their image under a generator of its group: rotation
+    by one, the reflection, and the color transposition (1 2) and cycle
+    (1 2 ... q). A tensor is invariant under a group iff it is invariant
+    under the group's generators."""
     n, q = c.ndim, c.shape[0]
-    fails = {op: np.zeros(c.shape, dtype=bool) for op in _OPS}
-    for r in range(1, n):
-        fails["rotation"] |= c.transpose(np.roll(range(n), r)) != c
-    fails["reflection"] |= c.transpose() != c
-    for p in permutations(range(q)):
-        fails["color-permutation"] |= c[np.ix_(*[np.array(p)] * n)] != c
-    return fails
+    colors = [c[np.ix_(*[p] * n)] != c for p in (np.r_[1, 0, 2:q], np.roll(range(q), 1))]
+    return {
+        "rotation": c.transpose(np.roll(range(n), 1)) != c,
+        "reflection": c.transpose() != c,
+        "color-permutation": colors[0] | colors[1],
+    }
 
 
 def shift_suite(max_n: int) -> dict:
     """Count-level invariance of b_circ under rotation, reflection, relabeling.
 
     Checked on the dense level, which counts every word without
-    canonicalizing; a counterexample is the first failing word in
-    lexicographic order with its first failing operation.
+    canonicalizing, against the generators of ``_symmetry_fails``; a
+    counterexample is the first word in lexicographic order whose count
+    differs from its image under a generator, with its first failing
+    operation.
     """
     _check_levels((max_n, q) for q in (3, 4))
     cases = []
@@ -158,7 +157,7 @@ def shift_suite(max_n: int) -> dict:
             codes = np.flatnonzero(np.logical_or.reduce(list(fails.values())))
             bad = None
             if codes.size:
-                op = next(op for op in _OPS if fails[op].flat[codes[0]])
+                op = next(op for op, f in fails.items() if f.flat[codes[0]])
                 bad = {"word": _word_at(codes[0], n, q), "op": op}
             cases.append(_case(bad is None, bad, n=n, q=q))
     return _report("shift", cases)
@@ -191,6 +190,13 @@ def symmetry_suite(max_n: int) -> dict:
 _PAIRS = ((1, 4), (2, 3))
 
 
+def _extension_sum(n: int, k: int, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """The cycle level n+k summed over its last k axes, and the line level
+    n: one count per length-n word each, in code order."""
+    lhs = recurrence.cycle_counts(n + k, q).reshape(q**n, q**k).sum(1)
+    return lhs, recurrence.line_counts(n, q).reshape(-1)
+
+
 def restriction_suite(max_n: int) -> dict:
     """Extension-count identity: restriction_sum(x, k, q) vs c * b_vec(x, q).
 
@@ -215,27 +221,18 @@ def restriction_suite(max_n: int) -> dict:
         z = recurrence.z_circ(k, q)
         window_const = Fraction(q * (q - 1), q - 2) if k == 1 else Fraction(z)
         for mode, const in (("partition-sum", Fraction(z)), ("window-consistent", window_const)):
-            bad = None
-            checked = 0
+            bad, checked = None, 0
             # the window-consistent constant applies to words of length >= 1;
             # at length 0 the extension sum is the partition sum by definition
             n_lo = 1 if mode == "window-consistent" else 0
             for n in range(n_lo, max_n + 1):
-                lhs = recurrence.cycle_counts(n + k, q).reshape(q**n, q**k).sum(1)
-                vec = recurrence.line_counts(n, q).reshape(-1)
+                lhs, vec = _extension_sum(n, k, q)
                 checked += q**n
-                wrong = np.flatnonzero(
-                    ~_scaled_equal(lhs, const.denominator, vec, const.numerator)
-                )
+                wrong = np.flatnonzero(~_scaled_equal(lhs, const.denominator, vec, const.numerator))
                 if wrong.size:
                     i = int(wrong[0])
-                    bad = {
-                        "word": _word_at(i, n, q),
-                        "k": k,
-                        "q": q,
-                        "lhs": str(int(lhs[i])),
-                        "rhs": str(const * int(vec[i])),
-                    }
+                    bad = {"word": _word_at(i, n, q), "k": k, "q": q,
+                           "lhs": str(int(lhs[i])), "rhs": str(const * int(vec[i]))}
                     break
             cases.append(_case(bad is None, bad, k=k, q=q, mode=mode,
                                constant=str(const), words_checked=checked))
@@ -245,10 +242,8 @@ def restriction_suite(max_n: int) -> dict:
 def _window_consistent(m: int, k: int, q: int) -> bool:
     """The cycle level m summed over its last k axes is proportional to the
     line level m-k: the cycle law's marginal is the line window law."""
-    cycle = recurrence.cycle_counts(m, q)
-    line = recurrence.line_counts(m - k, q).reshape(-1)
-    lhs = cycle.reshape(q ** (m - k), q**k).sum(1)
-    return bool(_scaled_equal(lhs, int(line.sum()), line, int(cycle.sum())).all())
+    lhs, line = _extension_sum(m - k, k, q)
+    return bool(_scaled_equal(lhs, int(line.sum()), line, int(lhs.sum())).all())
 
 
 def window_suite(max_n: int) -> dict:

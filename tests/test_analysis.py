@@ -1,11 +1,15 @@
 """Distribution operations, dependence checking, chi-square GoF."""
 
+import re
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from findep.analysis import (
     _admissible_pairs,
+    _maximal_pairs,
     are_independent,
     chi_square_gof,
     k_dependence_counterexample,
@@ -126,6 +130,33 @@ def _admissible_1based(n, k):
         yield tuple(c + 1 for c in s1), tuple(c + 1 for c in s2)
 
 
+def _mask(coords):
+    return sum(1 << c for c in coords)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_every_admissible_pair_lies_inside_a_maximal_pair(k):
+    """Independence passes to subsets, so this is what lets the maximal
+    pairs decide k-dependence for every admissible pair."""
+    for n in range(1, 11):
+        maximal = np.array([(_mask(s1), _mask(s2)) for s1, s2 in _maximal_pairs(n, k)],
+                           dtype=np.int64).reshape(-1, 2)
+        m1, m2 = maximal.T
+        for s1, s2 in _admissible_pairs(n, k):
+            a1, a2 = _mask(s1), _mask(s2)
+            inside = ((a1 & ~m1) | (a2 & ~m2)) == 0
+            swapped = ((a1 & ~m2) | (a2 & ~m1)) == 0
+            assert (inside | swapped).any(), (n, k, s1, s2)
+
+
+def test_maximal_pair_counts():
+    counts = {(n, k): sum(1 for _ in _maximal_pairs(n, k)) for n, k in
+              ((8, 1), (9, 1), (10, 1), (10, 2))}
+    assert counts == {(8, 1): 22, (9, 1): 36, (10, 1): 60, (10, 2): 25}
+    # a maximal pair that needs two runs on each side: {1, 5} against {3, 7}
+    assert ((0, 4), (2, 6)) in set(_maximal_pairs(8, 1))
+
+
 @pytest.mark.parametrize("q", [3, 4])
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
 def test_are_independent_matches_fraction_oracle(n, q):
@@ -234,11 +265,12 @@ def test_chi_square_rejects_empty_counts():
 
 def test_chi_square_pools_small_expectations():
     # weights 1,1,98: with 100 samples the two light states (expected 1
-    # each) pool into the next cell so every cell has expectation >= 5
+    # each) pool into the next cell, which leaves one cell and nothing to test
     d = ExactDist.from_weights({"a": 1, "b": 1, "c": 98})
-    counts = {"a": 1, "b": 1, "c": 98}
-    report = chi_square_gof(counts, d)
-    assert report.n_cells == 1  # everything pooled; degenerate but passing
+    with pytest.raises(ValueError, match=r"min_gof_samples\(d\) = 250"):
+        chi_square_gof({"a": 1, "b": 1, "c": 98}, d)
+    report = chi_square_gof({"a": 2, "b": 3, "c": 245}, d)
+    assert report.n_cells == 2
     assert report.passed
     d2 = ExactDist.from_weights({"a": 10, "b": 10, "c": 80})
     report2 = chi_square_gof({"a": 12, "b": 9, "c": 79}, d2)
@@ -252,9 +284,10 @@ def test_chi_square_pools_small_expectations():
 def test_min_gof_samples_is_where_pooling_first_gives_two_cells(weights):
     d = ExactDist.from_weights(weights)
     need = min_gof_samples(d)
-    cells = [chi_square_gof({"a": n}, d).n_cells for n in range(1, need + 20)]
-    assert cells[: need - 1] == [1] * (need - 1)
-    assert min(cells[need - 1 :]) >= 2
+    for n in range(1, need):
+        with pytest.raises(ValueError, match=f"needs min_gof_samples\\(d\\) = {need}$"):
+            chi_square_gof({"a": n}, d)
+    assert min(chi_square_gof({"a": n}, d).n_cells for n in range(need, need + 20)) >= 2
 
 
 def test_min_gof_samples_of_small_laws():
@@ -262,3 +295,11 @@ def test_min_gof_samples_of_small_laws():
     assert min_gof_samples(ExactDist.from_weights({"a": 1, "b": 1})) == 10
     with pytest.raises(ValueError):
         min_gof_samples(ExactDist.point_mass("a"))
+
+
+def test_readme_library_surface_runs():
+    """The fenced block under README's "Library surface" runs as written."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"## Library surface\n\n```python\n(.*?)```", readme, re.S).group(1)
+    assert "verify_k_dependence" in block and "are_independent" in block
+    exec(compile(block, "README.md", "exec"), {})

@@ -481,7 +481,8 @@ def test_verify_partition(capsys):
 
 # (exit code, sha256 of stdout) of `findep verify <args>`, recorded before the
 # independence checks and the shift, symmetry, restriction, coupling and mobius
-# suites moved to count tensors, and before levels were built by broadcasting.
+# suites moved to count tensors, and before levels were built by broadcasting;
+# the `kdep --n 10` pin before k-dependence was decided on maximal pairs.
 VERIFY_SHA256 = {
     "symmetry --max-n 5": (0, "e4607ea91ee71af663d0e657fd204bb6ff2cf9e7f4e971e6840adcf280db25e8"),
     "symmetry": (0, "901e13be98fd7d0fbe1eeabf7ee1fa2089a08688dff785e2cb987ace659946f2"),
@@ -497,6 +498,8 @@ VERIFY_SHA256 = {
         (0, "b7c7019088ac615e7ad587783e72b00e67a98041e9beddbc9d96a99364d81343"),
     "kdep --n 5 --q 3 --k 1":
         (1, "1a6332c7ed29199d364c3b2403e017113933d5f3f5d46395936618098f04c176"),
+    "kdep --n 10 --q 3 --k 1":
+        (1, "2388ce808f81c192b7340f06a3e0af7ab6163434dce8c65df1f6d78c2c24e325"),
     "coupling --max-n 4": (0, "4437dc2747770a35cd8c1ed8cd446be95341c8e89026bdc4d114a57e6980f5f1"),
     "kernels --max-n 5": (0, "b5a85c98d9bdff0218ee5d59755358baa8f18a02def63805f906d05a6f8935df"),
     "mobius --max-n 5": (0, "f8b8f0d4ac7ccf5142c15dae0189f918044daedfc31fbead1956c5edf65ba969"),

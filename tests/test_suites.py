@@ -271,11 +271,27 @@ def _flags(c):
     return {op: not f.any() for op, f in suites._symmetry_fails(c).items()}
 
 
+def _subgroup_invariant(c):
+    """Tensors on the support of the level c, each invariant under a
+    subgroup only, keyed by the operation whose group they break: the color
+    cycle (1 2 ... q) but not (1 2), (1 2) but not the color cycle, and for
+    even n rotation by 2 but not by 1."""
+    x, q = np.indices(c.shape), c.shape[0]
+    out = {"color-permutation": [(x[0] - x[1]) % q == 1, x[0] < 2]}
+    if c.ndim % 2 == 0:
+        out["rotation"] = [x[::2].sum(0)]
+    return {op: [(1 + t) * (c > 0) for t in ts] for op, ts in out.items()}
+
+
 @pytest.mark.parametrize("n,q", [(n, q) for n in (3, 4, 5, 6) for q in (3, 4)])
 def test_symmetry_tensor_matches_symmetry_check(n, q):
     c = recurrence.cycle_counts(n, q)
-    # a perturbed law that breaks some symmetries, and the true law
-    for weights in (c + np.arange(c.size).reshape(c.shape) % 3 * (c > 0), c):
+    # a perturbed law that breaks some symmetries, the true law, and tensors
+    # invariant under a subgroup only, which a check on too few generators
+    # would pass
+    inputs = [(None, c + np.arange(c.size).reshape(c.shape) % 3 * (c > 0)), (None, c)]
+    inputs += [(op, t) for op, ts in _subgroup_invariant(c).items() for t in ts]
+    for broken, weights in inputs:
         law = ExactDist.from_weights({
             Word(tuple(i + 1 for i in idx), q): int(weights[tuple(idx)])
             for idx in np.argwhere(weights).tolist()
@@ -289,6 +305,7 @@ def test_symmetry_tensor_matches_symmetry_check(n, q):
             ),
         }
         assert _flags(weights) == oracle
+        assert broken is None or not oracle[broken]
 
 
 def _orbit_rows(word, q):
@@ -389,6 +406,28 @@ def _level_pair(n, q, k):
 def test_dependent_pair_on_level_matches_counterexample(n, q):
     for k in (0, 1, 2):
         assert _level_pair(n, q, k) == k_dependence_counterexample(cycle_law(n, q), k), k
+
+
+def _literal_first_dependent(level, k):
+    """The first dependent admissible pair in canonical order, each pair
+    checked on its own."""
+    total = int(level.sum())
+    for s1, s2 in analysis._admissible_pairs(level.ndim, k):
+        if not analysis._independent(level, total, s1, s2):
+            return tuple(c + 1 for c in s1), tuple(c + 1 for c in s2)
+    return None
+
+
+def test_dependent_pair_matches_a_literal_walk():
+    verdicts = set()
+    for q, counts in product((3, 4, 5, 6), (recurrence.cycle_counts, recurrence.line_counts)):
+        for n in (n for n in range(2, 10) if q**n <= 5_000_000):
+            level = counts(n, q)
+            for k in range(n // 2):  # n >= 2k + 2: some pair is at distance > k
+                got = analysis._dependent_pair(level, int(level.sum()), k)
+                assert got == _literal_first_dependent(level, k), (counts.__name__, n, q, k)
+                verdicts.add(got is None)
+    assert verdicts == {True, False}
 
 
 def test_dependent_pair_negative_control():
