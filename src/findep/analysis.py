@@ -20,6 +20,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -279,24 +280,19 @@ def _pool(expected: Sequence, least) -> list[int]:
 
 def min_gof_samples(d: ExactDist) -> int:
     """The fewest samples that ``chi_square_gof`` against d pools into at
-    least two cells (dof >= 1), read from the expectations alone. Two cells
-    at n samples mean two at any more: the first cell closes no later, and
-    the rest then expects more."""
+    least two cells (dof >= 1), read from the expectations alone.
+
+    With the weights in ascending order, prefix sums S_i and total T, n
+    samples pool into two cells iff some i < m (the number of states) has
+    n S_i >= 5 T and n (T - S_i) >= 5 T: the first cell closes no later
+    than i, and the rest then expects at least 5. So the answer is the
+    least max(ceil(5T / S_i), ceil(5T / (T - S_i))) over i < m.
+    """
     if len(d) < 2:
         raise ValueError("a law with one state leaves a chi-square test nothing to test")
     weights, total = d.weights()
-    ascending = sorted(weights.values())
-
-    def two_cells(n: int) -> bool:  # expectations w * n / total, scaled by total
-        return len(_pool([w * n for w in ascending], 5 * total)) >= 2
-
-    lo, hi = 0, 1  # two_cells(hi) once the doubling stops, never two_cells(lo)
-    while not two_cells(hi):
-        lo, hi = hi, 2 * hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if two_cells(mid) else (mid, hi)
-    return hi
+    prefix = list(accumulate(sorted(weights.values())))[:-1]
+    return min(max(-(-5 * total // s), -(-5 * total // (total - s))) for s in prefix)
 
 
 def chi_square_gof(

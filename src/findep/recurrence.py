@@ -14,17 +14,18 @@ plain properness only. Normalizing by the partition sums yields exact laws:
 ``cycle_law`` on colorings of the n-cycle and ``line_window_law`` on
 length-n windows of the line process.
 
-Evaluation strategy: per-word values are memoized under rotation
-canonicalization, which is sound because the cyclic count is invariant
-under rotation. Whole levels come from a bottom-up pass over the proper
-words only: level m is an int64 array of shape (q,) + (q-1,)*(m-1),
-indexed by a word's first color and its m-1 nonzero color increments
-mod q, one gather per deletion, that canonicalizes nothing.
-``cycle_counts`` and ``line_counts`` scatter level n into a read-only
-dense (q,)*n view, zero off the proper words, on which ``verify shift``
-checks the symmetries. Every sized verify suite reads the cycle and line
-laws only as these views (``symmetry`` through ``_law_counts``). The two
-engines are cross-checked in tests.
+Evaluation strategy: ``b_circ`` and ``b_vec`` share one recursion over
+deletions, memoized on the raw symbol tuple; they differ only in the
+properness test they pass. No key is canonicalized under rotation, so the
+rotation invariance that the tests check can fail. Whole levels come from
+a bottom-up pass over the proper words only: level m is an int64 array of
+shape (q,) + (q-1,)*(m-1), indexed by a word's first color and its m-1
+nonzero color increments mod q, one gather per deletion, that
+canonicalizes nothing. ``cycle_counts`` and ``line_counts`` scatter level
+n, on every call, into a read-only dense (q,)*n view, zero off the proper
+words, on which ``verify shift`` checks the symmetries. Every sized verify
+suite reads the cycle and line laws only as these views (``symmetry``
+through ``_law_counts``). The two engines are cross-checked in tests.
 
 Laws come only from the levels: ``cycle_law``, ``line_window_law`` and
 the CLI's law dumps read the nonzero cells of level n through
@@ -35,9 +36,9 @@ and q**n < 2**31 (the dense view of 2**31 int64 counts would take
 ``BudgetExceeded`` before allocating. Every level is checked to hold
 counts in [0, m!], so an int64 overflow raises instead of giving a law.
 
-Thread-safety: all functions are pure. The shared memo tables are only
-ever written with values equal to the single-threaded result, so
-concurrent evaluation returns identical results.
+Thread-safety: all functions are pure. The per-word memos and the level
+cache are only ever written with values equal to the single-threaded
+result, so concurrent evaluation returns identical results.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import product
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -99,8 +100,7 @@ def as_symbols(x: WordLike, q: int) -> tuple[int, ...]:
     if isinstance(x, Word):
         t = x.symbols
     elif isinstance(x, str):
-        t = Word.parse(x, q).symbols
-        return t
+        return Word.parse(x, q).symbols
     else:
         t = tuple(int(s) for s in x)
     for s in t:
@@ -109,77 +109,45 @@ def as_symbols(x: WordLike, q: int) -> tuple[int, ...]:
     return t
 
 
-def _min_rotation(t: tuple[int, ...]) -> tuple[int, ...]:
-    n = len(t)
-    if n <= 1:
-        return t
-    best = t
-    for r in range(1, n):
-        c = t[r:] + t[:r]
-        if c < best:
-            best = c
-    return best
+# One memo per properness test, kept across the whole run: the recursion
+# over deletions revisits the same subwords from many top-level words.
+_MEMOS: dict[Callable, dict[tuple[int, ...], int]] = {
+    test: {(): 1} for test in (tuple_is_cyclically_proper, tuple_is_proper)
+}
 
 
-# Memoized across the whole run, not per call: the recursion over deletions
-# revisits the same subsequence classes from many top-level words.
-_MEMO_CIRC: dict[tuple[int, ...], int] = {(): 1}
-_MEMO_VEC: dict[tuple[int, ...], int] = {(): 1}
-
-
-def _b_circ_rec(t: tuple[int, ...]) -> int:
-    key = _min_rotation(t)
-    val = _MEMO_CIRC.get(key)
-    if val is not None:
-        return val
-    if not tuple_is_cyclically_proper(key):
-        _MEMO_CIRC[key] = 0
-        return 0
-    total = 0
-    for i in range(len(key)):
-        total += _b_circ_rec(key[:i] + key[i + 1 :])
-    _MEMO_CIRC[key] = total
-    return total
-
-
-def _b_vec_rec(t: tuple[int, ...]) -> int:
-    val = _MEMO_VEC.get(t)
-    if val is not None:
-        return val
-    if not tuple_is_proper(t):
-        _MEMO_VEC[t] = 0
-        return 0
-    total = 0
-    for i in range(len(t)):
-        total += _b_vec_rec(t[:i] + t[i + 1 :])
-    _MEMO_VEC[t] = total
-    return total
+def _insertion_count(t: tuple[int, ...], proper: Callable[[tuple[int, ...]], bool]) -> int:
+    """The insertion orders that build t with every stage passing ``proper``."""
+    memo = _MEMOS[proper]
+    val = memo.get(t)
+    if val is None:
+        val = 0
+        if proper(t):
+            for i in range(len(t)):
+                val += _insertion_count(t[:i] + t[i + 1 :], proper)
+        memo[t] = val
+    return val
 
 
 def b_circ(x: WordLike, q: int) -> int:
     """Insertion count of the cyclic word x (exact, arbitrary precision)."""
-    return _b_circ_rec(as_symbols(x, q))
+    return _insertion_count(as_symbols(x, q), tuple_is_cyclically_proper)
 
 
 def b_vec(x: WordLike, q: int) -> int:
     """Insertion count of the word x on the line (properness only)."""
-    return _b_vec_rec(as_symbols(x, q))
+    return _insertion_count(as_symbols(x, q), tuple_is_proper)
 
 
-def _defect_edges(t: tuple[int, ...]) -> list[int]:
-    """0-based positions of the distinct monochromatic cyclic adjacencies.
+def _cyclic_edges(n: int) -> range:
+    """The 0-based cyclic adjacencies (i, i+1 mod n) of a length-n word.
 
-    A cyclic word of length n >= 3 has n adjacencies (i, i+1 mod n). Length
-    2 has a single adjacency, not two, and lengths <= 1 have none; these
-    degenerate cases are what make the inclusion-exclusion form below agree
-    with the defining recurrence on every word.
+    A cyclic word of length n >= 3 has n adjacencies. Length 2 has a single
+    adjacency, not two, and lengths <= 1 have none; these degenerate cases
+    are what make the inclusion-exclusion form below agree with the
+    defining recurrence on every word.
     """
-    n = len(t)
-    if n <= 1:
-        return []
-    if n == 2:
-        return [0] if t[0] == t[1] else []
-    return [i for i in range(n) if t[i] == t[(i + 1) % n]]
+    return range(n) if n >= 3 else range(n - 1)
 
 
 def b_circ_mobius(x: WordLike, q: int) -> int:
@@ -192,8 +160,9 @@ def b_circ_mobius(x: WordLike, q: int) -> int:
     t = as_symbols(x, q)
     if len(t) == 0:
         raise ValueError("inclusion-exclusion form is defined for length >= 1")
-    dels = [b_circ(t[:i] + t[i + 1 :], q) for i in range(len(t))]
-    return sum(dels) - 2 * sum(dels[i] for i in _defect_edges(t))
+    n = len(t)
+    dels = [b_circ(t[:i] + t[i + 1 :], q) for i in range(n)]
+    return sum(dels) - 2 * sum(dels[i] for i in _cyclic_edges(n) if t[i] == t[(i + 1) % n])
 
 
 def z_circ_closed(n: int, q: int) -> int:
@@ -223,10 +192,9 @@ def z_circ_closed(n: int, q: int) -> int:
 # Computed levels are cached per (q, cyclic) and shared across calls: the
 # partition suite evaluates many n for one q and reuses all lower levels.
 # The dense (q,)*n view that the verify suites read is scattered from
-# level n on first request and cached beside it.
+# level n anew on each request and not kept.
 
 _LEVEL_CACHE: dict[tuple[int, bool], list[np.ndarray]] = {}
-_DENSE_CACHE: dict[tuple[int, bool, int], np.ndarray] = {}
 
 
 def _differ(m: int, q: int, i: int, j: int) -> np.ndarray:
@@ -350,21 +318,13 @@ def _check_law_request(n: int, q: int, budget: int) -> None:
         raise BudgetExceeded(f"{q}**{n} words exceed the enumeration budget {budget}")
 
 
-def _dense(level: np.ndarray, q: int) -> np.ndarray:
-    """Level n scattered into a (q,)*n array that holds 0 off the proper words."""
-    dense = np.zeros((q,) * level.ndim, dtype=np.int64)
-    dense.reshape(-1)[_level_codes(q, level.ndim).reshape(-1)] = level.reshape(-1)
-    return dense
-
-
 def _counts_view(n: int, q: int, cyclic: bool) -> np.ndarray:
+    """Level n scattered into a read-only (q,)*n array, 0 off the proper words."""
     _check_law_request(n, q, DEFAULT_BUDGET)
-    key = (q, cyclic, n)
-    if key not in _DENSE_CACHE:
-        view = _dense(_levels(q, cyclic, n)[n], q)
-        view.flags.writeable = False
-        _DENSE_CACHE[key] = view
-    return _DENSE_CACHE[key]
+    view = np.zeros((q,) * n, dtype=np.int64)
+    view.reshape(-1)[_level_codes(q, n).reshape(-1)] = _levels(q, cyclic, n)[n].reshape(-1)
+    view.flags.writeable = False
+    return view
 
 
 def cycle_counts(n: int, q: int) -> np.ndarray:

@@ -23,11 +23,10 @@ import numpy as np
 
 from . import analysis, chains, growth, recurrence
 from .chains import ChainVariant
-from .dist import state_text
 # cycle_law is no longer called here, but perfbench's self-test checks that
 # its tracer rebinds it at this lookup site, so the name stays.
 from .recurrence import cycle_law  # noqa: F401
-from .words import Word
+from .words import symbols_text
 
 __all__ = ["SIZES", "SUITES", "kdep_report", "run_all", "run_suite"]
 
@@ -57,8 +56,7 @@ def _check_levels(levels: Iterable[tuple[int, int]]) -> None:
 
 def _word_at(code: int, n: int, q: int) -> str:
     """Text of the length-n word with base-q code ``code``."""
-    t = tuple(int(i) + 1 for i in np.unravel_index(code, (q,) * n))
-    return state_text(Word(t, q))
+    return symbols_text([int(i) + 1 for i in np.unravel_index(code, (q,) * n)], q)
 
 
 _INT64_MAX = np.iinfo(np.int64).max
@@ -96,11 +94,10 @@ def _mobius_counts(prev: np.ndarray, q: int) -> np.ndarray:
     """``b_circ_mobius`` of every length-n word from level n-1 ``prev``.
 
     The deletion of x_i counts with sign -1 where the cyclic edge (i, i+1)
-    is monochromatic, over the edges of ``recurrence._defect_edges``: all n
-    for n >= 3, edge 0 for n = 2, none for n = 1.
+    is monochromatic, over the edges of ``recurrence._cyclic_edges``.
     """
     n = prev.ndim + 1
-    edges = range(n) if n >= 3 else range(n - 1)
+    edges = recurrence._cyclic_edges(n)
     total = np.zeros((q,) * n, dtype=np.int64)
     for i in range(n):
         sign = np.where(recurrence._differ(n, q, i, (i + 1) % n), 1, -1) if i in edges else 1

@@ -282,12 +282,21 @@ def test_chi_square_pools_small_expectations():
 @pytest.mark.parametrize("weights", [{"a": 1, "b": 1, "c": 98}, {"a": 1, "b": 1},
                                      {"a": 10, "b": 10, "c": 80}, {"a": 3, "b": 5, "c": 7}])
 def test_min_gof_samples_is_where_pooling_first_gives_two_cells(weights):
-    d = ExactDist.from_weights(weights)
+    _assert_two_cells_first_at_min_gof_samples(ExactDist.from_weights(weights))
+
+
+@pytest.mark.parametrize("n,q", [(4, 3), (6, 3), (5, 4), (6, 4)])
+def test_min_gof_samples_of_cycle_laws_is_where_pooling_first_gives_two_cells(n, q):
+    _assert_two_cells_first_at_min_gof_samples(cycle_law(n, q))
+
+
+def _assert_two_cells_first_at_min_gof_samples(d):
+    state = next(iter(d.support))
     need = min_gof_samples(d)
     for n in range(1, need):
         with pytest.raises(ValueError, match=f"needs min_gof_samples\\(d\\) = {need}$"):
-            chi_square_gof({"a": n}, d)
-    assert min(chi_square_gof({"a": n}, d).n_cells for n in range(need, need + 20)) >= 2
+            chi_square_gof({state: n}, d)
+    assert min(chi_square_gof({state: n}, d).n_cells for n in range(need, need + 20)) >= 2
 
 
 def test_min_gof_samples_of_small_laws():

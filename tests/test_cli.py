@@ -137,7 +137,7 @@ def test_exact_never_scatters_a_dense_level(capsys, monkeypatch):
     def boom(*args, **kwargs):
         raise AssertionError("findep exact scattered a dense (q,)*n level")
 
-    monkeypatch.setattr(recurrence, "_dense", boom)
+    monkeypatch.setattr(recurrence, "_counts_view", boom)
     monkeypatch.setattr(recurrence, "_LEVEL_CACHE", {})
     for args in ("cycle --n 8 --q 5", "line --n 3 --k 1 --q 12 --format csv"):
         code, out, _ = run(capsys, "exact", *args.split())

@@ -307,7 +307,7 @@ def test_dense_view_is_zero_exactly_off_the_proper_words(q):
 def test_law_counts_equal_the_nonzero_cells_of_the_dense_view(q, top):
     for cyclic in (True, False):
         for n in range(0, top + 1):
-            dense = recurrence._dense(recurrence._levels(q, cyclic, n)[n], q)
+            dense = recurrence._counts_view(n, q, cyclic)
             rows, counts, z = recurrence._law_counts(n, q, 10**8, cyclic=cyclic)
             assert rows.dtype == np.int32
             assert np.array_equal(rows, np.argwhere(dense) + 1), (n, cyclic)
@@ -317,13 +317,9 @@ def test_law_counts_equal_the_nonzero_cells_of_the_dense_view(q, top):
 def test_a_bumped_slice_breaks_the_color_symmetry_of_the_dense_level(monkeypatch):
     q, m = 4, 5
 
-    def fresh_caches():
-        monkeypatch.setattr(recurrence, "_LEVEL_CACHE", {})
-        monkeypatch.setattr(recurrence, "_DENSE_CACHE", {})
-
-    fresh_caches()
+    monkeypatch.setattr(recurrence, "_LEVEL_CACHE", {})
     assert not suites._symmetry_fails(recurrence.cycle_counts(m, q))["color-permutation"].any()
-    fresh_caches()
+    monkeypatch.setattr(recurrence, "_LEVEL_CACHE", {})
     prev = recurrence._levels(q, True, m - 1)[m - 1]
     cells = prev[1].reshape(-1)
     cells[np.flatnonzero(cells)[0]] += 1

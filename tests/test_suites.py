@@ -121,10 +121,12 @@ def test_shift_suite_fails_on_broken_dense_level(monkeypatch, patch, word, op):
 
 
 def test_cycle_counts_is_a_read_only_view_of_b_circ():
-    c = recurrence.cycle_counts(4, 3)
-    assert c.shape == (3, 3, 3, 3) and not c.flags.writeable
-    for idx in np.ndindex(c.shape):
-        assert c[idx] == recurrence.b_circ(tuple(i + 1 for i in idx), 3)
+    for n, q in ((4, 3), (5, 4)):
+        for view, count in ((recurrence.cycle_counts(n, q), recurrence.b_circ),
+                            (recurrence.line_counts(n, q), recurrence.b_vec)):
+            assert view.shape == (q,) * n and not view.flags.writeable
+            for idx in np.ndindex(view.shape):
+                assert view[idx] == count(tuple(i + 1 for i in idx), q), (n, q, idx)
 
 
 # -- whole-level coupling, restriction and symmetry vs their literal forms ----
