@@ -10,9 +10,13 @@ The cycle-law colorings have remarkable one- and two-color marginals. With
 * marking one of four colors gives the law of the cyclic descent
   indicators of i.i.d. fair bits.
 
-The target laws are counted by brute force over one table (``_TARGETS``:
-permutations or bit strings; ties between i.i.d. uniforms are null
-events, so the finite models are exact). The first two equalities are
+The target laws come from one table (``_TARGETS``; ties between i.i.d.
+uniforms are null events, so the finite models are exact): permutations
+are counted by their descent bits with a signature DP
+(``_perm_descents``), never walked one by one; bit strings by one numpy
+pass over all 2^m of them (``_bit_descents``); peaks as a pushforward of
+the descent bits (``_peaks``). The brute-force loops over permutations
+and bit strings are the tests' literal oracle. The first two equalities are
 driven by a pair of Markov insertion chains per variant: the J-chain, the
 indicator image of the coloring insertion step (``words.insertion_orbits``),
 and the Q-chain, that of the insertion step on permutations. Their
@@ -28,13 +32,15 @@ checked to count each outcome once, so equal counts mean equal laws. The
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import count, islice, permutations, product
-from operator import and_, gt, lt
+from itertools import count, islice, product
 from typing import Callable, Iterable, Iterator, Optional
+
+import numpy as np
 
 from .dist import ExactDist, Kernel
 from .recurrence import line_window_law
@@ -90,44 +96,95 @@ def iota_text(w: Word) -> str:
     return "".join(str(s) if s in (1, 2) else "*" for s in w.symbols)
 
 
-# indicator -> (the offsets of the values it reads around a site, its test
-# run site by site on the value sequences at those offsets)
-_INDICATORS = {
-    "descent": ((0, 1), lambda cur, nxt: map(gt, cur, nxt)),
-    "peak": ((-1, 0, 1), lambda prev, cur, nxt: map(and_, map(lt, prev, cur), map(gt, cur, nxt))),
-}
-_PERMS = lambda m: permutations(range(m))
-_BITS = lambda m: product((0, 1), repeat=m)
+def _perm_descents(m: int, cyclic: bool) -> np.ndarray:
+    """Counts of the permutations of m values by their descent bits, value
+    i > value i+1 for i < m-1 and, on a cycle, value m-1 > value 0. Entry c
+    counts the bit vector c written in binary, first bit most significant.
 
-# target law -> (the values enumerated, the indicator, cyclic or on a line
-# window, smallest n, largest n)
+    A signature DP: the values are placed left to right, the next one at
+    relative rank j in [0, k] among the k + 1 placed so far. The state is
+    the descent bits so far, the rank f of the first value and the rank l
+    of the last; the step appends the bit [l >= j], moves f to
+    f + [f >= j] and l to j, so the new counts are suffix sums over l. The
+    cyclic closing bit is [l > f]. The counts total m!, checked to fit int64.
+    """
+    if math.factorial(m) > np.iinfo(np.int64).max:
+        raise OverflowError(f"{m}! permutations do not fit int64")
+    a = np.ones((1, 1, 1), dtype=np.int64)  # a[bits, f, l], one value placed
+    for k in range(1, m):
+        suffix = np.zeros(a.shape[:2] + (k + 1,), dtype=np.int64)
+        suffix[..., :k] = a[..., ::-1].cumsum(axis=2)[..., ::-1]  # sum over l >= j
+        f, j = np.ogrid[:k, : k + 1]
+        f = f + (f >= j)
+        step = np.zeros((len(a), 2, k + 1, k + 1), dtype=np.int64)  # [bits, bit, f, j]
+        step[:, 1, f, j] = suffix
+        step[:, 0, f, j] = suffix[..., :1] - suffix
+        a = step.reshape(2 * len(a), k + 1, k + 1)
+    if cyclic:
+        f, l = np.ogrid[:m, :m]
+        closing = l > f
+        counts = np.stack([(a * ~closing).sum((1, 2)), (a * closing).sum((1, 2))], 1)
+    else:
+        counts = a.sum((1, 2))
+    if int(counts.sum()) != math.factorial(m):
+        raise ArithmeticError(f"the descent counts of {m} values do not total {m}!")
+    return counts.reshape(-1)
+
+
+def _bit_descents(m: int, cyclic: bool) -> np.ndarray:
+    """Counts of the m-bit strings by their descent bits, bit i > bit i+1,
+    indexed as in ``_perm_descents``: every string, as a binary number."""
+    x = np.arange(1 << m, dtype=np.int64)
+    if cyclic:  # bit i+1 (mod m) moved to the place of bit i
+        return np.bincount(x & ~((x << 1 | x >> (m - 1)) & ((1 << m) - 1)), minlength=1 << m)
+    return np.bincount(x >> 1 & ~x & ((1 << (m - 1)) - 1), minlength=1 << (m - 1))
+
+
+def _bits(codes: np.ndarray, width: int) -> np.ndarray:
+    """Rows of the width-bit binary digits of codes, the first most significant."""
+    return codes[:, None] >> np.arange(width - 1, -1, -1) & 1
+
+
+def _peaks(counts: np.ndarray, width: int, cyclic: bool) -> np.ndarray:
+    """Descent counts (as ``_perm_descents``, width bits) pushed forward to
+    peak counts: a peak is an ascent, then a descent. On a cycle the peak
+    at site i reads bits i-1 (wrapping) and i; on a line, width bits give
+    width-1 peaks, site i reading bits i and i+1."""
+    d = _bits(np.arange(len(counts)), width)
+    before = np.roll(d, 1, axis=1) if cyclic else d[:, :-1]
+    peaks = (1 - before) & (d if cyclic else d[:, 1:])
+    out = np.zeros(1 << peaks.shape[1], dtype=np.int64)
+    np.add.at(out, peaks @ (1 << np.arange(peaks.shape[1] - 1, -1, -1)), counts)
+    return out
+
+
+# target law -> (descent counts of its values, the indicator, cyclic or on a
+# line window, smallest n, largest n)
 _TARGETS = {
-    "cyclic-descent": (_PERMS, "descent", True, 3, 9),
-    "cyclic-peak": (_PERMS, "peak", True, 3, 9),
-    "cyclic-bit-descent": (_BITS, "descent", True, 3, 20),
-    "line-descent": (_PERMS, "descent", False, 1, 8),
-    "line-peak": (_PERMS, "peak", False, 1, 7),
-    "line-bit-descent": (_BITS, "descent", False, 1, 20),
+    "cyclic-descent": (_perm_descents, "descent", True, 3, 9),
+    "cyclic-peak": (_perm_descents, "peak", True, 3, 9),
+    "cyclic-bit-descent": (_bit_descents, "descent", True, 3, 20),
+    "line-descent": (_perm_descents, "descent", False, 1, 8),
+    "line-peak": (_perm_descents, "peak", False, 1, 7),
+    "line-bit-descent": (_bit_descents, "descent", False, 1, 20),
 }
 
 
 def _target_counts(target: str, n: int) -> dict[BinaryState, int]:
     """Counts of the n-site indicator vectors of a ``_TARGETS`` law over its
-    values. Site i reads the values at i + offset: modulo n on a cycle of n
-    values; on a line of n + (span of the offsets) values, from value 0 on."""
-    values, indicator, cyclic, lo, hi = _TARGETS[target]
+    values, the nonzero ones only. On a cycle of n values, site i reads
+    values i and i+1 for a descent, i-1, i and i+1 for a peak (modulo n);
+    on a line of n + 1 values (n + 2 for peaks), values i, i+1 (and i+2)."""
+    descents, indicator, cyclic, lo, hi = _TARGETS[target]
     if not lo <= n <= hi:
         raise ValueError(f"n must lie in [{lo}, {hi}], got {n}")
-    offsets, test = _INDICATORS[indicator]
-    a, b = -offsets[0], offsets[-1]
-
-    def sites(x: tuple[int, ...]) -> tuple[bool, ...]:
-        if cyclic:  # wrap the ends around, so each offset reads one slice
-            x = x[n - a :] + x + x[:b]
-        return tuple(test(*[x[a + o : a + o + n] for o in offsets]))
-
-    counts = Counter(map(sites, values(n if cyclic else n + a + b)))
-    return {tuple(map(int, s)): c for s, c in counts.items()}
+    peak = indicator == "peak"
+    width = n if cyclic else n + peak  # descent bits
+    counts = descents(width + (not cyclic), cyclic)
+    if peak:
+        counts = _peaks(counts, width, cyclic)
+    codes = np.flatnonzero(counts)
+    return dict(zip(map(tuple, _bits(codes, n).tolist()), counts[codes].tolist()))
 
 
 def descent_law(n: int) -> ExactDist:

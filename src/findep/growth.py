@@ -28,7 +28,9 @@ pushes whole dense count levels through the same step
 (``suites._transport_counts``). A row of it is ``_insertion_row``, the
 necklace step's count of outcomes through ``words.insertion_orbits``.
 ``eden_vs_necklace_kernel_check`` verifies the equality of the two step
-laws state by state, on the samplers' own insertion step ``_insert``.
+laws for every state: the Eden side on the samplers' own insertion step
+``_insert``, the necklace side in numpy over blocks of states, both as
+base-q codes of the outcomes.
 
 Randomness. The bounds of every draw a sampler makes depend only on
 (n, q) (``_necklace_bounds``, ``_eden_bounds``), so a replicate's word is
@@ -77,7 +79,7 @@ from .dist import ExactDist, Kernel
 # b_circ is no longer called here, but perfbench's self-test checks that its
 # tracer rebinds it at this lookup site, so the name stays.
 from .recurrence import b_circ, cycle_counts  # noqa: F401
-from .words import Word, insertion_orbits, rotations, rotl, tuple_is_cyclically_proper
+from .words import Word, insertion_orbits, rotl, tuple_is_cyclically_proper
 
 __all__ = [
     "EdenState",
@@ -646,29 +648,85 @@ def _eden_word(n: int, q: int, draws: Sequence[int]) -> tuple[int, ...]:
     return tuple(outer[start:] + outer[:start])
 
 
+# States per block of ``eden_vs_necklace_kernel_check``: a bound on its
+# arrays, so that peak memory stays flat in the number of states.
+_BLOCK_STATES = 256
+
+
+def _codes(words: np.ndarray, q: int) -> np.ndarray:
+    """The base-q code of each row of colors in [1, q], the first color
+    most significant."""
+    return (words - 1) @ q ** np.arange(words.shape[1] - 1, -1, -1)
+
+
+def _necklace_codes(states: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """(row, code) of every necklace insertion from the rows of ``states``,
+    before rotation: each color in [1, q] differing from both neighbours of
+    gap i, inserted just before ``states[:, i]``. With c the code of a row,
+    color z at gap i gives (c div q^(n-i)) q^(n+1-i) + (z-1) q^(n-i) +
+    c mod q^(n-i)."""
+    n = states.shape[1]
+    tail = q ** np.arange(n, 0, -1)[:, None]  # q^(n-i), shape (n, 1)
+    z = np.arange(1, q + 1)
+    c = _codes(states, q)[:, None, None]
+    inserted = c // tail * (tail * q) + (z - 1) * tail + c % tail  # [row, i, z]
+    allowed = (states[:, :, None] != z) & (np.roll(states, 1, axis=1)[:, :, None] != z)
+    return np.nonzero(allowed)[0], inserted[allowed]
+
+
+def _block_keys(rows: np.ndarray, codes: np.ndarray, m: int, q: int) -> np.ndarray:
+    """The sorted keys row * q^m + rotl(word, r) of the length-m words with
+    codes ``codes``, for every r in [0, m). Rotations are arithmetic on the
+    codes, rotl_r(c) = (c mod q^(m-r)) q^r + c div q^(m-r); the arrays are
+    updated in place, which keeps a block's peak memory down."""
+    high, keys = np.divmod(codes[:, None], q ** np.arange(m, 0, -1))
+    keys *= q ** np.arange(m)
+    keys += high
+    keys += rows[:, None] * q**m
+    keys = keys.reshape(-1)
+    keys.sort()
+    return keys
+
+
 def eden_vs_necklace_kernel_check(n: int, q: int) -> bool:
     """Exact equality of the Eden step-and-read law with the insertion step.
 
     For every reachable outer coloring t (positive insertion count, read
     in lexicographic order from the dense level ``cycle_counts(n, q)``),
     counts the outcomes of all (gap, color, start) choices of one Eden
-    growth step on the outer colors (the sampler's ``_insert`` at gap+1)
-    followed by a read; the reads from every start are the ``rotations``
-    of the stepped colors. ``_insertion_row(t, q)``, the literal
-    necklace step, counts all (gap, color, rotation) triples of one
-    insertion step; both range over n (q-2) (n+1) triples of weight 1, so
-    equal counts are equal laws.
+    growth step on the outer colors (the sampler's own ``_insert`` at
+    gap+1, once per state, gap and color) followed by a read; the reads
+    from every start are the rotations of the stepped colors. The necklace
+    side counts all (gap, color, rotation) triples of one insertion step,
+    the colors differing from both gap neighbours inserted by numpy
+    (``_necklace_codes``). Both range over n (q-2) (n+1) triples of weight
+    1, so equal counts are equal laws.
+
+    Words are compared as base-q codes, rotated arithmetically
+    (``_block_keys``), in blocks of ``_BLOCK_STATES`` states: a block
+    passes iff its sorted (state, outcome code) keys agree, which is the
+    per-state multiset comparison of the outcomes. No state is
+    canonicalized. ``OverflowError`` if a key could leave int64.
     """
+    m = n + 1
+    if _BLOCK_STATES * q**m > np.iinfo(np.int64).max:
+        raise OverflowError(f"{_BLOCK_STATES} states times {q}**{m} codes do not fit int64")
     table = _allowed_table(q)
-    for t in map(tuple, (np.argwhere(cycle_counts(n, q)) + 1).tolist()):
-        outcomes: Counter = Counter()
-        for gap_index in range(n):
-            for color_index in range(q - 2):
-                outer = list(t)
-                _insert(outer, gap_index + 1, color_index, table)
-                outcomes.update(rotations(tuple(outer)))
-        # Both hold positive counts only, so plain dict equality (in C, not
-        # Counter.__eq__'s per-key loop) decides equal counts.
-        if dict(outcomes) != dict(_insertion_row(t, q)):
+    states = np.argwhere(cycle_counts(n, q)) + 1
+    choices = [(gap_index + 1, color_index)
+               for gap_index in range(n) for color_index in range(q - 2)]
+    for block in np.split(states, range(_BLOCK_STATES, len(states), _BLOCK_STATES)):
+        stepped = []  # the stepped colors, end to end
+        for t in block.tolist():
+            for p, ci in choices:
+                outer = t.copy()
+                _insert(outer, p, ci, table)
+                if len(outer) != m:
+                    return False
+                stepped += outer
+        eden = _block_keys(np.arange(len(block)).repeat(len(choices)),
+                           _codes(np.array(stepped).reshape(-1, m), q), m, q)
+        necklace = _block_keys(*_necklace_codes(block, q), m, q)
+        if not np.array_equal(eden, necklace):
             return False
     return True

@@ -327,7 +327,10 @@ def _transported(n: int, q: int) -> bool:
 
 
 def coupling_suite(max_n: int) -> dict:
-    """Necklace transport of the cycle laws and the growth-vs-insertion check."""
+    """Necklace transport of the cycle laws (``_transported``, on whole
+    levels) and the growth-vs-insertion check
+    (``growth.eden_vs_necklace_kernel_check``: the sampler's own Eden step
+    per state, the necklace step in numpy over blocks of states)."""
     _check_levels((max_n + 1, q) for q in (3, 4))
     cases = []
     for q in (3, 4):
@@ -375,9 +378,11 @@ def marginals_suite(max_n: int) -> dict:
     Cyclic: two marked colors of four give permutation descents; one of
     three gives permutation peaks; one of four gives fair-bit descents
     (with one-site marginal exactly 1/4). Line: windows agree with the
-    linear brute-force laws. Each case is ``_same_law`` of two count maps,
-    ``_binary_counts`` and ``chains._target_counts``. Cycles stop at length
-    min(max_n, 8), or 9 for bit descents, and line windows at min(max_n, 6).
+    linear laws of the same processes. Each case is ``_same_law`` of two
+    count maps, ``_binary_counts`` and ``chains._target_counts``, whose
+    permutation counts come from a descent-set DP and bit counts from a
+    numpy pass over every bit string. Cycles stop at length min(max_n, 8),
+    or 9 for bit descents, and line windows at min(max_n, 6).
     """
     cases = [
         _marginal_case(f"cyclic-{law}", n, recurrence.cycle_counts(n, q), marked)

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from findep import analysis
 from findep.analysis import (
     _admissible_pairs,
     _maximal_pairs,
@@ -23,7 +24,7 @@ from findep.analysis import (
 from findep.chains import color_indicator
 from findep.dist import ExactDist
 from findep.errors import BudgetExceeded
-from findep.recurrence import cycle_law, line_window_law
+from findep.recurrence import cycle_counts, cycle_law, line_window_law
 from findep.words import Word
 
 F = Fraction
@@ -78,6 +79,21 @@ def test_are_independent_empty_set_trivial():
 def test_are_independent_rejects_overlap():
     with pytest.raises(ValueError):
         are_independent(cycle_law(5, 3), {1, 2}, {2, 3})
+
+
+@pytest.mark.parametrize("n,q", [(7, 4), (6, 3)])
+def test_independent_int64_and_python_int_paths_agree(monkeypatch, n, q):
+    """The int64 products (taken here, total**2 < 2**63) and the Python-int
+    products decide every maximal pair at every k alike, dependent ones
+    included."""
+    counts = cycle_counts(n, q)
+    total = int(counts.sum())
+    assert total * total < 2**63
+    pairs = [p for k in range(0, (n - 2) // 2 + 1) for p in _maximal_pairs(n, k)]
+    fast = [analysis._independent(counts, total, *p) for p in pairs]
+    monkeypatch.setattr(analysis, "_INT64_MAX", 0)  # every total takes the Python-int path
+    assert [analysis._independent(counts, total, *p) for p in pairs] == fast
+    assert True in fast and False in fast
 
 
 def test_k_dependence_positive():

@@ -506,6 +506,11 @@ VERIFY_SHA256 = {
     "mobius": (0, "7755ffba90d4851404c76311c581b7345b527686ea5f44baecc2622d3c5cd893"),
     "partition --max-n 9":
         (0, "adbe17e22c9936dcd773e72ee29957fe2db8350f963051f3565a9c007abb0423"),
+    "marginals": (0, "a50cd7638dfe269fc28eb2ae80b98adaa0cf0e2ffdf073cf2a8063a91248b93e"),
+    "marginals --max-n 8":
+        (0, "1c4334c7646a0ae8129dc1cd3f6f912fc7e4a7d3555f7df48be0ecbf191c5d08"),
+    "coupling --max-n 8":
+        (0, "04ad2d44c4021177b54f55957c7eadeef0d98f61d2918b92407fc002a656154d"),
 }
 
 

@@ -293,12 +293,47 @@ def _one_slot_right(insert, cyc, p, ci, table):
         (lambda insert, cyc, p, ci, table: insert(cyc, p, 0, table), 4),
         (_one_slot_right, 3),
         (_one_slot_right, 4),
+        (lambda insert, cyc, p, ci, table: None, 4),  # a step that adds no color
     ],
 )
 def test_eden_vs_necklace_kernel_check_can_fail(monkeypatch, wrong, q):
     insert = growth._insert
     monkeypatch.setattr(growth, "_insert", lambda *args: wrong(insert, *args))
     assert not eden_vs_necklace_kernel_check(4, q)
+
+
+@pytest.mark.parametrize("q", [3, 4, 5])
+def test_numpy_necklace_rows_match_insertion_rows(q):
+    """The keys of ``_necklace_codes`` (``_block_keys``), decoded per state,
+    count the rotated tuples that ``_insertion_row`` counts."""
+    for n in range(2, 7):
+        words = [t for t in product(range(1, q + 1), repeat=n) if tuple_is_cyclically_proper(t)]
+        keys = growth._block_keys(*growth._necklace_codes(np.array(words), q), n + 1, q)
+        rows, codes = np.divmod(keys, q ** (n + 1))
+        digits = codes[:, None] // q ** np.arange(n, -1, -1) % q + 1  # first color most significant
+        counted = [Counter() for _ in words]
+        for row, word in zip(rows.tolist(), map(tuple, digits.tolist())):
+            counted[row][word] += 1
+        for t, row in zip(words, counted):
+            assert row == _insertion_row(t, q), t
+
+
+def test_eden_vs_necklace_kernel_check_catches_a_fault_in_a_late_block(monkeypatch):
+    """At (7, 4) the 2,184 states span 9 blocks; the states with first
+    color 4 come last, past the first 6 blocks, and only their step is
+    broken: the stacked vertex always goes into the first gap."""
+    n, q = 7, 4
+    states = np.argwhere(cycle_counts(n, q)) + 1
+    assert len(states) == 2184
+    assert (states[: 6 * growth._BLOCK_STATES, 0] != q).all()
+    assert eden_vs_necklace_kernel_check(n, q)
+    insert = growth._insert
+
+    def broken(cyc, p, ci, table):
+        insert(cyc, 1 if cyc[0] == q else p, ci, table)
+
+    monkeypatch.setattr(growth, "_insert", broken)
+    assert not eden_vs_necklace_kernel_check(n, q)
 
 
 def test_eden_read_from_start():
