@@ -43,7 +43,7 @@ from typing import Callable, Iterable, Iterator, Optional
 import numpy as np
 
 from .dist import ExactDist, Kernel
-from .recurrence import line_window_law
+from .recurrence import _INT64_MAX, line_window_law
 from .words import Word, insertion_orbits, rotations
 
 BinaryState = tuple[int, ...]
@@ -108,7 +108,7 @@ def _perm_descents(m: int, cyclic: bool) -> np.ndarray:
     f + [f >= j] and l to j, so the new counts are suffix sums over l. The
     cyclic closing bit is [l > f]. The counts total m!, checked to fit int64.
     """
-    if math.factorial(m) > np.iinfo(np.int64).max:
+    if math.factorial(m) > _INT64_MAX:
         raise OverflowError(f"{m}! permutations do not fit int64")
     a = np.ones((1, 1, 1), dtype=np.int64)  # a[bits, f, l], one value placed
     for k in range(1, m):

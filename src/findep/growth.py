@@ -79,6 +79,7 @@ from .dist import ExactDist, Kernel
 # b_circ is no longer called here, but perfbench's self-test checks that its
 # tracer rebinds it at this lookup site, so the name stays.
 from .recurrence import b_circ, cycle_counts  # noqa: F401
+from .recurrence import _INT64_MAX
 from .words import Word, insertion_orbits, rotl, tuple_is_cyclically_proper
 
 __all__ = [
@@ -709,7 +710,7 @@ def eden_vs_necklace_kernel_check(n: int, q: int) -> bool:
     canonicalized. ``OverflowError`` if a key could leave int64.
     """
     m = n + 1
-    if _BLOCK_STATES * q**m > np.iinfo(np.int64).max:
+    if _BLOCK_STATES * q**m > _INT64_MAX:
         raise OverflowError(f"{_BLOCK_STATES} states times {q}**{m} codes do not fit int64")
     table = _allowed_table(q)
     states = np.argwhere(cycle_counts(n, q)) + 1

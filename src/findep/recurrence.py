@@ -89,6 +89,8 @@ _ENUM_LIMIT = 1 << 27
 _CHUNK = 1 << 22
 # A level of 2**31 int64 counts would take 16 GiB, so none is built.
 _CELL_LIMIT = 1 << 31
+# The one int64 bound every overflow guard of the package compares with.
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 def is_theorem_grade(k: int, q: int) -> bool:

@@ -26,6 +26,7 @@ from .chains import ChainVariant
 # cycle_law is no longer called here, but perfbench's self-test checks that
 # its tracer rebinds it at this lookup site, so the name stays.
 from .recurrence import cycle_law  # noqa: F401
+from .recurrence import _INT64_MAX
 from .words import symbols_text
 
 __all__ = ["SIZES", "SUITES", "kdep_report", "run_all", "run_suite"]
@@ -57,9 +58,6 @@ def _check_levels(levels: Iterable[tuple[int, int]]) -> None:
 def _word_at(code: int, n: int, q: int) -> str:
     """Text of the length-n word with base-q code ``code``."""
     return symbols_text([int(i) + 1 for i in np.unravel_index(code, (q,) * n)], q)
-
-
-_INT64_MAX = np.iinfo(np.int64).max
 
 
 def _scaled_equal(x: np.ndarray, a: int, y: np.ndarray, b: int) -> np.ndarray:
