@@ -20,7 +20,7 @@ from typing import Iterable, Iterator, Optional, Union
 from . import __version__
 from .analysis import _check_alpha, chi_square_gof, min_gof_samples
 from .errors import BudgetExceeded
-from .growth import _eden_bounds, _eden_word, _necklace_bounds, _necklace_word, replicate_draws
+from .growth import _eden_bounds, _eden_words, _necklace_bounds, _necklace_words, _replicate_blocks
 # The public samplers are not called here (they draw a replicate through its
 # own RngStream), but perfbench's self-test checks that its tracer rebinds
 # them at this lookup site, so the names stay.
@@ -28,7 +28,7 @@ from .growth import eden_sample, necklace_sample  # noqa: F401
 from .recurrence import DEFAULT_BUDGET, _check_k, _law_counts
 from .recurrence import cycle_law, is_theorem_grade
 from .suites import SUITES, kdep_report, run_all, run_suite
-from .words import Word, row_texts, symbols_text
+from .words import Word, row_texts
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -129,10 +129,10 @@ def _cmd_exact(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-# sampler name -> (bounds of a replicate's draws, word from those draws)
+# sampler name -> (bounds of a replicate's draws, words from a block of draw rows)
 _SAMPLERS = {
-    "necklace": (_necklace_bounds, _necklace_word),
-    "eden": (_eden_bounds, _eden_word),
+    "necklace": (_necklace_bounds, _necklace_words),
+    "eden": (_eden_bounds, _eden_words),
 }
 
 
@@ -140,7 +140,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     if args.reps < 1:
         raise ValueError(f"--reps must be at least 1, got {args.reps}")
     seed = _setting(args.seed, "FINDEP_SEED", 0)
-    bounds_of, word_of = _SAMPLERS[args.sampler]
+    bounds_of, words_of = _SAMPLERS[args.sampler]
     bounds = bounds_of(args.n, args.q)
     # The GoF's arguments, and flags that would be ignored, are checked
     # before any draw.
@@ -160,9 +160,11 @@ def _cmd_sample(args: argparse.Namespace) -> int:
             if value is not None:
                 raise ValueError(f"{flag} applies only with --gof")
     # Row r holds RngStream(seed, r).indices(bounds): replicate r draws from
-    # stream r. Words are kept as text, a fraction of a Word's memory.
-    texts = [symbols_text(word_of(args.n, args.q, row), args.q)
-             for row in replicate_draws(seed, args.reps, bounds)]
+    # stream r. A block's words become text at once, and are kept only as
+    # text, a fraction of a Word's memory.
+    texts = []
+    for block in _replicate_blocks(seed, args.reps, bounds):
+        texts += row_texts(words_of(args.n, args.q, block), args.q)
 
     sample_meta = {
         "schema": _SCHEMA_SAMPLES,

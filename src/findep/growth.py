@@ -38,21 +38,29 @@ a deterministic function of its whole index sequence (``_necklace_word``,
 ``_eden_word``, which return the symbol tuple). ``necklace_sample`` and
 ``eden_sample`` take that sequence from one ``RngStream.indices`` call;
 the CLI takes the same values for every replicate from
-``replicate_draws``, which computes a block of replicates' streams at
-once with numpy arithmetic and checks each block against ``RngStream``.
-The values equal those of the step-by-step API (``RngStream.index`` with
+``_replicate_blocks``, which computes a block of replicates' streams at
+once with numpy arithmetic, as one int64 array, and checks each block
+against ``RngStream`` (``replicate_draws`` lists the same rows). The
+values equal those of the step-by-step API (``RngStream.index`` with
 ``insert_with_rotation``, or ``eden_init``, ``eden_step`` and
 ``eden_read``), which stays as the literal form of each procedure and is
 the reference the tests compare the samplers against.
 
-Both samplers grow a plain list of colors with one insertion step
+The per-row builders grow a plain list of colors with one insertion step
 (``_insert``). The necklace loop keeps its beads with a rotation offset,
 so a step inserts one bead and moves the offset instead of copying and
 rotating the word. The Eden loop keeps only the outer colors: the tree
 never affects the coloring, and gap i of the list stands for the boundary
 tree vertex of the literal state's gap i. ``eden_init`` validates the
 literal state it builds; ``eden_step`` does not, since a step only
-inserts a color drawn from ``allowed_colors`` of its neighbors.
+inserts a color drawn from ``allowed_colors`` of its neighbors. The CLI
+builds a whole block of draw rows at once (``_necklace_words``,
+``_eden_words``): up to ``_VECTOR_MAX_N`` beads, or for any n when
+q > ``_TABLE_MAX_Q``, numpy runs the same step on every row of the block
+(``_insert_columns``: columns shifted under a mask, the allowed color by
+arithmetic, ``_allowed_color``) and rotates each row once at the end;
+otherwise the block is built by the per-row loop, which is faster for
+long words.
 
 Interior dual structure is never materialized beyond the colors already
 fixed: a read needs only the outer face, and interior colors never change.
@@ -141,7 +149,7 @@ class RngStream:
 # ``RngStream(seed, r)`` is PCG64 (XSL-RR output, O'Neill 2014) seeded by
 # ``SeedSequence(entropy=seed, spawn_key=(r,))``, and ``indices`` bounds each
 # 32-bit half of its outputs, low half first, by Lemire's multiply-shift
-# (Lemire 2019). ``replicate_draws`` runs the same arithmetic on uint32 and
+# (Lemire 2019). ``_replicate_blocks`` runs the same arithmetic on uint32 and
 # uint64 arrays for a block of replicates. A 128-bit number is a (high, low)
 # pair of uint64 arrays; uint64 products wrap mod 2**64.
 
@@ -273,17 +281,27 @@ def _xsl_rr(high: np.ndarray, low: np.ndarray) -> np.ndarray:
 
 
 def replicate_draws(seed: int, reps: int, bounds: Sequence[int]) -> Iterator[list[int]]:
-    """``RngStream(seed, r).indices(bounds)`` for r = 0..reps-1, in order.
+    """``RngStream(seed, r).indices(bounds)`` for r = 0..reps-1, in order:
+    the rows of ``_replicate_blocks``, each listed as Python ints."""
+    # rows are listed one at a time: a block's lists of Python ints would
+    # take several times the array's memory
+    return (row.tolist() for block in _replicate_blocks(seed, reps, bounds) for row in block)
+
+
+def _replicate_blocks(seed: int, reps: int, bounds: Sequence[int]) -> Iterator[np.ndarray]:
+    """The rows ``RngStream(seed, r).indices(bounds)`` for r = 0..reps-1, in
+    order, as int64 arrays of a block of rows each.
 
     Computes a block of replicates at once: their seeding, every PCG64
     output of a row (state k is A_k * state + C_k * inc, one broadcast) and
     the Lemire products. A row whose Lemire leftover falls below numpy's
     threshold (a rejection, which draws again; its chance is below
-    b / 2**32 per draw) is taken from ``RngStream`` instead, and so is the
-    first row of each block, which must equal the computed one. Raises
+    b / 2**32 per draw) is taken from ``RngStream`` instead, and the first
+    row of each block must equal its ``RngStream`` draws. Raises
     ValueError up front for a negative seed, more than 2**32 replicates
     (the spawn key must be one uint32 word) or a bound outside [1, 2**32]
-    (larger bounds take numpy's 64-bit path, which is not modelled here).
+    (larger bounds take numpy's 64-bit path, which is not modelled here);
+    the blocks themselves are computed lazily.
     """
     seed = int(seed)
     words = _seed_words(seed)
@@ -292,11 +310,11 @@ def replicate_draws(seed: int, reps: int, bounds: Sequence[int]) -> Iterator[lis
         raise ValueError(f"at most 2**32 replicates share a seed, got {reps}")
     if bounds.size and not (bounds.min() >= 1 and bounds.max() <= 2**32):
         raise ValueError(f"bounds must lie in [1, 2**32], got {bounds.min()}..{bounds.max()}")
-    return _replicate_rows(seed, words, reps, bounds)
+    return _draw_blocks(seed, words, reps, bounds)
 
 
-def _replicate_rows(seed: int, words: list[int], reps: int, bounds: np.ndarray
-                    ) -> Iterator[list[int]]:
+def _draw_blocks(seed: int, words: list[int], reps: int, bounds: np.ndarray
+                 ) -> Iterator[np.ndarray]:
     live = np.flatnonzero(bounds > 1)  # a bound of 1 draws no bits
     b = bounds[live].astype(np.uint64)
     n_out = (len(live) + 1) // 2
@@ -305,20 +323,18 @@ def _replicate_rows(seed: int, words: list[int], reps: int, bounds: np.ndarray
     for r0 in range(0, reps, per_block):
         spawn = np.arange(r0, min(r0 + per_block, reps), dtype=np.uint32)
         values, rejected = _lemire_draws(_pcg64_seeded(words, spawn), jumps, b)
-        rows = np.zeros((len(spawn), len(bounds)), dtype=np.uint64)
-        rows[:, live] = values
+        block = np.zeros((len(spawn), len(bounds)), dtype=np.int64)
+        block[:, live] = values  # every draw is below 2**32
         del values
-        for i, row in enumerate(rows):
-            # rows are listed one at a time: a block's lists of Python ints
-            # would take several times the array's memory
-            row = RngStream(seed, r0 + i).indices(bounds) if rejected[i] else row.tolist()
-            if i == 0 and row != RngStream(seed, r0).indices(bounds):
-                raise RuntimeError(
-                    f"replicate {r0} of seed {seed} differs from numpy's own draws; "
-                    "numpy's PCG64, SeedSequence or bounded integers have changed"
-                )
-            yield row
-        del rows, row  # before the next block's arrays
+        for i in np.flatnonzero(rejected).tolist():
+            block[i] = RngStream(seed, r0 + i).indices(bounds)
+        if block[0].tolist() != RngStream(seed, r0).indices(bounds):
+            raise RuntimeError(
+                f"replicate {r0} of seed {seed} differs from numpy's own draws; "
+                "numpy's PCG64, SeedSequence or bounded integers have changed"
+            )
+        yield block
+        del block  # before the next block's arrays
 
 
 def _lemire_draws(seeded, jumps, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -647,6 +663,101 @@ def _eden_word(n: int, q: int, draws: Sequence[int]) -> tuple[int, ...]:
         _insert(outer, gap_index + 1, color_index, table)
     start = draws[-1]
     return tuple(outer[start:] + outer[:start])
+
+
+# -- a block of words at once -------------------------------------------------
+#
+# The CLI builds the words of a whole block of draw rows per call. Up to
+# _VECTOR_MAX_N beads, numpy runs each insertion step on every row of the
+# block at once. Per word, the Python loop of ``_necklace_word`` and
+# ``_eden_word`` against numpy (q = 4, best of five, 2-core box, Python
+# 3.11.7, numpy 2.4.6): necklace 7.7 -> 1.2 us at n = 8, 33 -> 28 us at
+# n = 64 and 60 -> 81 us at n = 128; Eden 4.6 -> 0.9, 25 -> 17 and 41 ->
+# 56 us. numpy's cost per call dominates a block of few long rows, so a
+# longer word is built by the loop, unless q > _TABLE_MAX_Q: the loop's
+# ``_allowed_table(q)`` has (q+1)**2 (q-2) entries, 1.2 GB at q = 400.
+_VECTOR_MAX_N = 64
+_TABLE_MAX_Q = 32
+# Column offsets of a gap's left and right neighbours from the column after it.
+_NEIGHBOURS = np.array([-1, 0])
+
+
+def _allowed_color(a, b, ci):
+    """``allowed_colors(q, a, b)[ci]`` for a != b, elementwise on arrays:
+    the (ci+1)-th integer from 1 up, skipping min(a, b) and then max(a, b)."""
+    c = ci + 1
+    c += c >= np.minimum(a, b)
+    c += c >= np.maximum(a, b)
+    return c
+
+
+def _builds_by_rows(n: int, q: int) -> bool:
+    """Whether the block builders loop the per-row word builders."""
+    return n > _VECTOR_MAX_N and q <= _TABLE_MAX_Q
+
+
+def _word_rows(word_of, n: int, q: int, draws: np.ndarray) -> np.ndarray:
+    # rows are listed one at a time: a block's lists of Python ints would
+    # take several times the array's memory
+    return np.array([word_of(n, q, row.tolist()) for row in draws],
+                    dtype=np.int64).reshape(len(draws), n)
+
+
+def _first_columns(n: int, draws: np.ndarray) -> np.ndarray:
+    """An (R, n) array whose first three columns hold ``_first_colors`` of
+    each row of draws; the other columns are not set."""
+    words = np.empty((len(draws), n), dtype=np.int64)
+    c1 = draws[:, 0] + 1
+    c2 = draws[:, 1] + 1
+    c2 += c2 >= c1
+    words[:, 0], words[:, 1], words[:, 2] = c1, c2, _allowed_color(c1, c2, draws[:, 2])
+    return words
+
+
+def _insert_columns(words: np.ndarray, m: int, p: np.ndarray, ci: np.ndarray) -> None:
+    """``_insert`` on every row at once: each row's cyclic list is its first
+    m columns, and gets ``allowed_colors(q, left, right)[ci]`` of the
+    neighbours of column p (in [0, m]) inserted just before that column."""
+    rows = np.arange(len(words))
+    left, right = words[rows[:, None], (p[:, None] + _NEIGHBOURS) % m].T
+    # copyto copies through a buffer when, as here, source and target overlap
+    np.copyto(words[:, 1:m + 1], words[:, :m], where=np.arange(1, m + 1) > p[:, None])
+    words[rows, p] = _allowed_color(left, right, ci)
+
+
+def _rotated(words: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """Each row rotated left by its shift in [0, n)."""
+    n = words.shape[1]
+    return np.take_along_axis(words, (shift[:, None] + np.arange(n)) % n, axis=1)
+
+
+def _necklace_words(n: int, q: int, draws: np.ndarray) -> np.ndarray:
+    """``_necklace_word`` of each row of ``draws``, an int64 array of rows
+    of draws for ``_necklace_bounds(n, q)``, as an (R, n) array of colors."""
+    if _builds_by_rows(n, q):
+        return _word_rows(_necklace_word, n, q, draws)
+    words = _first_columns(n, draws)
+    # As in _necklace_word, a row's word is its columns rotated left by off.
+    off = np.zeros(len(draws), dtype=np.int64)
+    for m in range(3, n):
+        i0, ci, r = draws[:, 3 * m - 6], draws[:, 3 * m - 5], draws[:, 3 * m - 4]
+        p = (off + i0) % m
+        _insert_columns(words, m, p, ci)
+        off += p < off
+        off += r
+        off %= m + 1
+    return _rotated(words, off)
+
+
+def _eden_words(n: int, q: int, draws: np.ndarray) -> np.ndarray:
+    """``_eden_word`` of each row of ``draws``, an int64 array of rows of
+    draws for ``_eden_bounds(n, q)``, as an (R, n) array of colors."""
+    if _builds_by_rows(n, q):
+        return _word_rows(_eden_word, n, q, draws)
+    words = _first_columns(n, draws)
+    for m in range(3, n):
+        _insert_columns(words, m, draws[:, 2 * m - 3] + 1, draws[:, 2 * m - 2])
+    return _rotated(words, draws[:, -1])
 
 
 # States per block of ``eden_vs_necklace_kernel_check``: a bound on its

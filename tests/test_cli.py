@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from findep import cli, recurrence
+from findep import cli, growth, recurrence
 from findep.cli import main
 from findep.dist import ExactDist
 from findep.recurrence import cycle_law, is_theorem_grade, line_window_law
@@ -283,16 +283,59 @@ def test_sample_block_output_is_pinned(capsys, args):
     assert hashlib.sha256(out.encode()).hexdigest() == SAMPLE_SHA256[args]
 
 
+# (exit code, sha256 of stdout) of `findep sample <args>`, recorded while every
+# word was still built row by row in Python: both sides of the block
+# builders' n <= 64 selection, comma-joined texts (q > 9), and q = 400,
+# whose per-row color table took 1.2 GB.
+ROW_BUILT_SHA256 = {
+    "necklace --n 64 --q 4 --reps 300 --seed 9":
+        (0, "bccccb8462b389f757b013c2e226a898ca8597f4f92fd6bf99ec7801eb3b27ff"),
+    "necklace --n 65 --q 4 --reps 300 --seed 9":
+        (0, "85a9a73db8efa61652fcb6bd57a5c01e59040e7bc89aab43e9d088f5802d72d5"),
+    "eden --n 6 --q 11 --reps 400 --seed 2":
+        (0, "ff7a0c515ce192f3e05e744a32328cb7fd1ee0151a6964b8a51258537120c340"),
+    "eden --n 4 --q 10 --reps 5000 --seed 2 --gof":
+        (0, "9f88f7c557933cde9ab4200765f6f3eee8dad407c9124abdf174fc2677e1bfc6"),
+    "necklace --n 5 --q 400 --reps 1":
+        (0, "02c60fafe3f14bca768b8a5d132ffb9cdca54d031f0494264eb26c9f9426a372"),
+}
+
+
+@pytest.mark.parametrize("args", sorted(ROW_BUILT_SHA256))
+def test_sample_row_built_output_is_pinned(capsys, args):
+    code, out, _ = run(capsys, "sample", *args.split())
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == ROW_BUILT_SHA256[args]
+
+
+def test_sample_builds_no_color_table_above_q_32(capsys, monkeypatch):
+    """n = 100 is past the numpy builders' n <= 64, but at q = 120 the
+    per-row table would hold 121**2 * 118 entries: the words are built in
+    numpy all the same, with the output recorded from the per-row path."""
+    table = growth._allowed_table
+
+    def small_tables_only(q):
+        if q > 32:
+            raise AssertionError(f"a color table for q = {q} was built")
+        return table(q)
+
+    monkeypatch.setattr(growth, "_allowed_table", small_tables_only)
+    code, out, _ = run(capsys, "sample", "eden", "--n", "100", "--q", "120",
+                       "--reps", "20", "--seed", "5")
+    assert code == 0
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == "e2aefc372e424c24faba4b17a785d9dadf40b974dc56d02494d79de4324f328a")
+
+
 @pytest.fixture
 def no_draws(monkeypatch):
     """Fail the test if `sample` computes any replicate's draws."""
-    checked = cli.replicate_draws
+    checked = cli._replicate_blocks
 
     def argument_checks_only(seed, reps, bounds):
-        checked(seed, reps, bounds)  # checks its arguments; the rows are lazy
+        checked(seed, reps, bounds)  # checks its arguments; the blocks are lazy
         raise AssertionError("a replicate was drawn")
 
-    monkeypatch.setattr(cli, "replicate_draws", argument_checks_only)
+    monkeypatch.setattr(cli, "_replicate_blocks", argument_checks_only)
 
 
 @pytest.mark.parametrize(

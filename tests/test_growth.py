@@ -431,6 +431,63 @@ def test_word_builders_have_the_exact_cycle_law(word_of, bounds_of, n, q):
         assert count * z == int(level[tuple(c - 1 for c in w)]) * len(rows), w
 
 
+def test_allowed_color_arithmetic_matches_allowed_colors():
+    rnd = random.Random(20)
+    cases = []
+    for _ in range(3000):
+        q = rnd.randint(3, 400)
+        a, b = rnd.sample(range(1, q + 1), 2)
+        cases.append((q, a, b, rnd.randrange(q - 2)))
+    cases += [(400, 1, 2, 0), (400, 399, 400, 397), (400, 400, 1, 397), (3, 3, 1, 0)]
+    want = [allowed_colors(q, a, b)[ci] for q, a, b, ci in cases]
+    _, a, b, ci = np.array(cases).T
+    assert growth._allowed_color(a, b, ci).tolist() == want
+
+
+@pytest.mark.parametrize(
+    "words_of,word_of,bounds_of",
+    [(growth._necklace_words, _necklace_word, _necklace_bounds),
+     (growth._eden_words, _eden_word, _eden_bounds)],
+    ids=["necklace", "eden"],
+)
+@pytest.mark.parametrize("q", [3, 4, 7, 10])
+def test_block_builders_match_per_row_builders(monkeypatch, words_of, word_of, bounds_of, q):
+    """On both sides of ``_VECTOR_MAX_N``, the block builder's rows equal
+    the per-row builder on the literal streams, for blocks of 3 rows (the
+    last of 1) from ``_replicate_blocks``. Each block's row 1 is forced
+    to be recomputed, as a rejected row, after its values were zeroed."""
+    lemire_draws = growth._lemire_draws
+
+    def rejecting_row_1(seeded, jumps, b):
+        values, rejected = lemire_draws(seeded, jumps, b)
+        values[1:2] = 0
+        rejected[1:2] = True
+        return values, rejected
+
+    monkeypatch.setattr(growth, "_lemire_draws", rejecting_row_1)
+    recomputed = []
+    indices = RngStream.indices
+
+    def counted(self, b):
+        recomputed.append(self.stream)
+        return indices(self, b)
+
+    seed, reps = 2**32 + 7, 7
+    for n in range(3, growth._VECTOR_MAX_N + 3):
+        bounds = bounds_of(n, q)
+        want = [word_of(n, q, row) for row in _literal_rows(seed, reps, bounds)]
+        n_out = (int((bounds > 1).sum()) + 1) // 2
+        monkeypatch.setattr(growth, "_BLOCK_OUTPUTS", 3 * n_out)
+        monkeypatch.setattr(RngStream, "indices", counted)
+        got = [words_of(n, q, block) for block in growth._replicate_blocks(seed, reps, bounds)]
+        monkeypatch.setattr(RngStream, "indices", indices)
+        assert [len(block) for block in got] == [3, 3, 1], n
+        assert list(map(tuple, np.concatenate(got).tolist())) == want, n
+        # rows 1 and 4 are recomputed, rows 0, 3 and 6 are checked
+        assert sorted(recomputed) == [0, 1, 3, 4, 6], n
+        recomputed.clear()
+
+
 @pytest.mark.parametrize("seed", [0, 1, 99])
 def test_indices_equal_index_draws(seed):
     edge = [1, 2, 3, 1, 1, 2**31, 2**32 - 1, 2**32, 2**32 + 1, 2**33, 2**62, 1]
