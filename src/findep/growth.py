@@ -55,12 +55,12 @@ tree vertex of the literal state's gap i. ``eden_init`` validates the
 literal state it builds; ``eden_step`` does not, since a step only
 inserts a color drawn from ``allowed_colors`` of its neighbors. The CLI
 builds a whole block of draw rows at once (``_necklace_words``,
-``_eden_words``): up to ``_VECTOR_MAX_N`` beads, or for any n when
-q > ``_TABLE_MAX_Q``, numpy runs the same step on every row of the block
-(``_insert_columns``: columns shifted under a mask, the allowed color by
-arithmetic, ``_allowed_color``) and rotates each row once at the end;
-otherwise the block is built by the per-row loop, which is faster for
-long words.
+``_eden_words``): up to ``_VECTOR_MAX_N`` beads, numpy runs the same step
+on every row of the block (``_insert_columns``: columns shifted under a
+mask, the allowed color by ``_allowed_color``) and rotates each row once
+at the end; longer words are built by the per-row loop, which is faster
+for them. Both count the allowed color up from 1, skipping the two
+neighbour colors, so no step keeps a table over q.
 
 Interior dual structure is never materialized beyond the colors already
 fixed: a read needs only the outer face, and interior colors never change.
@@ -370,20 +370,19 @@ def allowed_colors(q: int, a: int, b: int) -> list[int]:
     return [c for c in range(1, q + 1) if c != a and c != b]
 
 
-@lru_cache(maxsize=16)
-def _allowed_table(q: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """``_allowed_table(q)[a][b] == tuple(allowed_colors(q, a, b))`` for a, b in [0, q]."""
-    return tuple(
-        tuple(tuple(allowed_colors(q, a, b)) for b in range(q + 1))
-        for a in range(q + 1)
-    )
-
-
-def _insert(cyc: list[int], p: int, ci: int, table) -> None:
+def _insert(cyc: list[int], p: int, ci: int) -> None:
     """Insert into the cyclic color list ``cyc``, just before index p, the
-    color ``allowed_colors(q, cyc[p-1], cyc[p % len])[ci]`` (``table`` is
-    ``_allowed_table(q)``): the one insertion step of both samplers."""
-    cyc.insert(p, table[cyc[p - 1]][cyc[p % len(cyc)]][ci])
+    color ``allowed_colors(q, cyc[p-1], cyc[p % len])[ci]``, counted up as
+    ``_allowed_color`` does: the one insertion step of both samplers."""
+    a, b = cyc[p - 1], cyc[p % len(cyc)]
+    if a > b:
+        a, b = b, a
+    c = ci + 1
+    if c >= a:
+        c += 1
+        if c >= b:
+            c += 1
+    cyc.insert(p, c)
 
 
 def _frozen_bounds(bounds: list[int]) -> np.ndarray:
@@ -450,8 +449,7 @@ def _insertion_row(t: tuple[int, ...], q: int) -> Counter:
     """Outcome counts of one insertion step from the cyclic word t: the
     ``insertion_orbits`` of every color differing from the neighbors at the
     gap, n (q-2) (n+1) triples of weight 1."""
-    table = _allowed_table(q)
-    return insertion_orbits(t, lambda a, b: table[a][b])
+    return insertion_orbits(t, lambda a, b: allowed_colors(q, a, b))
 
 
 def coupling_kernel(n: int, q: int) -> Kernel:
@@ -491,13 +489,12 @@ def necklace_sample(n: int, q: int, rng: RngStream) -> Word:
 def _necklace_word(n: int, q: int, draws: Sequence[int]) -> tuple[int, ...]:
     """The symbols of the necklace word that the draws for
     ``_necklace_bounds(n, q)`` give."""
-    table = _allowed_table(q)
     # The word is phys[off:] + phys[:off].
     phys = list(_first_colors(q, *draws[:3]))
     off = 0
     for m, i0, ci, r in zip(range(3, n), draws[3::3], draws[4::3], draws[5::3]):
         p = (off + i0) % m
-        _insert(phys, p, ci, table)
+        _insert(phys, p, ci)
         if p < off:
             off += 1
         off = (off + r) % (m + 1)
@@ -657,10 +654,9 @@ def _eden_word(n: int, q: int, draws: Sequence[int]) -> tuple[int, ...]:
     """The symbols of the Eden word that the draws for ``_eden_bounds(n, q)``
     give. Gap i sits between ``outer[i]`` and ``outer[(i+1) % len]``, so the
     stacked vertex goes in at index i+1."""
-    table = _allowed_table(q)
     outer = list(_first_colors(q, *draws[:3]))
     for gap_index, color_index in zip(draws[3:-1:2], draws[4:-1:2]):
-        _insert(outer, gap_index + 1, color_index, table)
+        _insert(outer, gap_index + 1, color_index)
     start = draws[-1]
     return tuple(outer[start:] + outer[:start])
 
@@ -670,14 +666,12 @@ def _eden_word(n: int, q: int, draws: Sequence[int]) -> tuple[int, ...]:
 # The CLI builds the words of a whole block of draw rows per call. Up to
 # _VECTOR_MAX_N beads, numpy runs each insertion step on every row of the
 # block at once. Per word, the Python loop of ``_necklace_word`` and
-# ``_eden_word`` against numpy (q = 4, best of five, 2-core box, Python
-# 3.11.7, numpy 2.4.6): necklace 7.7 -> 1.2 us at n = 8, 33 -> 28 us at
-# n = 64 and 60 -> 81 us at n = 128; Eden 4.6 -> 0.9, 25 -> 17 and 41 ->
-# 56 us. numpy's cost per call dominates a block of few long rows, so a
-# longer word is built by the loop, unless q > _TABLE_MAX_Q: the loop's
-# ``_allowed_table(q)`` has (q+1)**2 (q-2) entries, 1.2 GB at q = 400.
+# ``_eden_word`` against numpy (q = 4, best of nine, 2-core box, Python
+# 3.11.7, numpy 2.4.6): necklace 7.2 -> 1.1 us at n = 8, 44 -> 28 us at
+# n = 64 and 88 -> 92 us at n = 128; Eden 6.0 -> 0.9, 32 -> 22 and 62 ->
+# 69 us. numpy's cost per call dominates a block of few long rows, so a
+# longer word is built by the loop.
 _VECTOR_MAX_N = 64
-_TABLE_MAX_Q = 32
 # Column offsets of a gap's left and right neighbours from the column after it.
 _NEIGHBOURS = np.array([-1, 0])
 
@@ -689,11 +683,6 @@ def _allowed_color(a, b, ci):
     c += c >= np.minimum(a, b)
     c += c >= np.maximum(a, b)
     return c
-
-
-def _builds_by_rows(n: int, q: int) -> bool:
-    """Whether the block builders loop the per-row word builders."""
-    return n > _VECTOR_MAX_N and q <= _TABLE_MAX_Q
 
 
 def _word_rows(word_of, n: int, q: int, draws: np.ndarray) -> np.ndarray:
@@ -734,7 +723,7 @@ def _rotated(words: np.ndarray, shift: np.ndarray) -> np.ndarray:
 def _necklace_words(n: int, q: int, draws: np.ndarray) -> np.ndarray:
     """``_necklace_word`` of each row of ``draws``, an int64 array of rows
     of draws for ``_necklace_bounds(n, q)``, as an (R, n) array of colors."""
-    if _builds_by_rows(n, q):
+    if n > _VECTOR_MAX_N:
         return _word_rows(_necklace_word, n, q, draws)
     words = _first_columns(n, draws)
     # As in _necklace_word, a row's word is its columns rotated left by off.
@@ -752,7 +741,7 @@ def _necklace_words(n: int, q: int, draws: np.ndarray) -> np.ndarray:
 def _eden_words(n: int, q: int, draws: np.ndarray) -> np.ndarray:
     """``_eden_word`` of each row of ``draws``, an int64 array of rows of
     draws for ``_eden_bounds(n, q)``, as an (R, n) array of colors."""
-    if _builds_by_rows(n, q):
+    if n > _VECTOR_MAX_N:
         return _word_rows(_eden_word, n, q, draws)
     words = _first_columns(n, draws)
     for m in range(3, n):
@@ -823,7 +812,6 @@ def eden_vs_necklace_kernel_check(n: int, q: int) -> bool:
     m = n + 1
     if _BLOCK_STATES * q**m > _INT64_MAX:
         raise OverflowError(f"{_BLOCK_STATES} states times {q}**{m} codes do not fit int64")
-    table = _allowed_table(q)
     states = np.argwhere(cycle_counts(n, q)) + 1
     choices = [(gap_index + 1, color_index)
                for gap_index in range(n) for color_index in range(q - 2)]
@@ -832,7 +820,7 @@ def eden_vs_necklace_kernel_check(n: int, q: int) -> bool:
         for t in block.tolist():
             for p, ci in choices:
                 outer = t.copy()
-                _insert(outer, p, ci, table)
+                _insert(outer, p, ci)
                 if len(outer) != m:
                     return False
                 stepped += outer

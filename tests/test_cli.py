@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from findep import cli, growth, recurrence
+from findep import cli, recurrence
 from findep.cli import main
 from findep.dist import ExactDist
 from findep.recurrence import cycle_law, is_theorem_grade, line_window_law
@@ -265,14 +265,28 @@ def test_sample_output_is_pinned(capsys, sampler, q, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-# sha256 of `findep sample <args>` stdout, recorded while every replicate
-# still drew through its own RngStream: many draw blocks, and a seed longer
-# than one uint32 word with long rows.
+# sha256 of `findep sample <args>` stdout. The first two were recorded while
+# every replicate still drew through its own RngStream: many draw blocks,
+# and a seed longer than one uint32 word with long rows. The others were
+# recorded while every word was still built row by row from a table of
+# allowed colors: both sides of the block builders' n <= 64 selection,
+# comma-joined texts (q > 9), and large q (the table took 1.2 GB at
+# q = 400).
 SAMPLE_SHA256 = {
     "necklace --n 40 --q 5 --reps 3000 --seed 1099511627783":
         "c576aaa9ed3b1077465dc59fd6e269202b6e17645d1e6f3d023c558853a0bb25",
     "eden --n 1000 --q 3 --reps 3 --seed 123456789012345678901234567890123":
         "f999e171b2125bfdbc187b5994673f97012817af32256bff3e589e83fb47a4b0",
+    "necklace --n 64 --q 4 --reps 300 --seed 9":
+        "bccccb8462b389f757b013c2e226a898ca8597f4f92fd6bf99ec7801eb3b27ff",
+    "necklace --n 65 --q 4 --reps 300 --seed 9":
+        "85a9a73db8efa61652fcb6bd57a5c01e59040e7bc89aab43e9d088f5802d72d5",
+    "eden --n 6 --q 11 --reps 400 --seed 2":
+        "ff7a0c515ce192f3e05e744a32328cb7fd1ee0151a6964b8a51258537120c340",
+    "necklace --n 5 --q 400 --reps 1":
+        "02c60fafe3f14bca768b8a5d132ffb9cdca54d031f0494264eb26c9f9426a372",
+    "eden --n 100 --q 120 --reps 20 --seed 5":
+        "e2aefc372e424c24faba4b17a785d9dadf40b974dc56d02494d79de4324f328a",
 }
 
 
@@ -281,49 +295,6 @@ def test_sample_block_output_is_pinned(capsys, args):
     code, out, _ = run(capsys, "sample", *args.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == SAMPLE_SHA256[args]
-
-
-# (exit code, sha256 of stdout) of `findep sample <args>`, recorded while every
-# word was still built row by row in Python: both sides of the block
-# builders' n <= 64 selection, comma-joined texts (q > 9), and q = 400,
-# whose per-row color table took 1.2 GB.
-ROW_BUILT_SHA256 = {
-    "necklace --n 64 --q 4 --reps 300 --seed 9":
-        (0, "bccccb8462b389f757b013c2e226a898ca8597f4f92fd6bf99ec7801eb3b27ff"),
-    "necklace --n 65 --q 4 --reps 300 --seed 9":
-        (0, "85a9a73db8efa61652fcb6bd57a5c01e59040e7bc89aab43e9d088f5802d72d5"),
-    "eden --n 6 --q 11 --reps 400 --seed 2":
-        (0, "ff7a0c515ce192f3e05e744a32328cb7fd1ee0151a6964b8a51258537120c340"),
-    "eden --n 4 --q 10 --reps 5000 --seed 2 --gof":
-        (0, "9f88f7c557933cde9ab4200765f6f3eee8dad407c9124abdf174fc2677e1bfc6"),
-    "necklace --n 5 --q 400 --reps 1":
-        (0, "02c60fafe3f14bca768b8a5d132ffb9cdca54d031f0494264eb26c9f9426a372"),
-}
-
-
-@pytest.mark.parametrize("args", sorted(ROW_BUILT_SHA256))
-def test_sample_row_built_output_is_pinned(capsys, args):
-    code, out, _ = run(capsys, "sample", *args.split())
-    assert (code, hashlib.sha256(out.encode()).hexdigest()) == ROW_BUILT_SHA256[args]
-
-
-def test_sample_builds_no_color_table_above_q_32(capsys, monkeypatch):
-    """n = 100 is past the numpy builders' n <= 64, but at q = 120 the
-    per-row table would hold 121**2 * 118 entries: the words are built in
-    numpy all the same, with the output recorded from the per-row path."""
-    table = growth._allowed_table
-
-    def small_tables_only(q):
-        if q > 32:
-            raise AssertionError(f"a color table for q = {q} was built")
-        return table(q)
-
-    monkeypatch.setattr(growth, "_allowed_table", small_tables_only)
-    code, out, _ = run(capsys, "sample", "eden", "--n", "100", "--q", "120",
-                       "--reps", "20", "--seed", "5")
-    assert code == 0
-    assert (hashlib.sha256(out.encode()).hexdigest()
-            == "e2aefc372e424c24faba4b17a785d9dadf40b974dc56d02494d79de4324f328a")
 
 
 @pytest.fixture
@@ -473,12 +444,15 @@ def test_sample_gof_writes_samples_to_out(tmp_path, capsys):
 
 
 # (exit code, sha256 of stdout) of `findep sample <args> --gof`, recorded while
-# the chi-square p-value's scipy import was still at the top of the module.
+# the chi-square p-value's scipy import was still at the top of the module;
+# the last while every word was still built row by row (comma texts, q > 9).
 GOF_SHA256 = {
     "necklace --n 7 --q 3 --reps 2000 --seed 5":
         (0, "a3eb2cd7ff54bd99e91106f59d58deb27883bbe8888a8f36237b8efe20ceb11c"),
     "eden --n 7 --q 4 --reps 1000 --seed 5":
         (0, "09dbd1f48f67aaf51a4ae58873355b5e83768df14bc7bca14a0030b3356e59eb"),
+    "eden --n 4 --q 10 --reps 5000 --seed 2":
+        (0, "9f88f7c557933cde9ab4200765f6f3eee8dad407c9124abdf174fc2677e1bfc6"),
 }
 
 

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from itertools import product
 from pathlib import Path
@@ -279,21 +280,22 @@ def test_eden_vs_necklace_kernel(n, q):
     assert eden_vs_necklace_kernel_check(n, q)
 
 
-def _one_slot_right(insert, cyc, p, ci, table):
+def _one_slot_right(insert, cyc, p, ci):
     """Insert the color that the gap's neighbors chose one slot to its right."""
-    cyc.insert(p + 1, table[cyc[p - 1]][cyc[p % len(cyc)]][ci])
+    insert(cyc, p, ci)
+    cyc.insert(p + 1, cyc.pop(p))
 
 
 @pytest.mark.parametrize(
     "wrong,q",
     [
-        (lambda insert, cyc, p, ci, table: insert(cyc, 1, ci, table), 3),  # always the first gap
-        (lambda insert, cyc, p, ci, table: insert(cyc, 1, ci, table), 4),
+        (lambda insert, cyc, p, ci: insert(cyc, 1, ci), 3),  # always the first gap
+        (lambda insert, cyc, p, ci: insert(cyc, 1, ci), 4),
         # always the first allowed color; at q = 3 there is only one
-        (lambda insert, cyc, p, ci, table: insert(cyc, p, 0, table), 4),
+        (lambda insert, cyc, p, ci: insert(cyc, p, 0), 4),
         (_one_slot_right, 3),
         (_one_slot_right, 4),
-        (lambda insert, cyc, p, ci, table: None, 4),  # a step that adds no color
+        (lambda insert, cyc, p, ci: None, 4),  # a step that adds no color
     ],
 )
 def test_eden_vs_necklace_kernel_check_can_fail(monkeypatch, wrong, q):
@@ -329,8 +331,8 @@ def test_eden_vs_necklace_kernel_check_catches_a_fault_in_a_late_block(monkeypat
     assert eden_vs_necklace_kernel_check(n, q)
     insert = growth._insert
 
-    def broken(cyc, p, ci, table):
-        insert(cyc, 1 if cyc[0] == q else p, ci, table)
+    def broken(cyc, p, ci):
+        insert(cyc, 1 if cyc[0] == q else p, ci)
 
     monkeypatch.setattr(growth, "_insert", broken)
     assert not eden_vs_necklace_kernel_check(n, q)
@@ -442,6 +444,29 @@ def test_allowed_color_arithmetic_matches_allowed_colors():
     want = [allowed_colors(q, a, b)[ci] for q, a, b, ci in cases]
     _, a, b, ci = np.array(cases).T
     assert growth._allowed_color(a, b, ci).tolist() == want
+
+    def inserted(a, b, ci):  # the per-row step, on Python ints
+        cyc = [a, b]
+        growth._insert(cyc, 1, ci)
+        return cyc[1]
+
+    assert [inserted(a, b, ci) for _, a, b, ci in cases] == want
+
+
+def test_samplers_keep_no_color_table_over_q():
+    """The per-row step counts its color up from 1. A table of
+    ``allowed_colors`` over every neighbour pair would hold 121**2 lists
+    of 118 colors at q = 120, about 14 MB (1.2 GB at q = 400). A first
+    draw imports numpy's random modules, so it runs before tracing."""
+    necklace_sample(6, 3, RngStream(0))
+    tracemalloc.start()
+    try:
+        necklace_sample(6, 120, RngStream(0))
+        eden_sample(6, 120, RngStream(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
 
 
 @pytest.mark.parametrize(

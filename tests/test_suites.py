@@ -166,8 +166,11 @@ def test_coupling_transport_fails_on_broken_child_level(monkeypatch):
 
 
 def test_coupling_eden_half_fails_on_off_by_one_gap(monkeypatch):
-    def one_slot_right(cyc, p, ci, table):
-        cyc.insert(p + 1, table[cyc[p - 1]][cyc[p % len(cyc)]][ci])
+    insert = growth._insert
+
+    def one_slot_right(cyc, p, ci):
+        insert(cyc, p, ci)
+        cyc.insert(p + 1, cyc.pop(p))
 
     monkeypatch.setattr(growth, "_insert", one_slot_right)
     rep = suites.coupling_suite(max_n=3)
