@@ -1,10 +1,12 @@
 """Exact operations on distributions, dependence checking, and sampler GoF.
 
-Everything except the chi-square test is exact rational arithmetic with no
-tolerances; the chi-square decision is inherently statistical and is taken
-at a configurable level (default 0.001). All operations are pure. scipy is
-loaded only by ``chi_square_gof``, for its p-value (``sample --gof``), so no
-other command pays for importing it.
+Everything except the chi-square test is exact, on the integer weights
+of ``ExactDist`` (``weights()``) with no tolerances and no ``Fraction``
+arithmetic; the chi-square decision is inherently statistical and is taken
+at a configurable level (default 0.001), and it too pools its cells on
+integers. All operations are pure. scipy is loaded only by
+``chi_square_gof``, for its p-value (``sample --gof``), so no other command
+pays for importing it.
 
 Independence has one engine, ``_independent``: a law as a count tensor with
 one axis per coordinate, the joint marginal of S1 | S2 as a sum over the
@@ -67,27 +69,24 @@ def marginalize(d: ExactDist, coords: Iterable[int]) -> ExactDist:
     if cs and not (1 <= cs[0] and cs[-1] <= n):
         raise ValueError(f"coordinates {cs} not a subset of [1, {n}]")
     coords0 = [c - 1 for c in cs]
-    acc: Counter = Counter()
-    for state, p in d.items():
-        acc[_restrict(state, coords0)] += p
-    return ExactDist(acc)
+    return pushforward(d, lambda state: _restrict(state, coords0))
 
 
 def pushforward(d: ExactDist, f: Callable[[State], State]) -> ExactDist:
     """Exact image law of d under the state map f (total on the support)."""
     acc: Counter = Counter()
-    for state, p in d.items():
-        acc[f(state)] += p
-    return ExactDist(acc)
+    for state, w in d.weights()[0].items():
+        acc[f(state)] += w
+    return ExactDist.from_weights(acc)
 
 
 def _dist_counts(d: ExactDist) -> tuple[np.ndarray, int]:
-    """(counts, total): the law's weights over their common denominator, as
+    """(counts, total): the law's integer weights and their total, as
     int64 of shape (a,)*n, axis i indexing the i-th coordinate's symbol in
     the sorted alphabet of the law's a symbols (Word and tuple states)."""
     weights, total = d.weights()
     if total >= 1 << 63:
-        raise OverflowError(f"common denominator {total} does not fit in int64")
+        raise OverflowError(f"total weight {total} does not fit in int64")
     rows = [tuple(state) for state in weights]
     alphabet = sorted(set().union(*rows))
     a, n = len(alphabet), len(rows[0])
@@ -245,9 +244,11 @@ def symmetry_check(
 
 
 def tv_distance(d1: ExactDist, d2: ExactDist) -> Fraction:
-    """Total variation distance: half the sum of absolute mass differences."""
-    states = set(d1.support) | set(d2.support)
-    return sum((abs(d1.prob(s) - d2.prob(s)) for s in states), Fraction(0)) / 2
+    """Total variation distance: half the sum of absolute mass differences,
+    summed on the weights cross-multiplied by the two totals."""
+    (w1, t1), (w2, t2) = d1.weights(), d2.weights()
+    diff = sum(abs(w1.get(s, 0) * t2 - w2.get(s, 0) * t1) for s in w1.keys() | w2.keys())
+    return Fraction(diff, 2 * t1 * t2)
 
 
 @dataclass(frozen=True)
@@ -271,9 +272,9 @@ def _check_alpha(alpha: float) -> None:
 
 
 def _pool(expected: Sequence, least) -> list[int]:
-    """Pool ascending expectations left to right until each pooled cell
-    expects at least ``least``; a leftover joins the last cell (or is the
-    only one). The end index of each pooled cell."""
+    """Pool ascending expectations (here scaled to integers) left to right
+    until each pooled cell sums to at least ``least``; a leftover joins the
+    last cell (or is the only one). The end index of each pooled cell."""
     ends, acc = [], 0
     for i, e in enumerate(expected, 1):
         acc += e
@@ -324,18 +325,21 @@ def chi_square_gof(
         return GofReport(statistic=float("inf"), dof=0, p_value=0.0, alpha=alpha,
                          passed=False, n_samples=total, n_cells=0, failure_reason=reason)
 
-    # (exact expectation, observed), by expectation
-    cells = sorted(((p * total, counts.get(s, 0)) for s, p in d.sorted_items()),
+    # (weight, observed) by weight, ties by state text; weights summing to w
+    # expect w * total / t samples, at least 5 iff w * total >= 5 * t
+    weights, t = d.weights()
+    cells = sorted(((weights[s], counts.get(s, 0)) for s in sorted(weights, key=state_text)),
                    key=lambda c: c[0])
     pooled, start = [], 0
-    for end in _pool([e for e, _ in cells], 5):
-        pooled.append((sum(e for e, _ in cells[start:end]), sum(o for _, o in cells[start:end])))
+    for end in _pool([w * total for w, _ in cells], 5 * t):
+        pooled.append((sum(w for w, _ in cells[start:end]) * total / t,  # correctly rounded
+                       sum(o for _, o in cells[start:end])))
         start = end
     if len(pooled) < 2:
         raise ValueError(f"{total} samples pool into one cell; a chi-square test "
                          f"needs min_gof_samples(d) = {min_gof_samples(d)}")
     dof = len(pooled) - 1
-    stat = sum((o - float(e)) ** 2 / float(e) for e, o in pooled)
+    stat = sum((o - e) ** 2 / e for e, o in pooled)
     # imported here, not at the top: scipy.special takes longer to import
     # than the rest of findep, and only this p-value needs it
     from scipy.special import gammaincc

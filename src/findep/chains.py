@@ -27,7 +27,8 @@ initial laws forces equality of the laws for every size.
 and the J and Q rows on the states reachable from the initial law (variant
 (ii) states are hard-core: no two cyclically adjacent ones). Every row is
 checked to count each outcome once, so equal counts mean equal laws. The
-``Kernel``/``ExactDist`` functions normalize these same counts.
+``Kernel``/``ExactDist`` functions hold these same counts, reduced by their
+gcd.
 """
 
 from __future__ import annotations
@@ -374,19 +375,12 @@ def iota_two_site_statistic() -> IotaStatReport:
     P(three i.i.d. fair marks agree) = 2 * (1/2)**3 = 1/4 instead; the two
     must differ.
     """
-    pair_law = line_window_law(2, 1, 4)
-    two_site = sum(
-        (p for w, p in pair_law.items() if set(w.symbols) <= {3, 4}),
-        Fraction(0),
-    )
-    site_law = line_window_law(1, 1, 4)
-    single_site = sum(
-        (p for w, p in site_law.items() if w.symbols[0] in (3, 4)),
-        Fraction(0),
-    )
-    block_factor_two_site = 2 * Fraction(1, 2) ** 3
+    pairs, pair_total = line_window_law(2, 1, 4).weights()
+    sites, site_total = line_window_law(1, 1, 4).weights()
     return IotaStatReport(
-        two_site=two_site,
-        block_factor_two_site=block_factor_two_site,
-        single_site=single_site,
+        two_site=Fraction(sum(c for w, c in pairs.items() if set(w.symbols) <= {3, 4}),
+                          pair_total),
+        block_factor_two_site=Fraction(2, 2**3),
+        single_site=Fraction(sum(c for w, c in sites.items() if w.symbols[0] in (3, 4)),
+                             site_total),
     )

@@ -2,8 +2,11 @@
 
 States may be any hashable values; this package uses ``Word`` states for
 colorings, tuples of bits for binary processes, and strings for
-coarse-grained symbols. Probabilities are ``fractions.Fraction`` and every
-operation is exact; no floating point enters these types.
+coarse-grained symbols. A law holds positive Python-int weights reduced by
+their gcd, and their total, so equal laws hold equal weight dicts. Every
+operation runs on these integers: ``prob``, ``items`` and the wire form
+build a ``fractions.Fraction`` only on request, and only the constructor
+from ``Fraction`` masses converts. No floating point enters these types.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
+from operator import index
 from typing import Any, Hashable, Iterable, Iterator, Mapping
 
 from .words import Word
@@ -36,80 +40,74 @@ def state_text(state: State) -> str:
 class ExactDist:
     """A finitely supported probability distribution with exact rational masses.
 
-    Invariants: no zero-probability states in the support, all masses
-    nonnegative, masses sum to exactly 1. Instances are immutable values.
+    Invariants: positive Python-int weights with gcd 1 and ``_total`` their
+    sum; the mass of s is weights[s] / total. Instances are immutable values.
     """
 
-    __slots__ = ("_probs",)
+    __slots__ = ("_weights", "_total")
 
     def __init__(self, probs: Mapping[State, Fraction | int]):
-        clean: dict[State, Fraction] = {}
-        total = Fraction(0)
-        for state, p in probs.items():
-            p = Fraction(p)
-            if p < 0:
-                raise ValueError(f"negative probability {p} for state {state!r}")
-            if p:
-                clean[state] = p
-                total += p
-        if total != 1:
-            raise ValueError(f"probabilities sum to {total}, expected exactly 1")
-        self._probs = clean
+        """Nonnegative masses summing to exactly 1 (``from_weights`` rejects
+        a negative one); zero masses are dropped."""
+        clean = {s: Fraction(p) for s, p in probs.items() if p}
+        if sum(clean.values()) != 1:
+            raise ValueError(f"probabilities sum to {sum(clean.values())}, expected exactly 1")
+        denom = math.lcm(*(p.denominator for p in clean.values()))
+        d = self.from_weights({s: p.numerator * (denom // p.denominator) for s, p in clean.items()})
+        self._weights, self._total = d._weights, d._total
 
     @classmethod
-    def from_weights(cls, weights: Mapping[State, int | Fraction]) -> "ExactDist":
-        """Normalize nonnegative weights into a distribution."""
-        total = sum(weights.values())
-        if total <= 0:
-            raise ValueError("total weight must be positive")
-        return cls({s: Fraction(w, 1) / total for s, w in weights.items()})
+    def from_weights(cls, weights: Mapping[State, int]) -> "ExactDist":
+        """The law proportional to nonnegative integer weights, held as Python
+        ints (numpy ints too); zeros are dropped, other types raise TypeError."""
+        clean = {s: w for s, w in zip(weights, map(index, weights.values())) if w}
+        if not clean or min(clean.values()) < 0:
+            raise ValueError("weights must be nonnegative with a positive total")
+        g = math.gcd(*clean.values())
+        d = cls.__new__(cls)
+        d._weights = clean if g == 1 else {s: w // g for s, w in clean.items()}
+        d._total = sum(d._weights.values())
+        return d
 
     @classmethod
     def point_mass(cls, state: State) -> "ExactDist":
-        return cls({state: Fraction(1)})
+        return cls.from_weights({state: 1})
 
     def prob(self, state: State) -> Fraction:
-        return self._probs.get(state, Fraction(0))
+        return Fraction(self._weights.get(state, 0), self._total)
 
     @property
     def support(self) -> Iterable[State]:
-        return self._probs.keys()
+        return self._weights.keys()
 
-    def items(self) -> Iterable[tuple[State, Fraction]]:
-        return self._probs.items()
+    def items(self) -> list[tuple[State, Fraction]]:
+        return [(s, Fraction(w, self._total)) for s, w in self._weights.items()]
 
     def __len__(self) -> int:
-        return len(self._probs)
+        return len(self._weights)
 
     def __iter__(self) -> Iterator[State]:
-        return iter(self._probs)
+        return iter(self._weights)
 
     def __contains__(self, state: State) -> bool:
-        return state in self._probs
+        return state in self._weights
 
     def __eq__(self, other: Any) -> bool:
         if not isinstance(other, ExactDist):
             return NotImplemented
-        return self._probs == other._probs
+        return self._weights == other._weights
 
     __hash__ = None  # mutable-dict backed; never used as a key
 
     def __repr__(self) -> str:
-        return f"ExactDist({len(self._probs)} states)"
+        return f"ExactDist({len(self._weights)} states)"
 
     def weights(self) -> tuple[dict[State, int], int]:
-        """Integer masses over a common denominator: (weights, total).
-
-        ``prob(s) == Fraction(weights[s], total)`` exactly, which lets
-        independence checks run on plain integers.
-        """
-        denom = 1
-        for p in self._probs.values():
-            denom = math.lcm(denom, p.denominator)
-        return {s: int(p * denom) for s, p in self._probs.items()}, denom
+        """The stored (weights, total), read-only: prob(s) == weights[s] / total."""
+        return self._weights, self._total
 
     def sorted_items(self) -> list[tuple[State, Fraction]]:
-        return sorted(self._probs.items(), key=lambda kv: state_text(kv[0]))
+        return sorted(self.items(), key=lambda kv: state_text(kv[0]))
 
     def to_json_entries(self) -> list[dict[str, str]]:
         """The wire form: a list of {"state", "num", "den"} objects."""
@@ -154,9 +152,13 @@ class Kernel:
         """The exact law after one transition from ``dist``.
 
         Every state in the support of ``dist`` must be in the kernel domain.
+        Rows are scaled to the lcm of their totals: integer products only.
         """
+        rows = [(w, *self.row(s).weights()) for s, w in dist.weights()[0].items()]
+        scale = math.lcm(*(total for _, _, total in rows))
         acc: Counter = Counter()
-        for state, p in dist.items():
-            for succ, pr in self.row(state).items():
-                acc[succ] += p * pr
-        return ExactDist(acc)
+        for w, row, total in rows:
+            w *= scale // total
+            for succ, c in row.items():
+                acc[succ] += w * c
+        return ExactDist.from_weights(acc)

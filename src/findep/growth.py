@@ -22,8 +22,8 @@ Two samplers realize the same exact law (``cycle_law``):
   random starting vertex yields the coloring of the cycle.
 
 The exact one-step transition shared by both procedures is exposed as
-``coupling_kernel``, a ``Kernel`` of ``Fraction`` rows kept as library API
-and as the tests' literal form of the step; ``verify coupling`` instead
+``coupling_kernel``, a ``Kernel`` of integer-count rows kept as library
+API and as the tests' literal form of the step; ``verify coupling`` instead
 pushes whole dense count levels through the same step
 (``suites._transport_counts``). A row of it is ``_insertion_row``, the
 necklace step's count of outcomes through ``words.insertion_orbits``.
@@ -468,9 +468,7 @@ def coupling_kernel(n: int, q: int) -> Kernel:
     rows = {}
     for t in filter(tuple_is_cyclically_proper, product(range(1, q + 1), repeat=n)):
         counts = _insertion_row(t, q)
-        rows[Word(t, q)] = ExactDist.from_weights(
-            {Word(s, q): c for s, c in counts.items()}
-        )
+        rows[Word(t, q)] = ExactDist.from_weights({Word(s, q): c for s, c in counts.items()})
     return Kernel(rows)
 
 

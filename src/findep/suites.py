@@ -7,7 +7,8 @@ Each suite returns a JSON-ready report::
 with one entry per checked case and the first failing case (if any)
 surfaced as a minimal counterexample. All checks are exact. The sized
 suites read the cycle and line laws only as dense count levels
-(``recurrence.cycle_counts`` and ``line_counts``), never as ``ExactDist``.
+(``recurrence.cycle_counts`` and ``line_counts``), never as ``ExactDist``;
+``marginals`` and ``kernels`` compare binary counts as ``ExactDist`` laws.
 
 Every suite but ``blockfactor-stat`` is sized by one ``max_n``, a bound on
 word length; ``SIZES`` gives its default and smallest value.
@@ -17,12 +18,13 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
 from . import analysis, chains, growth, recurrence
 from .chains import ChainVariant
+from .dist import ExactDist
 # cycle_law is no longer called here, but perfbench's self-test checks that
 # its tracer rebinds it at this lookup site, so the name stays.
 from .recurrence import cycle_law  # noqa: F401
@@ -353,20 +355,14 @@ def _binary_counts(level: np.ndarray, marked: Iterable[int]) -> dict[tuple[int, 
     return dict(zip(states, bits[bits != 0].tolist()))
 
 
-def _same_law(a: Mapping, b: Mapping) -> bool:
-    """Two positive count maps give one law: the same support, and
-    a[s] * sum(b) == b[s] * sum(a) in Python ints."""
-    ta, tb = sum(a.values()), sum(b.values())
-    return a.keys() == b.keys() and all(a[s] * tb == b[s] * ta for s in a)
-
-
 # marginal process -> (q, marked colors, longest cycle); its target laws are
 # "cyclic-" and "line-" + the process in chains._TARGETS
 _MARGINALS = {"descent": (4, {1, 2}, 8), "peak": (3, {1}, 8), "bit-descent": (4, {1}, 9)}
 
 
 def _marginal_case(law: str, n: int, level: np.ndarray, marked) -> dict:
-    ok = _same_law(_binary_counts(level, marked), chains._target_counts(law, n))
+    ok = (ExactDist.from_weights(_binary_counts(level, marked))
+          == ExactDist.from_weights(chains._target_counts(law, n)))
     return _case(ok, {"n": n}, law=law, n=n)
 
 
@@ -376,10 +372,10 @@ def marginals_suite(max_n: int) -> dict:
     Cyclic: two marked colors of four give permutation descents; one of
     three gives permutation peaks; one of four gives fair-bit descents
     (with one-site marginal exactly 1/4). Line: windows agree with the
-    linear laws of the same processes. Each case is ``_same_law`` of two
-    count maps, ``_binary_counts`` and ``chains._target_counts``, whose
-    permutation counts come from a descent-set DP and bit counts from a
-    numpy pass over every bit string. Cycles stop at length min(max_n, 8),
+    linear laws of the same processes. Each case compares the ``ExactDist``
+    laws of two count maps, ``_binary_counts`` and ``chains._target_counts``,
+    whose permutation counts come from a descent-set DP and bit counts from
+    a numpy pass over every bit string. Cycles stop at length min(max_n, 8),
     or 9 for bit descents, and line windows at min(max_n, 6).
     """
     cases = [
@@ -404,7 +400,7 @@ def kernels_suite(max_n: int) -> dict:
     images of the cycle laws, contracted from the dense levels. Each variant
     is walked once on integer counts (``chains._kernel_walk``), whose rows
     share one total per length: J and Q rows are compared as count dicts,
-    the chain law with ``_binary_counts`` by ``_same_law``."""
+    the chain law with ``_binary_counts`` as ``ExactDist`` laws."""
     _check_levels((max_n, variant.q) for variant in ChainVariant)
     equal_cases, law_cases = [], []
     for variant in ChainVariant:
@@ -412,7 +408,8 @@ def kernels_suite(max_n: int) -> dict:
             bad = {"variant": variant.value, "n": n}
             equal_cases.append(_case(j_rows == q_rows, bad, **bad, check="kernel-equal"))
             level = recurrence.cycle_counts(n, variant.q)
-            ok = _same_law(law, _binary_counts(level, variant.marked_colors))
+            ok = (ExactDist.from_weights(law)
+                  == ExactDist.from_weights(_binary_counts(level, variant.marked_colors)))
             law_cases.append(_case(ok, bad, **bad, check="chain-vs-pushforward"))
     return _report("kernels", equal_cases + law_cases)
 

@@ -121,12 +121,13 @@ def test_k_dependence_budget_guard():
         verify_k_dependence(cycle_law(11, 3, budget=10**7), 2)
 
 
-def _oracle_independent(d, s1, s2):
+def _oracle_independent(items, s1, s2):
     """Literal check: P(A=a, B=b) == P(A=a) P(B=b) for every a, b in the
-    marginal supports, with Fraction masses summed state by state."""
+    marginal supports, with the Fraction masses ``items`` (``d.items()``,
+    taken once per law) summed state by state."""
     def law(coords):
         acc = {}
-        for state, p in d.items():
+        for state, p in items:
             key = tuple(state[c - 1] for c in coords)
             acc[key] = acc.get(key, F(0)) + p
         return acc
@@ -177,11 +178,12 @@ def test_maximal_pair_counts():
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
 def test_are_independent_matches_fraction_oracle(n, q):
     d = cycle_law(n, q)
+    items = d.items()
     verdicts = []
     for k in (1, 2):
         for s1, s2 in _admissible_1based(n, k):
             verdict = are_independent(d, s1, s2)
-            assert verdict == _oracle_independent(d, s1, s2), (k, s1, s2)
+            assert verdict == _oracle_independent(items, s1, s2), (k, s1, s2)
             verdicts.append(verdict)
     if q == 3 and n >= 5:
         assert not all(verdicts)  # q = 3 is not 1-dependent, so both answers occur
@@ -189,10 +191,11 @@ def test_are_independent_matches_fraction_oracle(n, q):
 
 def test_are_independent_matches_fraction_oracle_on_tuple_states():
     d = pushforward(cycle_law(6, 4), color_indicator({1}))
+    items = d.items()
     pairs = list(_admissible_1based(6, 1))
     assert pairs
     for s1, s2 in pairs:
-        assert are_independent(d, s1, s2) == _oracle_independent(d, s1, s2), (s1, s2)
+        assert are_independent(d, s1, s2) == _oracle_independent(items, s1, s2), (s1, s2)
 
 
 def test_constructed_dependent_law_is_caught():
@@ -293,6 +296,61 @@ def test_chi_square_pools_small_expectations():
     assert report2.n_cells == 3
     assert report2.dof == 2
     assert report2.passed
+
+
+def _fraction_gof(counts, d):
+    """(statistic, dof, p-value) recomputed from Fraction expectations
+    p * N: states by expectation, ties by state text, pooled left to right
+    until a cell expects at least 5, a leftover joining the last cell."""
+    from scipy.special import gammaincc
+
+    n = sum(counts.values())
+    cells = sorted(((p * n, counts.get(s, 0)) for s, p in d.sorted_items()), key=lambda c: c[0])
+    pooled, acc = [], (F(0), 0)
+    for e, o in cells:
+        acc = (acc[0] + e, acc[1] + o)
+        if acc[0] >= 5:
+            pooled.append(acc)
+            acc = (F(0), 0)
+    if acc[0]:
+        e, o = pooled.pop()
+        pooled.append((e + acc[0], o + acc[1]))
+    stat = sum((o - float(e)) ** 2 / float(e) for e, o in pooled)
+    dof = len(pooled) - 1
+    return stat, dof, float(gammaincc(dof / 2.0, stat / 2.0)), pooled
+
+
+def test_chi_square_pools_a_cell_that_expects_exactly_five():
+    # N = 15 draws against weights 1, 2, 3, 3 (T = 9) expect 5/3, 10/3, 5
+    # and 5: the first two pool into a cell expecting exactly 5, which
+    # closes it, and the others close alone
+    d = ExactDist.from_weights({"a": 1, "b": 2, "c": 3, "d": 3})
+    counts = {"a": 1, "b": 5, "c": 3, "d": 6}
+    stat, dof, p_value, pooled = _fraction_gof(counts, d)
+    assert [e for e, _ in pooled] == [5, 5, 5]
+    report = chi_square_gof(counts, d)
+    assert (report.n_cells, report.dof) == (3, dof) == (3, 2)
+    assert report.statistic == stat
+    assert report.statistic == pytest.approx(float(sum(F((o - e) ** 2) / e for e, o in pooled)))
+    assert report.p_value == p_value
+    # one draw fewer leaves the first pair short of 5, so it pools on with
+    # "c", and "d" joins that cell: one cell, nothing to test
+    short = {"a": 1, "b": 5, "c": 3, "d": 5}
+    assert _fraction_gof(short, d)[1] == 0
+    assert min_gof_samples(d) == 15
+    with pytest.raises(ValueError, match="pool into one cell"):
+        chi_square_gof(short, d)
+
+
+def test_chi_square_pools_equal_expectations_in_state_text_order():
+    # six states expect 2.5 each, so they pool in pairs; the law lists them
+    # out of text order, where "a" would pool with "c" and fail
+    d = ExactDist.from_weights(dict.fromkeys("acbedf", 1))
+    counts = {"a": 5, "b": 0, "c": 5, "d": 0, "e": 5, "f": 0}
+    stat, dof, p_value, pooled = _fraction_gof(counts, d)
+    assert pooled == [(5, 5)] * 3 and stat == 0.0
+    report = chi_square_gof(counts, d)
+    assert (report.statistic, report.dof, report.p_value) == (stat, dof, p_value)
 
 
 @pytest.mark.parametrize("weights", [{"a": 1, "b": 1, "c": 98}, {"a": 1, "b": 1},

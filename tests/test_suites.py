@@ -374,10 +374,15 @@ def test_binary_law_matches_pushforward(n, q):
         assert ExactDist.from_weights(line) == pushforward(line_window_law(n, 1, q), ind), marked
 
 
+def _equal_laws(a, b):
+    """The comparison that ``marginals`` and ``kernels`` make of two count maps."""
+    return ExactDist.from_weights(a) == ExactDist.from_weights(b)
+
+
 def test_same_law_compares_normalized_counts():
-    assert suites._same_law({(0,): 1, (1,): 3}, {(1,): 6, (0,): 2})
-    assert not suites._same_law({(0,): 1, (1,): 3}, {(0,): 1, (1,): 2})
-    assert not suites._same_law({(0,): 1, (1,): 3}, {(0,): 1, (1,): 3, (2,): 1})
+    assert _equal_laws({(0,): 1, (1,): 3}, {(1,): 6, (0,): 2})
+    assert not _equal_laws({(0,): 1, (1,): 3}, {(0,): 1, (1,): 2})
+    assert not _equal_laws({(0,): 1, (1,): 3}, {(0,): 1, (1,): 3, (2,): 1})
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -386,8 +391,8 @@ def test_same_law_fails_on_a_variant_mismatch(n):
     (q = 3, color 1 marked), and against its own level."""
     v1 = chains.ChainVariant.COLORS_ONE_TWO_Q4
     law = next(islice(chains._kernel_walk(v1), n - 3, None))[0]
-    assert not suites._same_law(law, suites._binary_counts(recurrence.cycle_counts(n, 3), {1}))
-    assert suites._same_law(law, suites._binary_counts(recurrence.cycle_counts(n, 4), {1, 2}))
+    assert not _equal_laws(law, suites._binary_counts(recurrence.cycle_counts(n, 3), {1}))
+    assert _equal_laws(law, suites._binary_counts(recurrence.cycle_counts(n, 4), {1, 2}))
 
 
 @pytest.mark.parametrize("k,q", [(1, 3), (1, 4), (2, 3), (2, 4)])
