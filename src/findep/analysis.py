@@ -11,11 +11,11 @@ pays for importing it.
 Independence has one engine, ``_independent``: a law as a count tensor with
 one axis per coordinate, the joint marginal of S1 | S2 as a sum over the
 other axes, m1 and m2 as sums of that joint, and a pair (S1, S2) accepted
-iff joint * total == outer(m1, m2) exactly: in int64 when total**2 fits,
-in Python ints otherwise. The public functions decode an ``ExactDist``
-into it (``_dist_counts``); ``verify kdep`` hands ``_dependent_pair`` the
-dense level and its sum. k-dependence is decided on the maximal pairs
-alone (``_maximal_pairs``).
+iff joint * total == outer(m1, m2) on every cell, decided by
+``_cross_equal`` in int64 with no product formed. The public functions
+decode an ``ExactDist`` into it (``_dist_counts``); ``verify kdep`` hands
+``_dependent_pair`` the dense level and its sum. k-dependence is decided
+on the maximal pairs alone (``_maximal_pairs``).
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 
 from .dist import ExactDist, State, state_text
 from .errors import BudgetExceeded
-from .recurrence import _INT64_MAX, DEFAULT_BUDGET, _check_k
+from .recurrence import DEFAULT_BUDGET, _check_k
 from .words import Word, apply_color_perm, reflect, rotate, rotl
 
 __all__ = [
@@ -100,24 +100,32 @@ def _dist_counts(d: ExactDist) -> tuple[np.ndarray, int]:
     return counts, total
 
 
+def _cross_equal(x: np.ndarray, a, y: np.ndarray, b) -> np.ndarray:
+    """Cellwise x * a == y * b, exact, for int64 arrays x, y and positive
+    int64 factors a, b that broadcast together: with a / b = a' / b' in
+    lowest terms, iff b' | x, a' | y and x // b' == y // a'. No product is
+    formed, so nothing exceeds max(|x|, |y|); a factor that is not positive
+    raises ``ValueError``, one past int64 ``OverflowError``."""
+    a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+    if (a <= 0).any() or (b <= 0).any():
+        raise ValueError("the factors of a cross-multiplication must be positive")
+    g = np.gcd(a, b)
+    (qx, rx), (qy, ry) = np.divmod(x, b // g), np.divmod(y, a // g)
+    return (rx == 0) & (ry == 0) & (qx == qy)
+
+
 def _independent(counts: np.ndarray, total: int, s1: tuple, s2: tuple) -> bool:
     """Exact factorization of the law counts / total on the sorted 0-based
     coordinate sets s1 and s2: joint * total == outer(m1, m2) on every cell,
-    the joint summed over the other axes and m1, m2 from the joint.
-
-    Every sum is at most ``total``, which fits int64, so every product is at
-    most total**2. The products are int64 when total**2 fits, and Python
-    ints otherwise. Both paths stay: totals past 3.04e9 occur (the counts
-    of ``cycle_counts(10, 4)`` sum to 1.1e10), and below them int64 is the
-    faster path (``verify kdep --n 8 --q 4 --k 1`` in-process: 9 ms
-    against 21 ms in Python ints, median of seven on a 2-core box)."""
+    the joint summed over the other axes and m1, m2 from the joint. A row
+    with m1 = 0 is a zero joint row; it is dropped, as m1 is a factor."""
     union = tuple(sorted(s1 + s2))
     rest = tuple(i for i in range(counts.ndim) if i not in union)
     joint = counts.sum(axis=rest).transpose([union.index(c) for c in s1 + s2])
     joint = joint.reshape(counts.shape[0] ** len(s1), -1)
-    if total * total > _INT64_MAX:
-        joint = joint.astype(object)
-    return bool((joint * total == np.multiply.outer(joint.sum(axis=1), joint.sum(axis=0))).all())
+    m1 = joint.sum(axis=1)
+    live = m1 > 0
+    return bool(_cross_equal(joint[live], total, joint.sum(axis=0), m1[live, None]).all())
 
 
 def are_independent(d: ExactDist, s1: Iterable[int], s2: Iterable[int]) -> bool:

@@ -59,11 +59,15 @@ def _setting(flag, name: str, default, parse=int):
 
 
 def _write(text: Union[str, Iterable[str]], out: Optional[str]) -> None:
-    """Write text, or each string of an iterable in turn, to out or stdout."""
+    """Write text, or each string of an iterable in turn, to out or stdout;
+    an out that cannot be written raises ValueError, a usage error."""
     chunks = [text] if isinstance(text, str) else text
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.writelines(chunks)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.writelines(chunks)
+        except OSError as exc:
+            raise ValueError(f"cannot write --out {out}: {exc.strerror}") from None
     else:
         sys.stdout.writelines(chunks)
 

@@ -31,10 +31,12 @@ Laws come only from the levels: ``cycle_law``, ``line_window_law`` and
 the CLI's law dumps read the nonzero cells of level n through
 ``_law_counts``, which never allocates q**n cells, and a law is built
 anew on every call. That bounds them to n <= 14, q**n within the budget,
-and q**n < 2**31 (the dense view of 2**31 int64 counts would take
-16 GiB), and partition sums to n <= 14; beyond any bound they raise
-``BudgetExceeded`` before allocating. Every level is checked to hold
-counts in [0, m!], so an int64 overflow raises instead of giving a law.
+and q**n < 2**31 (word codes are decoded as int32; this caps no memory:
+level n holds q (q-1)**(n-1) int64 counts, 3.4 GB for ``exact cycle
+--n 11 --q 7 --budget 2000000000``), and partition sums to n <= 14;
+beyond any bound they raise ``BudgetExceeded`` before allocating. Every
+level is checked to hold counts in [0, m!], so an int64 overflow raises
+instead of giving a law.
 
 Thread-safety: all functions are pure. The per-word memos and the level
 cache are only ever written with values equal to the single-threaded
@@ -87,7 +89,7 @@ THEOREM_GRADE = frozenset({(1, 4), (2, 3)})
 _BULK_MAX_N = 14
 _ENUM_LIMIT = 1 << 27
 _CHUNK = 1 << 22
-# A level of 2**31 int64 counts would take 16 GiB, so none is built.
+# Word codes are decoded as int32 (``_law_counts``): no level has q**m >= 2**31.
 _CELL_LIMIT = 1 << 31
 # The one int64 bound every overflow guard of the package compares with.
 _INT64_MAX = np.iinfo(np.int64).max
@@ -188,8 +190,8 @@ def z_circ_closed(n: int, q: int) -> int:
 # which counts 0. Each slice is computed from level m-1 alone, so no count
 # of one slice is copied or relabeled into another and ``verify shift``
 # still checks the color symmetry on the dense view. ``_levels`` refuses
-# levels whose q**m dense view would hold 2**31 cells or more (16 GiB of
-# int64) before allocating.
+# levels with q**m >= 2**31, whose word codes would not fit int32, before
+# allocating.
 #
 # Computed levels are cached per (q, cyclic) and shared across calls: the
 # partition suite evaluates many n for one q and reuses all lower levels.
@@ -266,7 +268,7 @@ def _level_values(prev: np.ndarray, a: int, q: int, cyclic: bool, out: np.ndarra
 def _levels(q: int, cyclic: bool, upto: int) -> list[np.ndarray]:
     """Count arrays on proper words for levels 0..upto (cached)."""
     if q**upto >= _CELL_LIMIT:
-        raise BudgetExceeded(f"{q}**{upto} int64 counts take 16 GiB or more")
+        raise BudgetExceeded(f"{q}**{upto} word codes do not fit int32")
     levels = _LEVEL_CACHE.setdefault((q, cyclic), [np.ones((), dtype=np.int64)])
     for m in range(len(levels), upto + 1):
         level = np.empty((q,) + (q - 1,) * (m - 1), dtype=np.int64)

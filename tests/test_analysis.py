@@ -81,19 +81,68 @@ def test_are_independent_rejects_overlap():
         are_independent(cycle_law(5, 3), {1, 2}, {2, 3})
 
 
+def test_cross_equal_is_exact_past_int64():
+    # coprime factors; x * a and y * b are 2.6e24 and 1e25 in the last two
+    # cells, far past 2**63
+    a, b, k = 3**19, 2**31 - 1, np.array([1, 2**20, 2**22 + 1], dtype=np.int64)
+    x, y = k * b, k * a
+    assert int(x[1]) * a > 2**63
+    assert analysis._cross_equal(x, a, y, b).all()
+    y[1] += 1
+    assert y[1] // a == x[1] // b  # equal quotients: only the remainder shows it
+    assert analysis._cross_equal(x, a, y, b).tolist() == [True, False, True]
+
+
+def test_cross_equal_reduces_factors_that_share_a_divisor():
+    # 6x == 4y holds with 2 | x and 3 | y, though 4 divides no x and 6 no y
+    x, y = np.array([2, 10, 14]), np.array([3, 15, 21])
+    assert analysis._cross_equal(x, 6, y, 4).all()
+    assert analysis._cross_equal(x, np.array([[6], [12]]), y, np.array([[4], [8]])).all()
+    assert analysis._cross_equal(x, 6, y + [0, 0, 3], 4).tolist() == [True, True, False]
+
+
+def test_cross_equal_rejects_factors_outside_int64_or_not_positive():
+    for a in (0, -1, np.array([1, 0])):
+        with pytest.raises(ValueError, match="positive"):
+            analysis._cross_equal(np.array([1]), a, np.array([1]), 1)
+    with pytest.raises(OverflowError):
+        analysis._cross_equal(np.array([1]), 2**63, np.array([1]), 1)
+
+
+def _literal_independent(counts, total, s1, s2):
+    """The pair (s1, s2) of 0-based axes factorizes: joint * total ==
+    m1 * m2 on every cell, multiplied out in Python ints. The joint is
+    summed by ``np.einsum`` (exact: every sum is at most ``total``)."""
+    n, q = counts.ndim, counts.shape[0]
+    joint = np.einsum(counts, list(range(n)), list(s1 + s2)).reshape(q ** len(s1), -1).tolist()
+    m1, m2 = [sum(row) for row in joint], [sum(col) for col in zip(*joint)]
+    return all(x * total == a * b for row, a in zip(joint, m1) for x, b in zip(row, m2))
+
+
 @pytest.mark.parametrize("n,q", [(7, 4), (6, 3)])
-def test_independent_int64_and_python_int_paths_agree(monkeypatch, n, q):
-    """The int64 products (taken here, total**2 < 2**63) and the Python-int
-    products decide every maximal pair at every k alike, dependent ones
-    included."""
+def test_independent_int64_and_python_int_paths_agree(n, q):
+    """``_independent`` and the Python-int cross-multiplication of
+    ``_literal_independent`` decide every maximal pair at every k alike,
+    dependent ones included."""
     counts = cycle_counts(n, q)
     total = int(counts.sum())
-    assert total * total < 2**63
     pairs = [p for k in range(0, (n - 2) // 2 + 1) for p in _maximal_pairs(n, k)]
     fast = [analysis._independent(counts, total, *p) for p in pairs]
-    monkeypatch.setattr(analysis, "_INT64_MAX", 0)  # every total takes the Python-int path
-    assert [analysis._independent(counts, total, *p) for p in pairs] == fast
+    assert [_literal_independent(counts, total, *p) for p in pairs] == fast
     assert True in fast and False in fast
+
+
+def test_independent_matches_python_ints_where_total_squared_leaves_int64():
+    """Where joint * total overflows int64: every maximal pair at k = 1, and
+    at k = 0 every pair of two sites and the first maximal pair."""
+    counts = cycle_counts(10, 4)  # 1-dependent, so both verdicts occur
+    total = int(counts.sum())
+    assert total * total > 2**63
+    pairs = list(_maximal_pairs(10, 1)) + [next(_maximal_pairs(10, 0))]
+    pairs += [p for p in _admissible_pairs(10, 0) if len(p[0] + p[1]) == 2]
+    verdicts = [analysis._independent(counts, total, *p) for p in pairs]
+    assert verdicts == [_literal_independent(counts, total, *p) for p in pairs]
+    assert True in verdicts and False in verdicts
 
 
 def test_k_dependence_positive():

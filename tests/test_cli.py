@@ -217,7 +217,7 @@ def test_exact_rejects_negative_k(capsys):
     "argv",
     [
         ("--n", "15", "--q", "3", "--budget", "100000000"),  # beyond the dense levels
-        ("--n", "14", "--q", "5", "--budget", "10000000000"),  # 2**31 cells or more
+        ("--n", "14", "--q", "5", "--budget", "10000000000"),  # codes past int32
     ],
 )
 def test_exact_beyond_dense_engine_exits_3(capsys, monkeypatch, argv):
@@ -443,6 +443,25 @@ def test_sample_gof_writes_samples_to_out(tmp_path, capsys):
     assert len(out_file.read_text().strip().splitlines()) == 5000
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("exact", "cycle", "--n", "3", "--q", "3"),
+        ("sample", "necklace", "--n", "4", "--q", "3", "--reps", "3"),
+        ("verify", "partition", "--max-n", "3"),
+    ],
+)
+@pytest.mark.parametrize("target", ["missing/x.json", "."])
+def test_unwritable_out_is_usage_error(tmp_path, capsys, argv, target):
+    """An --out that cannot be opened (a missing directory, a directory)
+    exits 2 with one error line, not a traceback with exit 1."""
+    path = tmp_path / target
+    code, out, err = run(capsys, *argv, "--out", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write --out {path}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 # (exit code, sha256 of stdout) of `findep sample <args> --gof`, recorded while
 # the chi-square p-value's scipy import was still at the top of the module;
 # the last while every word was still built row by row (comma texts, q > 9).
@@ -499,7 +518,9 @@ def test_verify_partition(capsys):
 # (exit code, sha256 of stdout) of `findep verify <args>`, recorded before the
 # independence checks and the shift, symmetry, restriction, coupling and mobius
 # suites moved to count tensors, and before levels were built by broadcasting;
-# the `kdep --n 10` pin before k-dependence was decided on maximal pairs.
+# the `kdep --n 10 --q 3` pin before k-dependence was decided on maximal pairs;
+# the `kdep --n 10 --q 4` and `window` pins while independence at totals past
+# 3.04e9 was still decided in Python ints.
 VERIFY_SHA256 = {
     "symmetry --max-n 5": (0, "e4607ea91ee71af663d0e657fd204bb6ff2cf9e7f4e971e6840adcf280db25e8"),
     "symmetry": (0, "901e13be98fd7d0fbe1eeabf7ee1fa2089a08688dff785e2cb987ace659946f2"),
@@ -528,6 +549,11 @@ VERIFY_SHA256 = {
         (0, "1c4334c7646a0ae8129dc1cd3f6f912fc7e4a7d3555f7df48be0ecbf191c5d08"),
     "coupling --max-n 8":
         (0, "04ad2d44c4021177b54f55957c7eadeef0d98f61d2918b92407fc002a656154d"),
+    "kdep --n 10 --q 4 --k 1":
+        (0, "b6b9552ece4aa3e69ac1f5217d5279fd58e60e1036f77a2c1d869db8453ae004"),
+    "kdep --n 10 --q 4 --k 0":
+        (1, "de9c3bebb9ccce080fd23693b5fe8406da30aa8c4c6a597690e614b471991fad"),
+    "window": (0, "9f23c29542352810b3a493475f7b97fceff03b6c8b0e92c3a226dcd80350c002"),
 }
 
 

@@ -245,9 +245,9 @@ def test_cycle_law_guards(monkeypatch):
         cycle_law(3, 2)
     with pytest.raises(BudgetExceeded):
         cycle_law(10, 4, budget=1000)
-    # Beyond the dense levels (n > 14) and past 2**31 cells (5**14 int64
-    # counts take 45 GiB) the budget does not matter: both raise before any
-    # level is built.
+    # Beyond the dense levels (n > 14) and with q**n past 2**31 (5**14 word
+    # codes do not fit int32) the budget does not matter: both raise before
+    # any level is built.
     with pytest.raises(BudgetExceeded):
         cycle_law(15, 3, budget=10**8)
     with pytest.raises(BudgetExceeded):

@@ -184,11 +184,13 @@ def test_transport_holds_where_unreduced_factors_overflow():
 
 
 def test_scaled_equal_reduces_by_gcd_and_guards_int64():
+    """The suites' cross-multiplication, ``analysis._cross_equal``, decides
+    products past 2**63 exactly instead of overflowing."""
     big = 3 * 2**40
     x = np.array([2**40, 5], dtype=np.int64)
-    assert suites._scaled_equal(x, big, x, big).all()
-    with pytest.raises(OverflowError):
-        suites._scaled_equal(np.array([2**62]), 3, np.array([1]), 5)
+    assert analysis._cross_equal(x, big, x, big).all()
+    assert not analysis._cross_equal(np.array([2**62]), 3, np.array([1]), 5).any()
+    assert analysis._cross_equal(np.array([5 * 2**60]), 3, np.array([3 * 2**60]), 5).all()
 
 
 def _literal_restriction(max_n):
