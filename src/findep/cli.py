@@ -9,13 +9,17 @@ which take precedence over built-in defaults.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import os
 import sys
 from collections import Counter
 from dataclasses import asdict
+from itertools import chain, repeat
 from typing import Iterable, Iterator, Optional, Union
+
+import numpy as np
 
 from . import __version__
 from .analysis import _check_alpha, chi_square_gof, min_gof_samples
@@ -25,7 +29,7 @@ from .growth import _eden_bounds, _eden_words, _necklace_bounds, _necklace_words
 # own RngStream), but perfbench's self-test checks that its tracer rebinds
 # them at this lookup site, so the names stay.
 from .growth import eden_sample, necklace_sample  # noqa: F401
-from .recurrence import DEFAULT_BUDGET, _check_k, _law_counts
+from .recurrence import DEFAULT_BUDGET, _check_k, _code_rows, _law_codes
 from .recurrence import cycle_law, is_theorem_grade
 from .suites import SUITES, kdep_report, run_all, run_suite
 from .words import Word, row_texts
@@ -72,47 +76,85 @@ def _write(text: Union[str, Iterable[str]], out: Optional[str]) -> None:
         sys.stdout.writelines(chunks)
 
 
+def _check_out(out: Optional[str]) -> None:
+    """Raise ``_write``'s usage error at once if out plainly cannot be written:
+    a directory, a missing or unwritable directory, or an unwritable file.
+    Creates and truncates nothing; ``_write`` still reports any other failure."""
+    if not out:
+        return
+    parent = os.path.dirname(out) or "."
+    if os.path.isdir(out):
+        err = errno.EISDIR
+    elif not os.path.exists(parent):
+        err = errno.ENOENT
+    elif not os.path.isdir(parent):
+        err = errno.ENOTDIR
+    elif not os.access(out if os.path.exists(out) else parent, os.W_OK):
+        err = errno.EACCES
+    else:
+        return
+    raise ValueError(f"cannot write --out {out}: {os.strerror(err)}")
+
+
 # States per block of a streamed law dump.
 _DUMP_BLOCK = 1 << 14
 
 
-def _dist_dump(rows, counts: list[int], z: int, q: int, meta: dict, fmt: str) -> Iterator[str]:
-    """The ``findep.dist/1`` JSON or CSV text of the law counts[i] / z on rows,
-    as the header and then one string per block of ``_DUMP_BLOCK`` states.
+def _text_order(codes: np.ndarray, n: int, q: int) -> np.ndarray:
+    """The argsort of length-n word codes by their comma-joined texts (q > 9).
+
+    ',' sorts before every digit, so comparing two such texts compares
+    their symbols' decimal strings in turn: the texts sort as the codes
+    re-encoded with each symbol's rank in ``str`` order.
+    """
+    rank = np.argsort(np.argsort([str(s) for s in range(1, q + 1)]))
+    key = np.zeros(codes.size, dtype=np.int64)
+    code, scale = codes, 1
+    for _ in range(n):
+        code, digit = np.divmod(code, q)
+        key += rank[digit] * scale
+        scale *= q
+    return np.argsort(key)
+
+
+def _dist_dump(codes: np.ndarray, counts: np.ndarray, z: int, n: int, q: int,
+               meta: dict, fmt: str) -> Iterator[str]:
+    """The ``findep.dist/1`` JSON or CSV text of the law counts[i] / z on the
+    length-n word codes, as the header and then one string per block of
+    ``_DUMP_BLOCK`` states.
 
     Byte-identical to ``json.dumps`` (indent=2) of the document built from
     ``ExactDist.to_json_entries``: each state's fraction is reduced by
-    gcd(count, z), as ``Fraction`` reduces it, and the states are in text order.
+    gcd(count, z), as ``Fraction`` reduces it, and the states are in text
+    order. Each distinct count's text after the state is built once; a
+    block decodes only its own codes, so no row, text or Python int is held
+    for the whole law.
     """
-    fracs = {}
-    for c in set(counts):
-        g = math.gcd(c, z)
-        fracs[c] = (str(c // g), str(z // g))
     if q > 9:  # comma-joined texts: code order is not text order
-        texts = row_texts(rows, q)
-        order = sorted(range(len(texts)), key=texts.__getitem__)
-        rows, counts = rows[order], [counts[i] for i in order]
-    blocks = (
-        (row_texts(rows[i:i + _DUMP_BLOCK], q), counts[i:i + _DUMP_BLOCK])
-        for i in range(0, len(counts), _DUMP_BLOCK)
-    )
+        order = _text_order(codes, n, q)
+        codes, counts = codes[order], counts[order]
     if fmt == "csv":
         yield "state,num,den\n"
-        for texts, cs in blocks:
-            yield "".join(f"{t},{fracs[c][0]},{fracs[c][1]}\n" for t, c in zip(texts, cs))
-        return
-    # json.dumps renders the header; every entry has the same indent=2 shape.
-    head = json.dumps({"schema": _SCHEMA_DIST, **meta, "total_states": len(counts)}, indent=2)
-    yield f'{head[:-2]},\n  "states": [\n'
-    sep = ""
-    for texts, cs in blocks:
-        yield sep + ",\n".join(
-            f'    {{\n      "state": "{t}",\n      "num": "{fracs[c][0]}",\n'
-            f'      "den": "{fracs[c][1]}"\n    }}'
-            for t, c in zip(texts, cs)
-        )
-        sep = ",\n"
-    yield "\n  ]\n}\n"
+        tail, sep = ",{},{}\n", ""
+    else:
+        # json.dumps renders the header; every entry has the same indent=2 shape.
+        head = json.dumps({"schema": _SCHEMA_DIST, **meta, "total_states": len(codes)}, indent=2)
+        yield f'{head[:-2]},\n  "states": [\n    {{\n      "state": "'
+        tail = '",\n      "num": "{}",\n      "den": "{}"\n    }}'
+        sep = ',\n    {\n      "state": "'
+    tails: dict[int, str] = {}  # count -> the entry's text after its state
+    for i in range(0, len(codes), _DUMP_BLOCK):
+        block = counts[i:i + _DUMP_BLOCK].tolist()
+        for c in set(block).difference(tails):
+            g = math.gcd(c, z)
+            tails[c] = tail.format(c // g, z // g)
+        texts = row_texts(_code_rows(codes[i:i + _DUMP_BLOCK], n, q), q)
+        pieces = chain.from_iterable(zip(repeat(sep), texts, map(tails.__getitem__, block)))
+        if i == 0:  # the first state follows the header, not a separator
+            next(pieces)
+        yield "".join(pieces)
+    if fmt != "csv":
+        yield "\n  ]\n}\n"
 
 
 def _cmd_exact(args: argparse.Namespace) -> int:
@@ -128,8 +170,8 @@ def _cmd_exact(args: argparse.Namespace) -> int:
             "q": args.q,
             "theorem_grade": is_theorem_grade(args.k, args.q),
         }
-    rows, counts, z = _law_counts(args.n, args.q, budget, cyclic=args.law == "cycle")
-    _write(_dist_dump(rows, counts, z, args.q, meta, args.format), args.out)
+    codes, counts, z = _law_codes(args.n, args.q, budget, cyclic=args.law == "cycle")
+    _write(_dist_dump(codes, counts, z, args.n, args.q, meta, args.format), args.out)
     return EXIT_OK
 
 
@@ -309,6 +351,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_out(args.out)  # before any work
         return args.func(args)
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -27,16 +27,18 @@ words, on which ``verify shift`` checks the symmetries. Every sized verify
 suite reads the cycle and line laws only as these views (``symmetry``
 through ``_law_counts``). The two engines are cross-checked in tests.
 
-Laws come only from the levels: ``cycle_law``, ``line_window_law`` and
-the CLI's law dumps read the nonzero cells of level n through
-``_law_counts``, which never allocates q**n cells, and a law is built
-anew on every call. That bounds them to n <= 14, q**n within the budget,
-and q**n < 2**31 (word codes are decoded as int32; this caps no memory:
-level n holds q (q-1)**(n-1) int64 counts, 3.4 GB for ``exact cycle
---n 11 --q 7 --budget 2000000000``), and partition sums to n <= 14;
-beyond any bound they raise ``BudgetExceeded`` before allocating. Every
-level is checked to hold counts in [0, m!], so an int64 overflow raises
-instead of giving a law.
+Laws come only from the levels: ``_law_codes`` reads the nonzero cells of
+level n as their int32 word codes in lexicographic order with int64
+counts, and never allocates q**n cells. The CLI's law dumps stream those
+codes a block at a time; ``cycle_law``, ``line_window_law`` and the
+``symmetry`` suite read them decoded to symbol rows through
+``_law_counts``. A law is built anew on every call. That bounds laws to
+n <= 14, q**n within the budget, and q**n < 2**31 (word codes are int32;
+this caps no memory: level n holds q (q-1)**(n-1) int64 counts, 3.4 GB
+for ``exact cycle --n 11 --q 7 --budget 2000000000``), and partition
+sums to n <= 14; beyond any bound they raise ``BudgetExceeded`` before
+allocating. Every level is checked to hold counts in [0, m!], so an
+int64 overflow raises instead of giving a law.
 
 Thread-safety: all functions are pure. The per-word memos and the level
 cache are only ever written with values equal to the single-threaded
@@ -89,7 +91,7 @@ THEOREM_GRADE = frozenset({(1, 4), (2, 3)})
 _BULK_MAX_N = 14
 _ENUM_LIMIT = 1 << 27
 _CHUNK = 1 << 22
-# Word codes are decoded as int32 (``_law_counts``): no level has q**m >= 2**31.
+# Word codes are int32 (``_level_codes``): no level has q**m >= 2**31.
 _CELL_LIMIT = 1 << 31
 # The one int64 bound every overflow guard of the package compares with.
 _INT64_MAX = np.iinfo(np.int64).max
@@ -218,10 +220,12 @@ def _checked(vals: np.ndarray, m: int) -> np.ndarray:
 
 
 def _level_codes(q: int, m: int) -> np.ndarray:
-    """The row-major index in (q,)*m of the word at each cell of level m."""
-    color = code = np.arange(q, dtype=np.int64) if m else np.zeros((), dtype=np.int64)
+    """The row-major index in (q,)*m of the word at each cell of level m, as
+    int32: ``_levels`` builds no level with q**m >= 2**31."""
+    color = code = np.arange(q, dtype=np.int32) if m else np.zeros((), dtype=np.int32)
     for _ in range(m - 1):
-        color = (color[..., None] + np.arange(1, q)) % q
+        color = color[..., None] + np.arange(1, q, dtype=np.int32)
+        color %= q
         code = code[..., None] * q + color
     return code
 
@@ -345,28 +349,44 @@ def line_counts(n: int, q: int) -> np.ndarray:
     return _counts_view(n, q, False)
 
 
-def _law_counts(n: int, q: int, budget: int, *, cyclic: bool) -> tuple[np.ndarray, list[int], int]:
-    """The law's support and weights, straight from level n.
+def _law_codes(n: int, q: int, budget: int, *, cyclic: bool) -> tuple[np.ndarray, np.ndarray, int]:
+    """The law's support and weights as level-n word codes, straight from level n.
 
-    Returns (rows, counts, z): rows[i] holds the 1-based symbols of the i-th
-    word with a positive count, in lexicographic order (which is text
-    order for q <= 9); counts[i] is its count as a Python int; z is the sum
-    of the counts, so the word has mass counts[i] / z. No array of q**n
-    cells is allocated.
+    Returns (codes, counts, z): codes holds the row-major code in (q,)*n of
+    each word with a positive count, as int32 in increasing order (which is
+    lexicographic order, and text order for q <= 9); counts[i] is the int64
+    count of word codes[i]; z is the sum of the counts as a Python int, so
+    the word has mass counts[i] / z. No array of q**n cells is allocated.
     """
     _check_law_request(n, q, budget)
     level = _levels(q, cyclic, n)[n].reshape(-1)
     cells = np.flatnonzero(level)
     codes = _level_codes(q, n).reshape(-1)[cells]
     order = np.argsort(codes)  # lexicographic, as np.argwhere gives it
+    counts = level[cells[order]]
+    return codes[order], counts, int(counts.sum())
+
+
+def _code_rows(codes: np.ndarray, n: int, q: int) -> np.ndarray:
+    """The 1-based int32 symbols of each length-n word code, one row per code."""
     # Decoded one symbol per row of a (n, len) array: rows is its transpose.
-    code = codes[order].astype(np.int32)  # q**n < 2**31, or _levels raised
+    code = codes
     symbols = np.empty((n, code.size), dtype=np.int32)
     for i in reversed(range(n)):
         code, symbols[i] = np.divmod(code, q)
     symbols += 1
-    counts = level[cells[order]].tolist()
-    return symbols.T, counts, sum(counts)
+    return symbols.T
+
+
+def _law_counts(n: int, q: int, budget: int, *, cyclic: bool) -> tuple[np.ndarray, list[int], int]:
+    """``_law_codes`` with each code decoded to its row of 1-based symbols.
+
+    Returns (rows, counts, z): rows[i] holds the symbols of the i-th word
+    with a positive count, in lexicographic order; counts[i] is its count
+    as a Python int; z is the sum of the counts.
+    """
+    codes, counts, z = _law_codes(n, q, budget, cyclic=cyclic)
+    return _code_rows(codes, n, q), counts.tolist(), z
 
 
 def _law(n: int, q: int, budget: int, *, cyclic: bool) -> ExactDist:

@@ -8,12 +8,14 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from findep import cli, recurrence
 from findep.cli import main
 from findep.dist import ExactDist
 from findep.recurrence import cycle_law, is_theorem_grade, line_window_law
+from findep.words import row_texts
 
 
 def run(capsys, *argv):
@@ -165,6 +167,43 @@ def test_exact_allocates_far_less_than_the_dense_level(tmp_path, monkeypatch):
     digest = hashlib.sha256(out_file.read_bytes()).hexdigest()
     assert digest == LARGE_EXACT_SHA256["cycle --n 14 --q 3"]
     assert peak < 3**14 * 8 // 2, peak
+
+
+def test_exact_to_file_allocates_less_than_its_states_as_python_objects(tmp_path, monkeypatch):
+    # 177,040 states: holding them all as int32 symbol rows and Python-int
+    # counts traces about 23 MiB. Streamed from the sorted codes, the dump
+    # holds one block of rows and texts at a time.
+    monkeypatch.setattr(recurrence, "_LEVEL_CACHE", {})
+    out_file = tmp_path / "law.json"
+    tracemalloc.start()
+    try:
+        code = main(["exact", "cycle", "--n", "11", "--q", "4", "--out", str(out_file)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    digest = hashlib.sha256(out_file.read_bytes()).hexdigest()
+    assert digest == LARGE_EXACT_SHA256["cycle --n 11 --q 4"]
+    assert peak < 16 * 2**20, peak
+
+
+@pytest.mark.parametrize("block", [1, 7, 2**14])
+def test_exact_output_is_pinned_at_every_block_size(capsys, monkeypatch, block):
+    # A block of 1 puts every state at a seam; 7 leaves a short last block.
+    monkeypatch.setattr(cli, "_DUMP_BLOCK", block)
+    for args, digest in EXACT_SHA256.items():
+        code, out, _ = run(capsys, "exact", *args.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, args
+
+
+@pytest.mark.parametrize("q,top", [(10, 4), (11, 4), (12, 4), (23, 3)])
+def test_text_order_sorts_codes_as_their_comma_joined_texts(q, top):
+    for n in range(top + 1):
+        codes = np.arange(q**n, dtype=np.int32)
+        texts = row_texts(recurrence._code_rows(codes, n, q), q)
+        order = cli._text_order(codes, n, q)
+        assert [texts[i] for i in order] == sorted(texts), (q, n)
 
 
 def _oracle_dump(args: str) -> str:
@@ -460,6 +499,42 @@ def test_unwritable_out_is_usage_error(tmp_path, capsys, argv, target):
     assert (code, out) == (2, "")
     assert err.startswith(f"error: cannot write --out {path}: ")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("the work began before --out was checked")
+
+
+@pytest.mark.parametrize(
+    "argv,module,name",
+    [
+        (("exact", "cycle", "--n", "3", "--q", "3"), recurrence, "_levels"),
+        (("sample", "necklace", "--n", "4", "--q", "3", "--reps", "3"), cli, "_replicate_blocks"),
+        (("sample", "eden", "--n", "4", "--q", "3", "--reps", "3000", "--gof"),
+         recurrence, "_levels"),
+        (("verify", "all", "--max-n", "3"), cli, "run_all"),
+    ],
+)
+@pytest.mark.parametrize("target", ["missing/x.json", "."])
+def test_unwritable_out_is_refused_before_the_work(tmp_path, capsys, monkeypatch,
+                                                  argv, module, name, target):
+    monkeypatch.setattr(module, name, _refuse)
+    path = tmp_path / target
+    code, out, err = run(capsys, *argv, "--out", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write --out {path}: ")
+    assert not (tmp_path / "missing").exists()
+
+
+def test_out_check_creates_and_truncates_nothing(tmp_path, monkeypatch):
+    monkeypatch.setattr(recurrence, "_levels", _refuse)
+    kept, absent = tmp_path / "kept.json", tmp_path / "absent.json"
+    kept.write_text("earlier output\n")
+    for path in (kept, absent):
+        with pytest.raises(AssertionError, match="before --out was checked"):
+            main(["exact", "cycle", "--n", "3", "--q", "3", "--out", str(path)])
+    assert kept.read_text() == "earlier output\n"
+    assert not absent.exists()
 
 
 # (exit code, sha256 of stdout) of `findep sample <args> --gof`, recorded while

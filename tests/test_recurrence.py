@@ -314,6 +314,18 @@ def test_law_counts_equal_the_nonzero_cells_of_the_dense_view(q, top):
             assert counts == dense[dense != 0].tolist() and z == sum(counts), (n, cyclic)
 
 
+@pytest.mark.parametrize("q,top", [(3, 8), (4, 8), (5, 8), (10, 4)])
+def test_law_codes_equal_the_nonzero_cells_of_the_dense_view(q, top):
+    for cyclic, z_of in ((True, z_circ), (False, z_vec)):
+        for n in range(0, top + 1):
+            flat = recurrence._counts_view(n, q, cyclic).reshape(-1)
+            codes, counts, z = recurrence._law_codes(n, q, 10**8, cyclic=cyclic)
+            assert codes.dtype == np.int32 and counts.dtype == np.int64
+            assert np.array_equal(codes, np.flatnonzero(flat)), (n, cyclic)
+            assert np.array_equal(counts, flat[flat != 0]), (n, cyclic)
+            assert type(z) is int and z == z_of(n, q), (n, cyclic)
+
+
 def test_a_bumped_slice_breaks_the_color_symmetry_of_the_dense_level(monkeypatch):
     q, m = 4, 5
 
