@@ -1,9 +1,9 @@
 """Command-line front end: exact law dumps, samplers, verification suites.
 
 Conventions: data goes to stdout (or ``--out``), logs to stderr. Exit codes
-are stable: 0 success, 1 verification/GoF failure, 2 usage error, 3 resource
-budget exceeded. Flags take precedence over FINDEP_* environment variables,
-which take precedence over built-in defaults.
+are stable: 0 success, 1 verification/GoF failure (or stdout closed by its
+reader), 2 usage error, 3 resource budget exceeded. Flags take precedence over
+FINDEP_* environment variables, which take precedence over built-in defaults.
 """
 
 from __future__ import annotations
@@ -18,6 +18,13 @@ from collections import Counter
 from dataclasses import asdict
 from itertools import chain, repeat
 from typing import Iterable, Iterator, Optional, Union
+
+# findep's matrix products are all on int64, which numpy computes without BLAS,
+# yet numpy's and scipy's OpenBLAS each start a thread pool as they load, whose
+# idle threads burn about 0.1 s of CPU per process. One BLAS thread starts no
+# pool; a value the caller set still wins. This has to run before numpy loads,
+# which ``import findep`` does not do, so it holds under ``python -m findep`` too.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
@@ -352,7 +359,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _check_out(args.out)  # before any work
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout early (``findep ... | head``). Python's
+        # documented recipe: point stdout at devnull so the interpreter's
+        # final flush cannot raise again, and exit 1 without a message.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_VERIFY_FAIL
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET

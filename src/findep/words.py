@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
@@ -77,14 +78,39 @@ def symbols_text(symbols: Sequence[int], q: int) -> str:
 
 def row_texts(rows: np.ndarray, q: int) -> list[str]:
     """``Word.text()`` of each row of a 2-D array of 1-based symbols, in row order."""
-    if q > 9:
-        return [",".join(map(str, r)) for r in rows.tolist()]
-    n = rows.shape[1]
+    count, n = rows.shape
     if n == 0:
-        return [""] * rows.shape[0]
-    # Each row's n code points, read as one fixed-width numpy unicode string.
-    digits = np.ascontiguousarray(rows + ord("0"), dtype=np.uint32)
-    return digits.view(f"U{n}").ravel().tolist()
+        return [""] * count
+    if q <= 9:
+        # Each row's n code points, read as one fixed-width numpy unicode string.
+        digits = np.ascontiguousarray(rows + ord("0"), dtype=np.uint32)
+        return digits.view(f"U{n}").ravel().tolist()
+    # Each row's pieces "s," laid end to end, a column at a time, in a zeroed
+    # buffer of n * w code points per row, w the widest piece's width. A
+    # narrower piece writes NULs past its end, which the next piece overwrites;
+    # zeroing the last comma leaves each text followed only by NULs, which
+    # numpy strips when it reads the row as one fixed-width unicode string.
+    codes, widths = _comma_pieces(q)
+    w = codes.shape[1]
+    out = np.zeros(count * n * w, dtype=np.uint32)
+    # The w places of each row's next piece.
+    span = np.arange(0, out.size, n * w)[:, None] + np.arange(w)
+    for col in rows.T:
+        out[span] = codes[col]
+        span += widths[col][:, None]
+    out[span[:, 0] - 1] = 0
+    return out.view(f"U{n * w}").tolist()
+
+
+@lru_cache(maxsize=16)
+def _comma_pieces(q: int) -> tuple[np.ndarray, np.ndarray]:
+    """The code points of "s," for s = 0..q, NUL-padded to the widest, and
+    each piece's width, both read-only."""
+    codes = np.array([f"{s}," for s in range(q + 1)])
+    codes = codes.view(np.uint32).reshape(q + 1, codes.itemsize // 4)
+    widths = np.count_nonzero(codes, axis=1)
+    codes.flags.writeable = widths.flags.writeable = False
+    return codes, widths
 
 
 # Tuple-level primitives shared with the enumeration-heavy modules.

@@ -1,6 +1,7 @@
 """CLI contract: flags, formats, exit codes, determinism, env precedence."""
 
 import hashlib
+import importlib
 import json
 import os
 import subprocess
@@ -11,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import findep
 from findep import cli, recurrence
 from findep.cli import main
 from findep.dist import ExactDist
@@ -556,6 +558,28 @@ def test_sample_gof_output_is_pinned(capsys, args):
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == GOF_SHA256[args]
 
 
+def _child(args, *, blas_threads=None, **popen):
+    """Start ``python args...`` with this tree's src on its path, every
+    FINDEP_* variable unset and OPENBLAS_NUM_THREADS set to blas_threads (or
+    unset, since an earlier in-process import of findep.cli sets it here)."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {k: v for k, v in os.environ.items()
+           if not k.startswith("FINDEP_") and k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    return subprocess.Popen([sys.executable, *args], env=env, **popen)
+
+
+def _probe(code, **kwargs):
+    """Run code in a child; return its stderr words, which it prints."""
+    child = _child(["-c", code], stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                   text=True, **kwargs)
+    _, err = child.communicate(timeout=120)
+    assert child.returncode == 0, err
+    return err.split()
+
+
 _SCIPY_PROBE = """
 import sys
 import findep, findep.cli
@@ -574,12 +598,59 @@ print(int("scipy" in sys.modules),
 
 
 def test_scipy_is_loaded_only_by_the_gof_test():
-    src = str(Path(cli.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    run = subprocess.run([sys.executable, "-c", _SCIPY_PROBE], env=env,
-                         capture_output=True, text=True, timeout=120)
-    assert run.returncode == 0, run.stderr
-    assert run.stderr.split() == ["0", "0", "0", "1"]
+    assert _probe(_SCIPY_PROBE) == ["0", "0", "0", "1"]
+
+
+_IMPORT_PROBE = """
+import os, sys
+import findep
+print(int("numpy" in sys.modules), file=sys.stderr)
+findep.cycle_law(4, 3)
+print(int("numpy" in sys.modules), int(findep.growth.Word is findep.Word),
+      int("OPENBLAS_NUM_THREADS" in os.environ), file=sys.stderr)
+"""
+
+
+def test_import_findep_is_lazy_and_leaves_the_environment_alone():
+    # A bare import loads no numpy; the first use of a name loads its
+    # submodule, and a library process gets no BLAS setting from findep.
+    assert _probe(_IMPORT_PROBE) == ["0", "1", "1", "0"]
+
+
+def test_every_public_name_resolves_to_its_submodules_object():
+    for name in findep.__all__:
+        module = importlib.import_module(f"findep.{findep._EXPORTS[name]}")
+        assert getattr(findep, name) is getattr(module, name), name
+    assert set(findep.__all__) < set(dir(findep))
+    with pytest.raises(AttributeError):
+        findep.no_such_name
+
+
+_BLAS_PROBE = """
+import os, sys
+import findep.cli
+from findep.cli import main
+main(["sample", "necklace", "--n", "4", "--q", "3", "--reps", "200", "--gof"])
+tasks = len(os.listdir("/proc/self/task")) if sys.platform == "linux" else 1
+print(os.environ["OPENBLAS_NUM_THREADS"], int("scipy" in sys.modules), tasks, file=sys.stderr)
+"""
+
+
+def test_cli_runs_blas_in_one_thread_unless_the_caller_says_otherwise():
+    # numpy and scipy are both loaded, and neither started a thread pool.
+    assert _probe(_BLAS_PROBE) == ["1", "1", "1"]
+    assert _probe(_BLAS_PROBE, blas_threads="2")[:2] == ["2", "1"]
+
+
+def test_closed_stdout_exits_1_without_a_traceback():
+    # `findep exact cycle --n 11 --q 4 | head -c 64`: the dump (about 7 MB)
+    # outgrows the pipe, so its writer meets the closed end.
+    child = _child(["-m", "findep", "exact", "cycle", "--n", "11", "--q", "4"],
+                   stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert child.stdout.read(64).startswith(b"{")
+    child.stdout.close()
+    err = child.stderr.read()
+    assert (child.wait(timeout=120), err) == (1, b"")
 
 
 def test_verify_partition(capsys):

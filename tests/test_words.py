@@ -41,6 +41,17 @@ def test_row_texts_match_word_text(n, q):
     assert row_texts(rows, q) == [Word(w, q).text() for w in words]
 
 
+@pytest.mark.parametrize("q", [10, 11, 12, 23, 100])
+@pytest.mark.parametrize("n", [0, 1, 2, 6])
+def test_comma_row_texts_match_the_per_row_join(n, q):
+    # Random rows mix one-, two- and three-digit symbols in one block, and
+    # every row ends in q or 1, the widest or narrowest last symbol.
+    rows = np.random.default_rng(q * 10 + n).integers(1, q + 1, size=(200, n))
+    if n:
+        rows[:100, -1], rows[100:, -1] = q, 1
+    assert row_texts(rows, q) == [",".join(map(str, r)) for r in rows.tolist()]
+
+
 def test_parse_and_text_roundtrip():
     assert W("123", 3).symbols == (1, 2, 3)
     assert W("", 3).symbols == ()
