@@ -17,7 +17,7 @@ import sys
 from collections import Counter
 from dataclasses import asdict
 from itertools import chain, repeat
-from typing import Iterable, Iterator, Optional, Union
+from typing import Callable, Iterable, Iterator, Optional, Union
 
 # findep's matrix products are all on int64, which numpy computes without BLAS,
 # yet numpy's and scipy's OpenBLAS each start a thread pool as they load, whose
@@ -36,7 +36,7 @@ from .growth import _eden_bounds, _eden_words, _necklace_bounds, _necklace_words
 # own RngStream), but perfbench's self-test checks that its tracer rebinds
 # them at this lookup site, so the names stay.
 from .growth import eden_sample, necklace_sample  # noqa: F401
-from .recurrence import DEFAULT_BUDGET, _check_k, _code_rows, _law_codes
+from .recurrence import DEFAULT_BUDGET, _check_k, _code_rows, _law_slices
 from .recurrence import cycle_law, is_theorem_grade
 from .suites import SUITES, kdep_report, run_all, run_suite
 from .words import Word, row_texts
@@ -104,7 +104,7 @@ def _check_out(out: Optional[str]) -> None:
 
 
 # States per block of a streamed law dump.
-_DUMP_BLOCK = 1 << 14
+_DUMP_BLOCK = 1 << 12
 
 
 def _text_order(codes: np.ndarray, n: int, q: int) -> np.ndarray:
@@ -124,42 +124,50 @@ def _text_order(codes: np.ndarray, n: int, q: int) -> np.ndarray:
     return np.argsort(key)
 
 
-def _dist_dump(codes: np.ndarray, counts: np.ndarray, z: int, n: int, q: int,
-               meta: dict, fmt: str) -> Iterator[str]:
-    """The ``findep.dist/1`` JSON or CSV text of the law counts[i] / z on the
-    length-n word codes, as the header and then one string per block of
-    ``_DUMP_BLOCK`` states.
+def _dist_dump(states: int, z: int, slice_of: Callable[[int], tuple[np.ndarray, np.ndarray]],
+               n: int, q: int, meta: dict, fmt: str) -> Iterator[str]:
+    """The ``findep.dist/1`` JSON or CSV text of the law of ``_law_slices``,
+    with ``states`` words and counts summing to z, as the header and then one
+    string per block of at most ``_DUMP_BLOCK`` states.
 
     Byte-identical to ``json.dumps`` (indent=2) of the document built from
     ``ExactDist.to_json_entries``: each state's fraction is reduced by
     gcd(count, z), as ``Fraction`` reduces it, and the states are in text
-    order. Each distinct count's text after the state is built once; a
-    block decodes only its own codes, so no row, text or Python int is held
-    for the whole law.
+    order. The texts of the words with first symbol s sort together, in the
+    ``str`` order of s (``"1,…" < "10,…" < "2,…"``, the order of range(q) for
+    q <= 9), so the dump walks the first-color slices in that order and
+    sorts each slice by ``_text_order`` for q > 9. Each distinct count's text
+    after the state is built once; a block decodes only its own codes, so no
+    code, row, text or Python int is held for the whole law, only for the
+    slice being written and the one being computed.
     """
-    if q > 9:  # comma-joined texts: code order is not text order
-        order = _text_order(codes, n, q)
-        codes, counts = codes[order], counts[order]
     if fmt == "csv":
         yield "state,num,den\n"
         tail, sep = ",{},{}\n", ""
     else:
         # json.dumps renders the header; every entry has the same indent=2 shape.
-        head = json.dumps({"schema": _SCHEMA_DIST, **meta, "total_states": len(codes)}, indent=2)
+        head = json.dumps({"schema": _SCHEMA_DIST, **meta, "total_states": states}, indent=2)
         yield f'{head[:-2]},\n  "states": [\n    {{\n      "state": "'
         tail = '",\n      "num": "{}",\n      "den": "{}"\n    }}'
         sep = ',\n    {\n      "state": "'
     tails: dict[int, str] = {}  # count -> the entry's text after its state
-    for i in range(0, len(codes), _DUMP_BLOCK):
-        block = counts[i:i + _DUMP_BLOCK].tolist()
-        for c in set(block).difference(tails):
-            g = math.gcd(c, z)
-            tails[c] = tail.format(c // g, z // g)
-        texts = row_texts(_code_rows(codes[i:i + _DUMP_BLOCK], n, q), q)
-        pieces = chain.from_iterable(zip(repeat(sep), texts, map(tails.__getitem__, block)))
-        if i == 0:  # the first state follows the header, not a separator
-            next(pieces)
-        yield "".join(pieces)
+    first = True
+    for a in sorted(range(q), key=lambda a: str(a + 1)):
+        codes, counts = slice_of(a)
+        if q > 9:  # comma-joined texts: code order is not text order
+            order = _text_order(codes, n, q)
+            codes, counts = codes[order], counts[order]
+        for i in range(0, len(codes), _DUMP_BLOCK):
+            block = counts[i:i + _DUMP_BLOCK].tolist()
+            for c in set(block).difference(tails):
+                g = math.gcd(c, z)
+                tails[c] = tail.format(c // g, z // g)
+            texts = row_texts(_code_rows(codes[i:i + _DUMP_BLOCK], n, q), q)
+            pieces = chain.from_iterable(zip(repeat(sep), texts, map(tails.__getitem__, block)))
+            if first:  # the first state follows the header, not a separator
+                next(pieces)
+                first = False
+            yield "".join(pieces)
     if fmt != "csv":
         yield "\n  ]\n}\n"
 
@@ -177,8 +185,8 @@ def _cmd_exact(args: argparse.Namespace) -> int:
             "q": args.q,
             "theorem_grade": is_theorem_grade(args.k, args.q),
         }
-    codes, counts, z = _law_codes(args.n, args.q, budget, cyclic=args.law == "cycle")
-    _write(_dist_dump(codes, counts, z, args.n, args.q, meta, args.format), args.out)
+    law = _law_slices(args.n, args.q, budget, cyclic=args.law == "cycle")
+    _write(_dist_dump(*law, args.n, args.q, meta, args.format), args.out)
     return EXIT_OK
 
 

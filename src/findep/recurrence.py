@@ -27,18 +27,24 @@ words, on which ``verify shift`` checks the symmetries. Every sized verify
 suite reads the cycle and line laws only as these views (``symmetry``
 through ``_law_counts``). The two engines are cross-checked in tests.
 
-Laws come only from the levels: ``_law_codes`` reads the nonzero cells of
-level n as their int32 word codes in lexicographic order with int64
-counts, and never allocates q**n cells. The CLI's law dumps stream those
-codes a block at a time; ``cycle_law``, ``line_window_law`` and the
+Laws come only from the levels, one first-color slice at a time:
+``_law_slices`` computes each slice [a] of level n from the cached level
+n-1 into one reused buffer, first to count the support and sum z, then
+again on request for the slice's nonzero cells as int32 word codes in
+lexicographic order with int64 counts. x1 is a code's most significant
+digit, so the slices in order of a are the law in lexicographic order;
+level n itself is never stored, and no array of q**n cells is allocated.
+The CLI's law dumps stream the slices a block at a time; ``_law_codes``
+concatenates them, and ``cycle_law``, ``line_window_law`` and the
 ``symmetry`` suite read them decoded to symbol rows through
 ``_law_counts``. A law is built anew on every call. That bounds laws to
 n <= 14, q**n within the budget, and q**n < 2**31 (word codes are int32;
-this caps no memory: level n holds q (q-1)**(n-1) int64 counts, 3.4 GB
-for ``exact cycle --n 11 --q 7 --budget 2000000000``), and partition
-sums to n <= 14; beyond any bound they raise ``BudgetExceeded`` before
-allocating. Every level is checked to hold counts in [0, m!], so an
-int64 overflow raises instead of giving a law.
+this caps no memory: the cached level n-1 holds q (q-1)**(n-2) int64
+counts and a slice of level n (q-1)**(n-1), 0.56 and 0.48 GB for ``exact
+cycle --n 11 --q 7 --budget 2000000000``), and partition sums to n <= 14;
+beyond any bound they raise ``BudgetExceeded`` before allocating. Every
+level and slice is checked to hold counts in [0, m!], so an int64
+overflow raises instead of giving a law.
 
 Thread-safety: all functions are pure. The per-word memos and the level
 cache are only ever written with values equal to the single-threaded
@@ -91,7 +97,7 @@ THEOREM_GRADE = frozenset({(1, 4), (2, 3)})
 _BULK_MAX_N = 14
 _ENUM_LIMIT = 1 << 27
 _CHUNK = 1 << 22
-# Word codes are int32 (``_level_codes``): no level has q**m >= 2**31.
+# Word codes are int32 (``_slice_codes``): no level has q**m >= 2**31.
 _CELL_LIMIT = 1 << 31
 # The one int64 bound every overflow guard of the package compares with.
 _INT64_MAX = np.iinfo(np.int64).max
@@ -219,15 +225,23 @@ def _checked(vals: np.ndarray, m: int) -> np.ndarray:
     return vals
 
 
-def _level_codes(q: int, m: int) -> np.ndarray:
-    """The row-major index in (q,)*m of the word at each cell of level m, as
-    int32: ``_levels`` builds no level with q**m >= 2**31."""
-    color = code = np.arange(q, dtype=np.int32) if m else np.zeros((), dtype=np.int32)
+def _slice_codes(q: int, m: int, a: int) -> np.ndarray:
+    """The row-major index in (q,)*m of the word at each cell of slice [a] of
+    level m >= 1, shape (q-1,)*(m-1), as int32: no level with q**m >= 2**31
+    is built. The codes of slice [a] lie in a*q**(m-1) + [0, q**(m-1))."""
+    color = code = np.array(a, dtype=np.int32)
     for _ in range(m - 1):
         color = color[..., None] + np.arange(1, q, dtype=np.int32)
         color %= q
         code = code[..., None] * q + color
     return code
+
+
+def _level_codes(q: int, m: int) -> np.ndarray:
+    """The word code at each cell of level m: the stack of its slices' codes."""
+    if m == 0:
+        return np.zeros((), dtype=np.int32)
+    return np.stack([_slice_codes(q, m, a) for a in range(q)])
 
 
 @lru_cache(maxsize=2)
@@ -269,10 +283,15 @@ def _level_values(prev: np.ndarray, a: int, q: int, cyclic: bool, out: np.ndarra
     return _checked(out, m)
 
 
+def _check_cells(q: int, m: int) -> None:
+    """Raise before allocating if the word codes of level m would not fit int32."""
+    if q**m >= _CELL_LIMIT:
+        raise BudgetExceeded(f"{q}**{m} word codes do not fit int32")
+
+
 def _levels(q: int, cyclic: bool, upto: int) -> list[np.ndarray]:
     """Count arrays on proper words for levels 0..upto (cached)."""
-    if q**upto >= _CELL_LIMIT:
-        raise BudgetExceeded(f"{q}**{upto} word codes do not fit int32")
+    _check_cells(q, upto)
     levels = _LEVEL_CACHE.setdefault((q, cyclic), [np.ones((), dtype=np.int64)])
     for m in range(len(levels), upto + 1):
         level = np.empty((q,) + (q - 1,) * (m - 1), dtype=np.int64)
@@ -280,6 +299,16 @@ def _levels(q: int, cyclic: bool, upto: int) -> list[np.ndarray]:
             _level_values(levels[m - 1], a, q, cyclic, level[a, ...])
         levels.append(level)
     return levels
+
+
+def _top_slices(n: int, q: int, cyclic: bool) -> Callable[[int], np.ndarray]:
+    """The function a -> slice [a] of level n >= 1, computed from the cached
+    level n-1 into one buffer that every call reuses, so level n is never
+    stored: each call overwrites the array that the last one returned."""
+    _check_cells(q, n)
+    prev = _levels(q, cyclic, n - 1)[n - 1]
+    buf = np.empty((q - 1,) * (n - 1), dtype=np.int64)
+    return lambda a: _level_values(prev, a, q, cyclic, buf)
 
 
 def _check_sum_request(n: int, q: int) -> None:
@@ -300,9 +329,8 @@ def _sum_counts(n: int, q: int, *, cyclic: bool) -> int:
     if q**n <= _CHUNK:
         return int(_levels(q, cyclic, n)[n].sum())
     # The top level is summed slice by slice, so it is never stored.
-    prev = _levels(q, cyclic, n - 1)[n - 1]
-    buf = np.empty((q - 1,) * (n - 1), dtype=np.int64)
-    return sum(int(_level_values(prev, a, q, cyclic, buf).sum()) for a in range(q))
+    level = _top_slices(n, q, cyclic)
+    return sum(int(level(a).sum()) for a in range(q))
 
 
 def z_circ(n: int, q: int) -> int:
@@ -349,22 +377,55 @@ def line_counts(n: int, q: int) -> np.ndarray:
     return _counts_view(n, q, False)
 
 
+def _law_slices(
+    n: int, q: int, budget: int, *, cyclic: bool
+) -> tuple[int, int, Callable[[int], tuple[np.ndarray, np.ndarray]]]:
+    """The law's support and weights one first-color slice of level n at a time.
+
+    Returns (states, z, slice_of): states is the number of words with a
+    positive count and z the sum of the counts, both Python ints from one
+    pass over the slices. ``slice_of(a)`` recomputes slice [a] (the words
+    with x1 = a + 1) and returns its words' row-major codes in (q,)*n as
+    int32 in increasing order with their int64 counts; the word has mass
+    count / z. The codes of slice [a] lie in a*q**(n-1) + [0, q**(n-1)),
+    so the slices in order of a are the law in lexicographic order. Level
+    n is never stored, and no array of q**n cells is allocated. At n = 0
+    slice 0 holds the empty word, code 0, and every other slice is empty.
+    """
+    _check_law_request(n, q, budget)
+    if n == 0:
+        return 1, 1, lambda a: (np.zeros(int(a == 0), np.int32), np.ones(int(a == 0), np.int64))
+    level = _top_slices(n, q, cyclic)
+    states = z = 0
+    for a in range(q):
+        vals = level(a)
+        states += int(np.count_nonzero(vals))
+        z += int(vals.sum())
+
+    def slice_of(a: int) -> tuple[np.ndarray, np.ndarray]:
+        vals = level(a).reshape(-1)
+        cells = np.flatnonzero(vals)
+        codes = _slice_codes(q, n, a).reshape(-1)[cells]
+        order = np.argsort(codes)
+        return codes[order], vals[cells[order]]
+
+    return states, z, slice_of
+
+
 def _law_codes(n: int, q: int, budget: int, *, cyclic: bool) -> tuple[np.ndarray, np.ndarray, int]:
-    """The law's support and weights as level-n word codes, straight from level n.
+    """The law's support and weights as level-n word codes: the slices of
+    ``_law_slices`` concatenated in order of first color.
 
     Returns (codes, counts, z): codes holds the row-major code in (q,)*n of
     each word with a positive count, as int32 in increasing order (which is
     lexicographic order, and text order for q <= 9); counts[i] is the int64
     count of word codes[i]; z is the sum of the counts as a Python int, so
-    the word has mass counts[i] / z. No array of q**n cells is allocated.
+    the word has mass counts[i] / z. Holds the whole support, so the CLI's
+    dumps read ``_law_slices`` instead.
     """
-    _check_law_request(n, q, budget)
-    level = _levels(q, cyclic, n)[n].reshape(-1)
-    cells = np.flatnonzero(level)
-    codes = _level_codes(q, n).reshape(-1)[cells]
-    order = np.argsort(codes)  # lexicographic, as np.argwhere gives it
-    counts = level[cells[order]]
-    return codes[order], counts, int(counts.sum())
+    _, z, slice_of = _law_slices(n, q, budget, cyclic=cyclic)
+    codes, counts = zip(*map(slice_of, range(q)))
+    return np.concatenate(codes), np.concatenate(counts), z
 
 
 def _code_rows(codes: np.ndarray, n: int, q: int) -> np.ndarray:

@@ -109,19 +109,29 @@ def mobius_suite(max_n: int) -> dict:
     return _report("mobius", cases)
 
 
+def _site_generators(n: int) -> dict[str, np.ndarray]:
+    """Rotation by one and the reflection as axis permutations of a length-n
+    word: together they generate the dihedral group of order 2n (n >= 3)."""
+    return {"rotation": np.roll(range(n), 1), "reflection": np.arange(n)[::-1]}
+
+
+def _color_generators(q: int) -> tuple[np.ndarray, np.ndarray]:
+    """The color transposition (1 2) and cycle (1 2 ... q) as 0-based color
+    maps: together they generate all q! color permutations."""
+    return np.r_[1, 0, 2:q], np.roll(range(q), 1)
+
+
 def _symmetry_fails(c: np.ndarray) -> dict[str, np.ndarray]:
     """Per operation, the cells of the count tensor c (shape (q,)*n, n >= 1)
-    that differ from their image under a generator of its group: rotation
-    by one, the reflection, and the color transposition (1 2) and cycle
-    (1 2 ... q). A tensor is invariant under a group iff it is invariant
-    under the group's generators."""
+    that differ from their image under a generator of its group: the
+    ``_site_generators`` and the ``_color_generators``. A tensor is
+    invariant under a group iff it is invariant under the group's
+    generators."""
     n, q = c.ndim, c.shape[0]
-    colors = [c[np.ix_(*[p] * n)] != c for p in (np.r_[1, 0, 2:q], np.roll(range(q), 1))]
-    return {
-        "rotation": c.transpose(np.roll(range(n), 1)) != c,
-        "reflection": c.transpose() != c,
-        "color-permutation": colors[0] | colors[1],
-    }
+    fails = {op: c.transpose(p) != c for op, p in _site_generators(n).items()}
+    colors = [c[np.ix_(*[p] * n)] != c for p in _color_generators(q)]
+    fails["color-permutation"] = colors[0] | colors[1]
+    return fails
 
 
 def shift_suite(max_n: int) -> dict:

@@ -127,6 +127,16 @@ LARGE_EXACT_SHA256 = {
     "line --n 10 --k 1 --q 4 --format csv":
         "5588961ae036d6b7d349522342f4076b909b08d470fb3387ab093fdbe3c94d75",
     "cycle --n 14 --q 3": "e352c3768c4807d3353736b65feb80a030521e8ff3ee30e8449691a677a4c982",
+    # Recorded from the whole-level dump, before dumps were streamed by
+    # first-color slice: several slices per law, and for q > 9 slices
+    # walked in the str order of their first symbol.
+    "cycle --n 13 --q 4 --budget 100000000":
+        "90bb2117effd367d8925e906d6cca847909282fd28db4ac05a089f2c53069000",
+    "cycle --n 9 --q 6 --budget 100000000":
+        "8744dffa2f03aa74727cc48485b5c4446ac01bb70ca2cac115ff54888f447223",
+    "cycle --n 6 --q 10 --format csv":
+        "f1d3341da29ee8a92a7fb00b640aa4d18ea6d7d3f8b5658990dc58a254baa216",
+    "line --n 5 --k 1 --q 11": "bfbb271c6cb2f33701a2790d50d9007645b3091c19f93dc4faea381b49f1315a",
 }
 
 
@@ -189,7 +199,28 @@ def test_exact_to_file_allocates_less_than_its_states_as_python_objects(tmp_path
     assert peak < 16 * 2**20, peak
 
 
-@pytest.mark.parametrize("block", [1, 7, 2**14])
+@pytest.mark.parametrize("args,limit", [
+    # Whole-level codes, cells, argsort and counts traced 9.3 MiB at (11, 4)
+    # and 80 MiB at (13, 4); one slice of level n at a time traces about
+    # 4 MiB and 34 MiB, most of it the cached levels below n.
+    ("cycle --n 11 --q 4", 6 * 2**20),
+    ("cycle --n 13 --q 4 --budget 100000000", 40 * 2**20),
+])
+def test_exact_to_file_holds_one_slice_of_the_law(tmp_path, monkeypatch, args, limit):
+    monkeypatch.setattr(recurrence, "_LEVEL_CACHE", {})
+    out_file = tmp_path / "law.json"
+    tracemalloc.start()
+    try:
+        code = main(["exact", *args.split(), "--out", str(out_file)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert hashlib.sha256(out_file.read_bytes()).hexdigest() == LARGE_EXACT_SHA256[args]
+    assert peak < limit, peak
+
+
+@pytest.mark.parametrize("block", [1, 7, 2**12, 2**14])
 def test_exact_output_is_pinned_at_every_block_size(capsys, monkeypatch, block):
     # A block of 1 puts every state at a seam; 7 leaves a short last block.
     monkeypatch.setattr(cli, "_DUMP_BLOCK", block)

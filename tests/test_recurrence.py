@@ -324,6 +324,8 @@ def test_law_codes_equal_the_nonzero_cells_of_the_dense_view(q, top):
             assert np.array_equal(codes, np.flatnonzero(flat)), (n, cyclic)
             assert np.array_equal(counts, flat[flat != 0]), (n, cyclic)
             assert type(z) is int and z == z_of(n, q), (n, cyclic)
+            states, _, _ = recurrence._law_slices(n, q, 10**8, cyclic=cyclic)
+            assert type(states) is int and states == codes.size, (n, cyclic)
 
 
 def test_a_bumped_slice_breaks_the_color_symmetry_of_the_dense_level(monkeypatch):

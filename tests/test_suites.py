@@ -274,6 +274,42 @@ def test_mobius_fails_on_broken_level_at_that_word(monkeypatch, word):
     assert rep["counterexample"] == {"word": "".join(map(str, word)), "q": 3}
 
 
+def _closure(generators):
+    """Every permutation that compositions of the generators reach."""
+    gens = [tuple(int(i) for i in g) for g in generators]
+    group = {tuple(range(len(gens[0])))}
+    frontier = list(group)
+    while frontier:
+        reached = {tuple(p[i] for i in g) for p in frontier for g in gens}
+        frontier = list(reached - group)
+        group |= reached
+    return group
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 6])
+def test_symmetry_generators_generate_their_whole_groups(q):
+    assert _closure(suites._color_generators(q)) == set(permutations(range(q)))
+    for n in range(3, 9):
+        sites = _closure(suites._site_generators(n).values())
+        rotations = {tuple(np.roll(range(n), r).tolist()) for r in range(n)}
+        assert sites == rotations | {r[::-1] for r in rotations}, n
+        assert len(sites) == 2 * n
+
+
+def test_symmetry_fails_flags_a_tensor_invariant_under_a_proper_subgroup_of_s4():
+    # The colors {1, 2} and {3, 4} form blocks: c[i, j] is 1 within a block
+    # and 2 across. (1 2) and (1 3)(2 4) keep the blocks, and generate a
+    # group of order 8; (2 3) breaks them, so c is not invariant under S_4.
+    block = np.array([0, 0, 1, 1])
+    c = np.where(block[:, None] == block, 1, 2) - np.eye(4, dtype=int)
+    for p in ([1, 0, 2, 3], [2, 3, 0, 1]):
+        assert np.array_equal(c[np.ix_(p, p)], c)
+    assert len(_closure([[1, 0, 2, 3], [2, 3, 0, 1]])) == 8
+    p = [0, 2, 1, 3]
+    assert not np.array_equal(c[np.ix_(p, p)], c)
+    assert _flags(c) == {"rotation": True, "reflection": True, "color-permutation": False}
+
+
 def _flags(c):
     return {op: not f.any() for op, f in suites._symmetry_fails(c).items()}
 
