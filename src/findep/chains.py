@@ -15,7 +15,9 @@ uniforms are null events, so the finite models are exact): permutations
 are counted by their descent bits with a signature DP
 (``_perm_descents``), never walked one by one; bit strings by one numpy
 pass over all 2^m of them (``_bit_descents``); peaks as a pushforward of
-the descent bits (``_peaks``). The brute-force loops over permutations
+the descent bits (``_peaks``). Indicator vectors are indexed by their
+base-2 word codes, converted by ``words.encode_digits`` and
+``words.decode_codes``. The brute-force loops over permutations
 and bit strings are the tests' literal oracle. The first two equalities are
 driven by a pair of Markov insertion chains per variant: the J-chain, the
 indicator image of the coloring insertion step (``words.insertion_orbits``),
@@ -45,7 +47,7 @@ import numpy as np
 
 from .dist import ExactDist, Kernel
 from .recurrence import _INT64_MAX, line_window_law
-from .words import Word, insertion_orbits, rotations
+from .words import Word, decode_codes, encode_digits, insertion_orbits, rotations
 
 BinaryState = tuple[int, ...]
 _States = Optional[Iterable[BinaryState]]
@@ -141,21 +143,16 @@ def _bit_descents(m: int, cyclic: bool) -> np.ndarray:
     return np.bincount(x >> 1 & ~x & ((1 << (m - 1)) - 1), minlength=1 << (m - 1))
 
 
-def _bits(codes: np.ndarray, width: int) -> np.ndarray:
-    """Rows of the width-bit binary digits of codes, the first most significant."""
-    return codes[:, None] >> np.arange(width - 1, -1, -1) & 1
-
-
 def _peaks(counts: np.ndarray, width: int, cyclic: bool) -> np.ndarray:
     """Descent counts (as ``_perm_descents``, width bits) pushed forward to
     peak counts: a peak is an ascent, then a descent. On a cycle the peak
     at site i reads bits i-1 (wrapping) and i; on a line, width bits give
     width-1 peaks, site i reading bits i and i+1."""
-    d = _bits(np.arange(len(counts)), width)
+    d = decode_codes(np.arange(len(counts)), width, 2)
     before = np.roll(d, 1, axis=1) if cyclic else d[:, :-1]
     peaks = (1 - before) & (d if cyclic else d[:, 1:])
     out = np.zeros(1 << peaks.shape[1], dtype=np.int64)
-    np.add.at(out, peaks @ (1 << np.arange(peaks.shape[1] - 1, -1, -1)), counts)
+    np.add.at(out, encode_digits(peaks, 2), counts)
     return out
 
 
@@ -185,7 +182,7 @@ def _target_counts(target: str, n: int) -> dict[BinaryState, int]:
     if peak:
         counts = _peaks(counts, width, cyclic)
     codes = np.flatnonzero(counts)
-    return dict(zip(map(tuple, _bits(codes, n).tolist()), counts[codes].tolist()))
+    return dict(zip(map(tuple, decode_codes(codes, n, 2).tolist()), counts[codes].tolist()))
 
 
 def descent_law(n: int) -> ExactDist:

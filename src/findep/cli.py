@@ -36,10 +36,10 @@ from .growth import _eden_bounds, _eden_words, _necklace_bounds, _necklace_words
 # own RngStream), but perfbench's self-test checks that its tracer rebinds
 # them at this lookup site, so the names stay.
 from .growth import eden_sample, necklace_sample  # noqa: F401
-from .recurrence import DEFAULT_BUDGET, _check_k, _code_rows, _law_slices
+from .recurrence import DEFAULT_BUDGET, _check_k, _law_slices
 from .recurrence import cycle_law, is_theorem_grade
 from .suites import SUITES, kdep_report, run_all, run_suite
-from .words import Word, row_texts
+from .words import Word, decode_codes, encode_digits, row_texts
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -112,16 +112,10 @@ def _text_order(codes: np.ndarray, n: int, q: int) -> np.ndarray:
 
     ',' sorts before every digit, so comparing two such texts compares
     their symbols' decimal strings in turn: the texts sort as the codes
-    re-encoded with each symbol's rank in ``str`` order.
+    re-encoded with each digit replaced by its symbol's rank in ``str`` order.
     """
     rank = np.argsort(np.argsort([str(s) for s in range(1, q + 1)]))
-    key = np.zeros(codes.size, dtype=np.int64)
-    code, scale = codes, 1
-    for _ in range(n):
-        code, digit = np.divmod(code, q)
-        key += rank[digit] * scale
-        scale *= q
-    return np.argsort(key)
+    return np.argsort(encode_digits(rank[decode_codes(codes, n, q)], q))
 
 
 def _dist_dump(states: int, z: int, slice_of: Callable[[int], tuple[np.ndarray, np.ndarray]],
@@ -138,36 +132,40 @@ def _dist_dump(states: int, z: int, slice_of: Callable[[int], tuple[np.ndarray, 
     q <= 9), so the dump walks the first-color slices in that order and
     sorts each slice by ``_text_order`` for q > 9. Each distinct count's text
     after the state is built once; a block decodes only its own codes, so no
-    code, row, text or Python int is held for the whole law, only for the
-    slice being written and the one being computed.
+    code, row, text or Python int is held for the whole law. A slice's codes
+    and counts are dropped before the next slice is computed, and a block's
+    rows and texts once its string is built.
     """
     if fmt == "csv":
         yield "state,num,den\n"
-        tail, sep = ",{},{}\n", ""
+        tail, seps = ",{},{}\n", repeat("")
     else:
         # json.dumps renders the header; every entry has the same indent=2 shape.
         head = json.dumps({"schema": _SCHEMA_DIST, **meta, "total_states": states}, indent=2)
-        yield f'{head[:-2]},\n  "states": [\n    {{\n      "state": "'
+        yield f'{head[:-2]},\n  "states": ['
         tail = '",\n      "num": "{}",\n      "den": "{}"\n    }}'
-        sep = ',\n    {\n      "state": "'
+        entry = '\n    {\n      "state": "'
+        # A comma before every entry but the first. Each block's zip draws one
+        # separator past its last state, which repeat() makes harmless.
+        seps = chain([entry], repeat("," + entry))
     tails: dict[int, str] = {}  # count -> the entry's text after its state
-    first = True
+
+    def block_text(codes: np.ndarray, counts: np.ndarray) -> str:
+        block = counts.tolist()
+        for c in set(block).difference(tails):
+            g = math.gcd(c, z)
+            tails[c] = tail.format(c // g, z // g)
+        texts = row_texts(decode_codes(codes, n, q) + 1, q)
+        return "".join(chain.from_iterable(zip(seps, texts, map(tails.__getitem__, block))))
+
     for a in sorted(range(q), key=lambda a: str(a + 1)):
         codes, counts = slice_of(a)
-        if q > 9:  # comma-joined texts: code order is not text order
-            order = _text_order(codes, n, q)
-            codes, counts = codes[order], counts[order]
+        # comma-joined texts (q > 9): code order is not text order
+        order = _text_order(codes, n, q) if q > 9 else slice(None)
+        codes, counts = codes[order], counts[order]
         for i in range(0, len(codes), _DUMP_BLOCK):
-            block = counts[i:i + _DUMP_BLOCK].tolist()
-            for c in set(block).difference(tails):
-                g = math.gcd(c, z)
-                tails[c] = tail.format(c // g, z // g)
-            texts = row_texts(_code_rows(codes[i:i + _DUMP_BLOCK], n, q), q)
-            pieces = chain.from_iterable(zip(repeat(sep), texts, map(tails.__getitem__, block)))
-            if first:  # the first state follows the header, not a separator
-                next(pieces)
-                first = False
-            yield "".join(pieces)
+            yield block_text(codes[i:i + _DUMP_BLOCK], counts[i:i + _DUMP_BLOCK])
+        del codes, counts, order  # before slice_of computes the next slice
     if fmt != "csv":
         yield "\n  ]\n}\n"
 

@@ -30,7 +30,10 @@ necklace step's count of outcomes through ``words.insertion_orbits``.
 ``eden_vs_necklace_kernel_check`` verifies the equality of the two step
 laws for every state: the Eden side on the samplers' own insertion step
 ``_insert``, the necklace side in numpy over blocks of states, both as
-base-q codes of the outcomes.
+base-q codes of the outcomes. The states and the Eden outcomes are encoded
+by ``words.encode_digits``; only the necklace insertions
+(``_necklace_codes``) and the rotations (``_block_keys``) compute on the
+codes directly.
 
 Randomness. The bounds of every draw a sampler makes depend only on
 (n, q) (``_necklace_bounds``, ``_eden_bounds``), so a replicate's word is
@@ -88,7 +91,7 @@ from .dist import ExactDist, Kernel
 # tracer rebinds it at this lookup site, so the name stays.
 from .recurrence import b_circ, cycle_counts  # noqa: F401
 from .recurrence import _INT64_MAX
-from .words import Word, insertion_orbits, rotl, tuple_is_cyclically_proper
+from .words import Word, encode_digits, insertion_orbits, rotl, tuple_is_cyclically_proper
 
 __all__ = [
     "EdenState",
@@ -752,12 +755,6 @@ def _eden_words(n: int, q: int, draws: np.ndarray) -> np.ndarray:
 _BLOCK_STATES = 256
 
 
-def _codes(words: np.ndarray, q: int) -> np.ndarray:
-    """The base-q code of each row of colors in [1, q], the first color
-    most significant."""
-    return (words - 1) @ q ** np.arange(words.shape[1] - 1, -1, -1)
-
-
 def _necklace_codes(states: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
     """(row, code) of every necklace insertion from the rows of ``states``,
     before rotation: each color in [1, q] differing from both neighbours of
@@ -767,7 +764,7 @@ def _necklace_codes(states: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]
     n = states.shape[1]
     tail = q ** np.arange(n, 0, -1)[:, None]  # q^(n-i), shape (n, 1)
     z = np.arange(1, q + 1)
-    c = _codes(states, q)[:, None, None]
+    c = encode_digits(states - 1, q)[:, None, None]
     inserted = c // tail * (tail * q) + (z - 1) * tail + c % tail  # [row, i, z]
     allowed = (states[:, :, None] != z) & (np.roll(states, 1, axis=1)[:, :, None] != z)
     return np.nonzero(allowed)[0], inserted[allowed]
@@ -823,7 +820,7 @@ def eden_vs_necklace_kernel_check(n: int, q: int) -> bool:
                     return False
                 stepped += outer
         eden = _block_keys(np.arange(len(block)).repeat(len(choices)),
-                           _codes(np.array(stepped).reshape(-1, m), q), m, q)
+                           encode_digits(np.array(stepped).reshape(-1, m) - 1, q), m, q)
         necklace = _block_keys(*_necklace_codes(block, q), m, q)
         if not np.array_equal(eden, necklace):
             return False

@@ -34,17 +34,18 @@ again on request for the slice's nonzero cells as int32 word codes in
 lexicographic order with int64 counts. x1 is a code's most significant
 digit, so the slices in order of a are the law in lexicographic order;
 level n itself is never stored, and no array of q**n cells is allocated.
-The CLI's law dumps stream the slices a block at a time; ``_law_codes``
-concatenates them, and ``cycle_law``, ``line_window_law`` and the
-``symmetry`` suite read them decoded to symbol rows through
-``_law_counts``. A law is built anew on every call. That bounds laws to
-n <= 14, q**n within the budget, and q**n < 2**31 (word codes are int32;
-this caps no memory: the cached level n-1 holds q (q-1)**(n-2) int64
-counts and a slice of level n (q-1)**(n-1), 0.56 and 0.48 GB for ``exact
-cycle --n 11 --q 7 --budget 2000000000``), and partition sums to n <= 14;
-beyond any bound they raise ``BudgetExceeded`` before allocating. Every
-level and slice is checked to hold counts in [0, m!], so an int64
-overflow raises instead of giving a law.
+The CLI's law dumps stream the slices a block at a time, decoding each
+block's codes to symbols with ``words.decode_codes``; ``_law_counts``
+concatenates the slices and decodes them whole, for ``cycle_law``,
+``line_window_law`` and the ``symmetry`` suite. A law is built anew on
+every call. That bounds laws to n <= 14, q**n within the budget, and
+q**n < 2**31 (word codes are int32; this caps no memory: the cached level
+n-1 holds q (q-1)**(n-2) int64 counts and a slice of level n
+(q-1)**(n-1), 0.56 and 0.48 GB for ``exact cycle --n 11 --q 7 --budget
+2000000000``), and partition sums to n <= 14; beyond any bound they raise
+``BudgetExceeded`` before allocating. Every level and slice is checked to
+hold counts in [0, m!], so an int64 overflow raises instead of giving a
+law.
 
 Thread-safety: all functions are pure. The per-word memos and the level
 cache are only ever written with values equal to the single-threaded
@@ -62,7 +63,7 @@ import numpy as np
 
 from .dist import ExactDist
 from .errors import BudgetExceeded
-from .words import Word, tuple_is_cyclically_proper, tuple_is_proper
+from .words import Word, decode_codes, tuple_is_cyclically_proper, tuple_is_proper
 
 WordLike = Union[Word, Sequence[int], str]
 
@@ -225,23 +226,18 @@ def _checked(vals: np.ndarray, m: int) -> np.ndarray:
     return vals
 
 
-def _slice_codes(q: int, m: int, a: int) -> np.ndarray:
+def _slice_codes(q: int, m: int, a: Union[int, np.ndarray]) -> np.ndarray:
     """The row-major index in (q,)*m of the word at each cell of slice [a] of
     level m >= 1, shape (q-1,)*(m-1), as int32: no level with q**m >= 2**31
-    is built. The codes of slice [a] lie in a*q**(m-1) + [0, q**(m-1))."""
+    is built. The codes of slice [a] lie in a*q**(m-1) + [0, q**(m-1)). An
+    array of first colors a gives their slices stacked along its axes, so
+    a = range(q) gives the codes of the whole level."""
     color = code = np.array(a, dtype=np.int32)
     for _ in range(m - 1):
         color = color[..., None] + np.arange(1, q, dtype=np.int32)
         color %= q
         code = code[..., None] * q + color
     return code
-
-
-def _level_codes(q: int, m: int) -> np.ndarray:
-    """The word code at each cell of level m: the stack of its slices' codes."""
-    if m == 0:
-        return np.zeros((), dtype=np.int32)
-    return np.stack([_slice_codes(q, m, a) for a in range(q)])
 
 
 @lru_cache(maxsize=2)
@@ -358,7 +354,8 @@ def _counts_view(n: int, q: int, cyclic: bool) -> np.ndarray:
     """Level n scattered into a read-only (q,)*n array, 0 off the proper words."""
     _check_law_request(n, q, DEFAULT_BUDGET)
     view = np.zeros((q,) * n, dtype=np.int64)
-    view.reshape(-1)[_level_codes(q, n).reshape(-1)] = _levels(q, cyclic, n)[n].reshape(-1)
+    codes = _slice_codes(q, n, np.arange(q)) if n else np.zeros((), dtype=np.int32)
+    view.reshape(-1)[codes.reshape(-1)] = _levels(q, cyclic, n)[n].reshape(-1)
     view.flags.writeable = False
     return view
 
@@ -412,42 +409,21 @@ def _law_slices(
     return states, z, slice_of
 
 
-def _law_codes(n: int, q: int, budget: int, *, cyclic: bool) -> tuple[np.ndarray, np.ndarray, int]:
-    """The law's support and weights as level-n word codes: the slices of
-    ``_law_slices`` concatenated in order of first color.
+def _law_counts(n: int, q: int, budget: int, *, cyclic: bool) -> tuple[np.ndarray, list[int], int]:
+    """The law's support and weights: the slices of ``_law_slices``, in
+    order of first color, with each code decoded to its row of symbols.
 
-    Returns (codes, counts, z): codes holds the row-major code in (q,)*n of
-    each word with a positive count, as int32 in increasing order (which is
-    lexicographic order, and text order for q <= 9); counts[i] is the int64
-    count of word codes[i]; z is the sum of the counts as a Python int, so
-    the word has mass counts[i] / z. Holds the whole support, so the CLI's
-    dumps read ``_law_slices`` instead.
+    Returns (rows, counts, z): rows[i] holds the 1-based int32 symbols of
+    the i-th word with a positive count, in lexicographic order; counts[i]
+    is its count as a Python int; z is the sum of the counts, so the word
+    has mass counts[i] / z. Holds the whole support, so the CLI's dumps
+    read ``_law_slices`` instead.
     """
     _, z, slice_of = _law_slices(n, q, budget, cyclic=cyclic)
     codes, counts = zip(*map(slice_of, range(q)))
-    return np.concatenate(codes), np.concatenate(counts), z
-
-
-def _code_rows(codes: np.ndarray, n: int, q: int) -> np.ndarray:
-    """The 1-based int32 symbols of each length-n word code, one row per code."""
-    # Decoded one symbol per row of a (n, len) array: rows is its transpose.
-    code = codes
-    symbols = np.empty((n, code.size), dtype=np.int32)
-    for i in reversed(range(n)):
-        code, symbols[i] = np.divmod(code, q)
-    symbols += 1
-    return symbols.T
-
-
-def _law_counts(n: int, q: int, budget: int, *, cyclic: bool) -> tuple[np.ndarray, list[int], int]:
-    """``_law_codes`` with each code decoded to its row of 1-based symbols.
-
-    Returns (rows, counts, z): rows[i] holds the symbols of the i-th word
-    with a positive count, in lexicographic order; counts[i] is its count
-    as a Python int; z is the sum of the counts.
-    """
-    codes, counts, z = _law_codes(n, q, budget, cyclic=cyclic)
-    return _code_rows(codes, n, q), counts.tolist(), z
+    rows = decode_codes(np.concatenate(codes), n, q)
+    rows += 1
+    return rows, np.concatenate(counts).tolist(), z
 
 
 def _law(n: int, q: int, budget: int, *, cyclic: bool) -> ExactDist:

@@ -30,7 +30,7 @@ from .dist import ExactDist
 # cycle_law is no longer called here, but perfbench's self-test checks that
 # its tracer rebinds it at this lookup site, so the name stays.
 from .recurrence import cycle_law  # noqa: F401
-from .words import symbols_text
+from .words import decode_codes, row_texts
 
 __all__ = ["SIZES", "SUITES", "kdep_report", "run_all", "run_suite"]
 
@@ -60,7 +60,7 @@ def _check_levels(levels: Iterable[tuple[int, int]]) -> None:
 
 def _word_at(code: int, n: int, q: int) -> str:
     """Text of the length-n word with base-q code ``code``."""
-    return symbols_text([int(i) + 1 for i in np.unravel_index(code, (q,) * n)], q)
+    return row_texts(decode_codes(np.array([code]), n, q) + 1, q)[0]
 
 
 def partition_suite(max_n: int) -> dict:

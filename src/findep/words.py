@@ -1,8 +1,17 @@
-"""Colored words on cycles and intervals.
+"""Colored words on cycles and intervals, and the word-code format.
 
 Colors are 1-based integers in {1, ..., q}. A word is an immutable sequence
 of colors together with its ambient color count q. Operation indices are
 1-based; cyclic contexts interpret indices modulo the length.
+
+Arrays of length-n words are held as base-q codes: a word's digits are its
+colors minus one, and its code is the digits read as a base-q number, the
+first digit most significant. That is the word's row-major index in
+(q,)*n, so codes sort as the words do in lexicographic order. Every
+conversion between rows of digits and codes in the package goes through
+``encode_digits`` and ``decode_codes``; only the count engine's slice codes
+and the sampler check's insertions and rotations compute on the codes
+directly. ``row_texts`` renders rows of colors as their ``Word.text()``.
 
 Everything here is an immutable value, safe to share between concurrent
 tasks without synchronization.
@@ -56,7 +65,8 @@ class Word:
         return cls(tuple(int(part) for part in text.split(",")), q)
 
     def text(self) -> str:
-        return symbols_text(self.symbols, self.q)
+        """Digits for q <= 9, else comma-separated."""
+        return ("" if self.q <= 9 else ",").join(map(str, self.symbols))
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -69,11 +79,6 @@ class Word:
 
     def __repr__(self) -> str:
         return f"Word({self.text()!r}, q={self.q})"
-
-
-def symbols_text(symbols: Sequence[int], q: int) -> str:
-    """The text form of a word's symbols: digits for q <= 9, else comma-separated."""
-    return ("" if q <= 9 else ",").join(map(str, symbols))
 
 
 def row_texts(rows: np.ndarray, q: int) -> list[str]:
@@ -100,6 +105,27 @@ def row_texts(rows: np.ndarray, q: int) -> list[str]:
         span += widths[col][:, None]
     out[span[:, 0] - 1] = 0
     return out.view(f"U{n * w}").tolist()
+
+
+def encode_digits(digits: np.ndarray, q: int) -> np.ndarray:
+    """The int64 base-q code of each row of a 2-D array of digits in [0, q),
+    the first digit most significant. ``OverflowError`` if a code of the
+    rows' length could leave int64."""
+    n = digits.shape[1]
+    if q**n > 1 << 63:
+        raise OverflowError(f"{q}**{n} codes do not fit int64")
+    return digits @ q ** np.arange(n - 1, -1, -1, dtype=np.int64)
+
+
+def decode_codes(codes: np.ndarray, n: int, q: int) -> np.ndarray:
+    """The n base-q digits of each code in [0, q**n), the first most
+    significant, as int32 rows: ``encode_digits`` inverted."""
+    # Decoded one digit per row of a (n, len) array: the rows are its transpose.
+    code = codes
+    digits = np.empty((n, code.size), dtype=np.int32)
+    for i in reversed(range(n)):
+        code, digits[i] = np.divmod(code, q)
+    return digits.T
 
 
 @lru_cache(maxsize=16)

@@ -17,7 +17,7 @@ from findep import cli, recurrence
 from findep.cli import main
 from findep.dist import ExactDist
 from findep.recurrence import cycle_law, is_theorem_grade, line_window_law
-from findep.words import row_texts
+from findep.words import decode_codes, row_texts
 
 
 def run(capsys, *argv):
@@ -184,8 +184,12 @@ def test_exact_allocates_far_less_than_the_dense_level(tmp_path, monkeypatch):
 def test_exact_to_file_allocates_less_than_its_states_as_python_objects(tmp_path, monkeypatch):
     # 177,040 states: holding them all as int32 symbol rows and Python-int
     # counts traces about 23 MiB. Streamed from the sorted codes, the dump
-    # holds one block of rows and texts at a time.
+    # holds one slice's codes and counts and one block's rows and texts at a
+    # time. With the levels below n built before tracing, that peaks at
+    # 2.5 MiB. Keeping a slice and its last block alive while the next slice
+    # is computed peaks at 3.3 MiB, over the bound.
     monkeypatch.setattr(recurrence, "_LEVEL_CACHE", {})
+    recurrence._levels(4, True, 10)
     out_file = tmp_path / "law.json"
     tracemalloc.start()
     try:
@@ -196,7 +200,7 @@ def test_exact_to_file_allocates_less_than_its_states_as_python_objects(tmp_path
     assert code == 0
     digest = hashlib.sha256(out_file.read_bytes()).hexdigest()
     assert digest == LARGE_EXACT_SHA256["cycle --n 11 --q 4"]
-    assert peak < 16 * 2**20, peak
+    assert peak < 3 * 2**20, peak
 
 
 @pytest.mark.parametrize("args,limit", [
@@ -234,7 +238,7 @@ def test_exact_output_is_pinned_at_every_block_size(capsys, monkeypatch, block):
 def test_text_order_sorts_codes_as_their_comma_joined_texts(q, top):
     for n in range(top + 1):
         codes = np.arange(q**n, dtype=np.int32)
-        texts = row_texts(recurrence._code_rows(codes, n, q), q)
+        texts = row_texts(decode_codes(codes, n, q) + 1, q)
         order = cli._text_order(codes, n, q)
         assert [texts[i] for i in order] == sorted(texts), (q, n)
 

@@ -29,7 +29,7 @@ from findep.recurrence import (
     z_circ_closed,
     z_vec,
 )
-from findep.words import Word
+from findep.words import Word, encode_digits
 
 F = Fraction
 
@@ -286,6 +286,15 @@ def test_encoded_levels_equal_oracle_on_every_cell(q):
 
 
 @pytest.mark.parametrize("q", [3, 4, 5])
+def test_slice_codes_encode_the_word_at_each_level_cell(q):
+    for n in range(1, 6):
+        codes = recurrence._slice_codes(q, n, np.arange(q))
+        cells = list(np.ndindex(codes.shape))
+        words = np.array([_encoded_word(cell, q) for cell in cells])
+        assert np.array_equal(encode_digits(words - 1, q), [codes[c] for c in cells]), n
+
+
+@pytest.mark.parametrize("q", [3, 4, 5])
 def test_dense_view_is_zero_exactly_off_the_proper_words(q):
     for n in range(0, 7):
         circ, vec = recurrence.cycle_counts(n, q), recurrence.line_counts(n, q)
@@ -298,8 +307,9 @@ def test_dense_view_is_zero_exactly_off_the_proper_words(q):
         # cycle some cyclically proper words count 0 (n >= 4).
         assert np.array_equal(vec != 0, proper), n
         assert not circ[~cyc_proper].any(), n
+        codes = recurrence._slice_codes(q, n, np.arange(q)) if n else np.zeros((), np.int32)
         written = np.zeros(q**n, dtype=bool)
-        written[recurrence._level_codes(q, n).reshape(-1)] = True
+        written[codes.reshape(-1)] = True
         assert np.array_equal(written.reshape(proper.shape), proper), n
 
 
@@ -319,12 +329,12 @@ def test_law_codes_equal_the_nonzero_cells_of_the_dense_view(q, top):
     for cyclic, z_of in ((True, z_circ), (False, z_vec)):
         for n in range(0, top + 1):
             flat = recurrence._counts_view(n, q, cyclic).reshape(-1)
-            codes, counts, z = recurrence._law_codes(n, q, 10**8, cyclic=cyclic)
+            states, z, slice_of = recurrence._law_slices(n, q, 10**8, cyclic=cyclic)
+            codes, counts = map(np.concatenate, zip(*map(slice_of, range(q))))
             assert codes.dtype == np.int32 and counts.dtype == np.int64
             assert np.array_equal(codes, np.flatnonzero(flat)), (n, cyclic)
             assert np.array_equal(counts, flat[flat != 0]), (n, cyclic)
             assert type(z) is int and z == z_of(n, q), (n, cyclic)
-            states, _, _ = recurrence._law_slices(n, q, 10**8, cyclic=cyclic)
             assert type(states) is int and states == codes.size, (n, cyclic)
 
 

@@ -9,7 +9,9 @@ from hypothesis import given, strategies as st
 from findep.words import (
     Word,
     apply_color_perm,
+    decode_codes,
     delete_at,
+    encode_digits,
     insertion_orbits,
     is_cyclically_proper,
     is_proper,
@@ -50,6 +52,45 @@ def test_comma_row_texts_match_the_per_row_join(n, q):
     if n:
         rows[:100, -1], rows[100:, -1] = q, 1
     assert row_texts(rows, q) == [",".join(map(str, r)) for r in rows.tolist()]
+
+
+@pytest.mark.parametrize(
+    "n,q", [(n, q) for q in range(2, 13) for n in range(1, 9) if q**n <= 10**6]
+)
+def test_codec_round_trips_and_agrees_with_numpy(n, q):
+    codes = np.arange(q**n)
+    digits = decode_codes(codes, n, q)
+    assert digits.dtype == np.int32 and digits.shape == (q**n, n)
+    for column, oracle in zip(digits.T, np.unravel_index(codes, (q,) * n)):
+        assert np.array_equal(column, oracle)
+    encoded = encode_digits(digits, q)
+    assert encoded.dtype == np.int64
+    assert np.array_equal(encoded, codes)
+    assert np.array_equal(encoded, np.ravel_multi_index(tuple(digits.T), (q,) * n))
+
+
+@pytest.mark.parametrize("q", [2, 4, 12])
+def test_codec_of_the_empty_word(q):
+    # numpy's ravel/unravel take no 0-d shape; the empty word's code is 0.
+    assert decode_codes(np.zeros(3, dtype=np.int32), 0, q).shape == (3, 0)
+    assert encode_digits(np.zeros((3, 0), dtype=np.int32), q).tolist() == [0, 0, 0]
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+def test_decoded_digits_are_int32_whatever_the_code_dtype(dtype):
+    # the law's codes are int32, the dense views' flat indices int64
+    codes = np.array([0, 5, 4**8 - 1], dtype=dtype)
+    digits = decode_codes(codes, 8, 4)
+    assert digits.dtype == np.int32
+    assert digits.tolist() == [[0] * 8, [0] * 6 + [1, 1], [3] * 8]
+
+
+def test_encoder_refuses_codes_that_leave_int64():
+    assert encode_digits(np.ones((1, 63), dtype=np.int32), 2).tolist() == [2**63 - 1]
+    with pytest.raises(OverflowError):
+        encode_digits(np.zeros((1, 64), dtype=np.int32), 2)
+    with pytest.raises(OverflowError):
+        encode_digits(np.zeros((1, 14), dtype=np.int32), 23)
 
 
 def test_parse_and_text_roundtrip():
