@@ -8,14 +8,14 @@ integers. All operations are pure. scipy is loaded only by
 ``chi_square_gof``, for its p-value (``sample --gof``), so no other command
 pays for importing it.
 
-Independence has one engine, ``_independent``: a law as a count tensor with
-one axis per coordinate, the joint marginal of S1 | S2 as a sum over the
-other axes, m1 and m2 as sums of that joint, and a pair (S1, S2) accepted
-iff joint * total == outer(m1, m2) on every cell, decided by
-``_cross_equal`` in int64 with no product formed. The public functions
-decode an ``ExactDist`` into it (``_dist_counts``); ``verify kdep`` hands
-``_dependent_pair`` the dense level and its sum. k-dependence is decided
-on the maximal pairs alone (``_maximal_pairs``).
+Independence has one engine, ``_independent``, on a law's nonzero cells
+(rows, counts, total, a): each state a row of indices into the sorted
+alphabet of the law's a symbols, with its int64 weight. The joint of a pair
+(S1, S2) is summed over the cells, m1 and m2 from it, and the pair accepted
+iff joint * total == outer(m1, m2), decided by ``_cross_equal`` in int64
+with no product formed. The public functions read the cells off an
+``ExactDist`` (``_dist_cells``), ``verify kdep`` off the count level. The
+maximal pairs alone decide k-dependence (``_maximal_pairs``).
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import numpy as np
 from .dist import ExactDist, State, state_text
 from .errors import BudgetExceeded
 from .recurrence import DEFAULT_BUDGET, _check_k
-from .words import Word, apply_color_perm, reflect, rotate, rotl
+from .words import Word, apply_color_perm, encode_digits, reflect, rotate, rotl
 
 __all__ = [
     "GofReport",
@@ -80,24 +80,21 @@ def pushforward(d: ExactDist, f: Callable[[State], State]) -> ExactDist:
     return ExactDist.from_weights(acc)
 
 
-def _dist_counts(d: ExactDist) -> tuple[np.ndarray, int]:
-    """(counts, total): the law's integer weights and their total, as
-    int64 of shape (a,)*n, axis i indexing the i-th coordinate's symbol in
-    the sorted alphabet of the law's a symbols (Word and tuple states)."""
+def _dist_cells(d: ExactDist) -> tuple:
+    """The law's nonzero cells (rows, counts, total, a): row i holds the
+    i-th state's indices into the sorted alphabet of the law's a symbols
+    (Word and tuple states), counts[i] its int64 weight, total their sum."""
     weights, total = d.weights()
     if total >= 1 << 63:
         raise OverflowError(f"total weight {total} does not fit in int64")
-    rows = [tuple(state) for state in weights]
-    alphabet = sorted(set().union(*rows))
-    a, n = len(alphabet), len(rows[0])
+    states = [tuple(state) for state in weights]
+    alphabet = sorted(set().union(*states))
+    a, n = len(alphabet), len(states[0])
     if a**n > DEFAULT_BUDGET:
         raise BudgetExceeded(f"{a}**{n} count cells exceed the budget {DEFAULT_BUDGET}")
     pos = {c: i for i, c in enumerate(alphabet)}
-    idx = np.array([[pos[c] for c in r] for r in rows], dtype=np.int64).reshape(len(rows), n)
-    counts = np.zeros((a,) * n, dtype=np.int64)
-    values = list(weights.values())
-    counts[tuple(idx.T)] = values if n else values[0]  # n = 0: one 0-d cell
-    return counts, total
+    rows = np.array([[pos[c] for c in s] for s in states], dtype=np.int64)
+    return rows, np.fromiter(weights.values(), np.int64, len(states)), total, a
 
 
 def _cross_equal(x: np.ndarray, a, y: np.ndarray, b) -> np.ndarray:
@@ -114,18 +111,19 @@ def _cross_equal(x: np.ndarray, a, y: np.ndarray, b) -> np.ndarray:
     return (rx == 0) & (ry == 0) & (qx == qy)
 
 
-def _independent(counts: np.ndarray, total: int, s1: tuple, s2: tuple) -> bool:
-    """Exact factorization of the law counts / total on the sorted 0-based
-    coordinate sets s1 and s2: joint * total == outer(m1, m2) on every cell,
-    the joint summed over the other axes and m1, m2 from the joint. A row
-    with m1 = 0 is a zero joint row; it is dropped, as m1 is a factor."""
-    union = tuple(sorted(s1 + s2))
-    rest = tuple(i for i in range(counts.ndim) if i not in union)
-    joint = counts.sum(axis=rest).transpose([union.index(c) for c in s1 + s2])
-    joint = joint.reshape(counts.shape[0] ** len(s1), -1)
+def _independent(cells: tuple, s1: tuple, s2: tuple) -> bool:
+    """Exact factorization of a law's nonzero cells (rows, counts, total, a)
+    on the 0-based coordinate sets s1 and s2: joint * total == outer(m1, m2),
+    the joint summed in int64 over the cells into a**|s1 + s2| values, m1
+    and m2 from it. A row with m1 = 0 is a zero joint row; it is dropped
+    before m2 is summed, as m1 is a factor."""
+    rows, counts, total, a = cells
+    joint = np.zeros(a ** (len(s1) + len(s2)), dtype=np.int64)
+    np.add.at(joint, encode_digits(rows[:, s1 + s2], a), counts)
+    joint = joint.reshape(a ** len(s1), -1)
     m1 = joint.sum(axis=1)
-    live = m1 > 0
-    return bool(_cross_equal(joint[live], total, joint.sum(axis=0), m1[live, None]).all())
+    joint, m1 = joint[m1 > 0], m1[m1 > 0, None]
+    return bool(_cross_equal(joint, total, joint.sum(axis=0), m1).all())
 
 
 def are_independent(d: ExactDist, s1: Iterable[int], s2: Iterable[int]) -> bool:
@@ -144,11 +142,8 @@ def are_independent(d: ExactDist, s1: Iterable[int], s2: Iterable[int]) -> bool:
             raise ValueError(f"coordinate {c} not in [1, {n}]")
     if not set1 or not set2:
         return True
-    return _independent(
-        *_dist_counts(d),
-        tuple(sorted(c - 1 for c in set1)),
-        tuple(sorted(c - 1 for c in set2)),
-    )
+    s1, s2 = (tuple(sorted(c - 1 for c in s)) for s in (set1, set2))
+    return _independent(_dist_cells(d), s1, s2)
 
 
 def _cyclic_distance(i: int, j: int, n: int) -> int:
@@ -196,15 +191,15 @@ def _check_pair_limit(n: int) -> None:
         raise BudgetExceeded(f"the subset-pair check is limited to n <= 10, got {n}")
 
 
-def _dependent_pair(counts: np.ndarray, total: int, k: int) -> Optional[_Pair]:
-    """``k_dependence_counterexample`` of the law counts / total; callers
+def _dependent_pair(cells: tuple, k: int) -> Optional[_Pair]:
+    """``k_dependence_counterexample`` of a law's nonzero cells; callers
     check ``_check_pair_limit`` first. Independence passes to subsets, so
     the maximal pairs decide; only a dependent law walks every admissible
     pair, in canonical order, to name the first dependent one."""
-    n = counts.ndim
-    if all(_independent(counts, total, *pair) for pair in _maximal_pairs(n, k)):
+    n = cells[0].shape[1]
+    if all(_independent(cells, *pair) for pair in _maximal_pairs(n, k)):
         return None
-    s1, s2 = next(p for p in _admissible_pairs(n, k) if not _independent(counts, total, *p))
+    s1, s2 = next(p for p in _admissible_pairs(n, k) if not _independent(cells, *p))
     return tuple(c + 1 for c in s1), tuple(c + 1 for c in s2)
 
 
@@ -218,7 +213,7 @@ def k_dependence_counterexample(d: ExactDist, k: int) -> Optional[_Pair]:
     """
     _check_k(k)
     _check_pair_limit(_state_len(d))
-    return _dependent_pair(*_dist_counts(d), k)
+    return _dependent_pair(_dist_cells(d), k)
 
 
 def verify_k_dependence(d: ExactDist, k: int) -> bool:
@@ -226,29 +221,22 @@ def verify_k_dependence(d: ExactDist, k: int) -> bool:
     return k_dependence_counterexample(d, k) is None
 
 
-def symmetry_check(
-    d: ExactDist,
-    op: str,
-    *,
-    r: int = 1,
-    sigma=None,
-) -> bool:
+def symmetry_check(d: ExactDist, op: str, *, r: int = 1, sigma=None) -> bool:
     """True iff d is exactly invariant under the named state symmetry.
 
     op is one of "rotation" (cyclic left shift by r), "reflection", or
     "color-permutation" (requires sigma, a bijection of the colors).
     """
-    if op == "rotation":
-        f = lambda s: rotate(s, r) if isinstance(s, Word) else rotl(s, r)
-    elif op == "reflection":
-        f = lambda s: reflect(s) if isinstance(s, Word) else s[::-1]
-    elif op == "color-permutation":
-        if sigma is None:
-            raise ValueError("color-permutation requires sigma")
-        f = lambda s: apply_color_perm(s, sigma)
-    else:
+    maps = {
+        "rotation": lambda s: rotate(s, r) if isinstance(s, Word) else rotl(s, r),
+        "reflection": lambda s: reflect(s) if isinstance(s, Word) else s[::-1],
+        "color-permutation": lambda s: apply_color_perm(s, sigma),
+    }
+    if op not in maps:
         raise ValueError(f"unknown symmetry operation {op!r}")
-    return pushforward(d, f) == d
+    if op == "color-permutation" and sigma is None:
+        raise ValueError("color-permutation requires sigma")
+    return pushforward(d, maps[op]) == d
 
 
 def tv_distance(d1: ExactDist, d2: ExactDist) -> Fraction:

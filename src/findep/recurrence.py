@@ -24,8 +24,9 @@ nonzero color increments mod q, one gather per deletion, that
 canonicalizes nothing. ``cycle_counts`` and ``line_counts`` scatter level
 n, on every call, into a read-only dense (q,)*n view, zero off the proper
 words, on which ``verify shift`` checks the symmetries. Every sized verify
-suite reads the cycle and line laws only as these views (``symmetry``
-through ``_law_counts``). The two engines are cross-checked in tests.
+suite reads the cycle and line laws only as these views, but ``symmetry``
+(through ``_law_counts``) and ``kdep`` (through ``_law_slices``). The two
+engines are cross-checked in tests.
 
 Laws come only from the levels, one first-color slice at a time:
 ``_law_slices`` computes each slice [a] of level n from the cached level
@@ -44,7 +45,8 @@ n-1 holds q (q-1)**(n-2) int64 counts and a slice of level n
 (q-1)**(n-1), 0.56 and 0.48 GB for ``exact cycle --n 11 --q 7 --budget
 2000000000``), and partition sums to n <= 14; beyond any bound they raise
 ``BudgetExceeded`` before allocating. Every level and slice is checked to
-hold counts in [0, m!], so an int64 overflow raises instead of giving a
+hold counts in [0, m!], and each sum of them to fit int64 before it is
+taken (``_count_sum``), so an int64 overflow raises instead of giving a
 law.
 
 Thread-safety: all functions are pure. The per-word memos and the level
@@ -92,8 +94,8 @@ DEFAULT_BUDGET = 5_000_000
 THEOREM_GRADE = frozenset({(1, 4), (2, 3)})
 
 # Dense-array evaluation bounds. Counts of length-m words are at most m!,
-# so int64 arithmetic (including level and slice sums) is exact for
-# n <= _BULK_MAX_N; _ENUM_LIMIT caps how many words any sum may visit, and
+# so int64 level arithmetic is exact for n <= _BULK_MAX_N (``_count_sum``
+# checks the sums); _ENUM_LIMIT caps how many words any sum may visit, and
 # partition sums past _CHUNK words sum the top level one slice at a time.
 _BULK_MAX_N = 14
 _ENUM_LIMIT = 1 << 27
@@ -279,6 +281,14 @@ def _level_values(prev: np.ndarray, a: int, q: int, cyclic: bool, out: np.ndarra
     return _checked(out, m)
 
 
+def _count_sum(vals: np.ndarray, m: int) -> int:
+    """The int64 sum of vals, counts of length-m words (each at most m!), as
+    a Python int; ``OverflowError`` before summing unless size * m! < 2**63."""
+    if vals.size * math.factorial(m) > _INT64_MAX:
+        raise OverflowError(f"{vals.size} counts of length-{m} words may sum past int64")
+    return int(vals.sum())
+
+
 def _check_cells(q: int, m: int) -> None:
     """Raise before allocating if the word codes of level m would not fit int32."""
     if q**m >= _CELL_LIMIT:
@@ -323,10 +333,10 @@ def _sum_counts(n: int, q: int, *, cyclic: bool) -> int:
     if n == 0:
         return 1
     if q**n <= _CHUNK:
-        return int(_levels(q, cyclic, n)[n].sum())
+        return _count_sum(_levels(q, cyclic, n)[n], n)
     # The top level is summed slice by slice, so it is never stored.
     level = _top_slices(n, q, cyclic)
-    return sum(int(level(a).sum()) for a in range(q))
+    return sum(_count_sum(level(a), n) for a in range(q))
 
 
 def z_circ(n: int, q: int) -> int:
@@ -397,7 +407,7 @@ def _law_slices(
     for a in range(q):
         vals = level(a)
         states += int(np.count_nonzero(vals))
-        z += int(vals.sum())
+        z += _count_sum(vals, n)
 
     def slice_of(a: int) -> tuple[np.ndarray, np.ndarray]:
         vals = level(a).reshape(-1)

@@ -6,9 +6,10 @@ Each suite returns a JSON-ready report::
 
 with one entry per checked case and the first failing case (if any)
 surfaced as a minimal counterexample. All checks are exact. The sized
-suites read the cycle and line laws only as dense count levels
-(``recurrence.cycle_counts`` and ``line_counts``), never as ``ExactDist``;
-``marginals`` and ``kernels`` compare binary counts as ``ExactDist`` laws.
+suites read the cycle and line laws as dense count levels
+(``recurrence.cycle_counts`` and ``line_counts``) or, ``symmetry`` and
+``kdep``, as their nonzero cells, never as ``ExactDist``; ``marginals``
+and ``kernels`` compare binary counts as ``ExactDist`` laws.
 ``restriction``, ``window`` and ``coupling`` compare levels that agree up
 to a constant factor with ``analysis._cross_equal``, exact in int64.
 
@@ -253,21 +254,19 @@ def window_suite(max_n: int) -> dict:
 
 
 def _kdep_case(n: int, q: int, k: int, expected: str = "independent") -> dict:
-    """Check whether the cycle law at (n, q) is k-dependent, on its dense
-    level; the case passes when the answer is the ``expected`` one
-    ("independent" or "dependent")."""
-    level = recurrence.cycle_counts(n, q)
-    cex = analysis._dependent_pair(level, int(level.sum()), k)
+    """Check whether the cycle law at (n, q) is k-dependent, on its nonzero
+    cells: the codes and counts of ``recurrence._law_slices``, each code
+    decoded to its row of 0-based colors (so a = q). The case passes when
+    the answer is the ``expected`` one ("independent" or "dependent")."""
+    _, z, slice_of = recurrence._law_slices(n, q, recurrence.DEFAULT_BUDGET, cyclic=True)
+    codes, counts = map(np.concatenate, zip(*map(slice_of, range(q))))
+    cex = analysis._dependent_pair((decode_codes(codes, n, q), counts, z, q), k)
     pair = None if cex is None else {"s1": cex[0], "s2": cex[1]}
     case = {"n": n, "q": q, "k": k, "expected": expected}
     if expected == "independent":
         return _case(pair is None, pair, **case)
-    return {
-        **case,
-        "passed": pair is not None,
-        "dependent_pair": pair,
-        "counterexample": None if pair else {"n": n, "q": q, "k": k},
-    }
+    return {**case, "passed": pair is not None, "dependent_pair": pair,
+            "counterexample": None if pair else {"n": n, "q": q, "k": k}}
 
 
 def kdep_suite(max_n: int) -> dict:

@@ -24,7 +24,7 @@ from findep.analysis import (
 from findep.chains import color_indicator
 from findep.dist import ExactDist
 from findep.errors import BudgetExceeded
-from findep.recurrence import cycle_counts, cycle_law, line_window_law
+from findep.recurrence import _law_counts, cycle_counts, cycle_law, line_window_law
 from findep.words import Word
 
 F = Fraction
@@ -119,15 +119,34 @@ def _literal_independent(counts, total, s1, s2):
     return all(x * total == a * b for row, a in zip(joint, m1) for x, b in zip(row, m2))
 
 
+def _level_cells(n, q):
+    """The nonzero cells (rows, counts, total, a) of the cycle law at (n, q),
+    read off its rows and counts with 0-based colors, so a = q."""
+    rows, counts, z = _law_counts(n, q, 10**8, cyclic=True)
+    return rows - 1, np.array(counts, dtype=np.int64), z, q
+
+
+def _dense(d):
+    """The law d as an int64 count tensor of shape (a,)*n over the sorted
+    alphabet of its a symbols, written state by state, with its total."""
+    weights, total = d.weights()
+    alphabet = sorted({c for state in weights for c in state})
+    counts = np.zeros((len(alphabet),) * len(next(iter(weights))), dtype=np.int64)
+    for state, w in weights.items():
+        counts[tuple(alphabet.index(c) for c in state)] = w
+    return counts, total
+
+
 @pytest.mark.parametrize("n,q", [(7, 4), (6, 3)])
 def test_independent_int64_and_python_int_paths_agree(n, q):
-    """``_independent`` and the Python-int cross-multiplication of
-    ``_literal_independent`` decide every maximal pair at every k alike,
-    dependent ones included."""
-    counts = cycle_counts(n, q)
+    """``_independent`` on the law's cells and the Python-int
+    cross-multiplication of ``_literal_independent`` on the dense level
+    decide every maximal pair at every k alike, dependent ones included."""
+    counts, cells = cycle_counts(n, q), _level_cells(n, q)
     total = int(counts.sum())
+    assert cells[2] == total
     pairs = [p for k in range(0, (n - 2) // 2 + 1) for p in _maximal_pairs(n, k)]
-    fast = [analysis._independent(counts, total, *p) for p in pairs]
+    fast = [analysis._independent(cells, *p) for p in pairs]
     assert [_literal_independent(counts, total, *p) for p in pairs] == fast
     assert True in fast and False in fast
 
@@ -135,14 +154,116 @@ def test_independent_int64_and_python_int_paths_agree(n, q):
 def test_independent_matches_python_ints_where_total_squared_leaves_int64():
     """Where joint * total overflows int64: every maximal pair at k = 1, and
     at k = 0 every pair of two sites and the first maximal pair."""
-    counts = cycle_counts(10, 4)  # 1-dependent, so both verdicts occur
+    counts, cells = cycle_counts(10, 4), _level_cells(10, 4)  # 1-dependent: both verdicts
     total = int(counts.sum())
-    assert total * total > 2**63
+    assert total * total > 2**63 and cells[2] == total
     pairs = list(_maximal_pairs(10, 1)) + [next(_maximal_pairs(10, 0))]
     pairs += [p for p in _admissible_pairs(10, 0) if len(p[0] + p[1]) == 2]
-    verdicts = [analysis._independent(counts, total, *p) for p in pairs]
+    verdicts = [analysis._independent(cells, *p) for p in pairs]
     assert verdicts == [_literal_independent(counts, total, *p) for p in pairs]
     assert True in verdicts and False in verdicts
+
+
+def _random_pairs(rng, n, count):
+    """count random pairs of disjoint nonempty 0-based coordinate sets."""
+    pairs = []
+    while len(pairs) < count:
+        side = rng.integers(0, 3, n)
+        s1, s2 = (tuple(np.flatnonzero(side == i).tolist()) for i in (1, 2))
+        if s1 and s2:
+            pairs.append((s1, s2))
+    return pairs
+
+
+def _random_law(rng, alphabet, n, states):
+    """Random weights in [1, 1000) on up to ``states`` random length-n
+    tuples over alphabet."""
+    rows = rng.choice(alphabet, size=(states, n)).tolist()
+    return {tuple(row): int(w) for row, w in zip(rows, rng.integers(1, 1000, states))}
+
+
+def _product(w1, w2):
+    """The product of two laws' weights, on the concatenated tuples."""
+    return {s + t: x * y for s, x in w1.items() for t, y in w2.items()}
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 6])
+def test_independent_matches_python_ints_on_random_laws(q):
+    """``_independent`` on the cells of ``_dist_cells`` and
+    ``_literal_independent`` on the same law as a dense tensor decide alike,
+    over alphabets that are not 1..q: Words that miss a color, and bit
+    tuples. Each length has a random law and a product of two random
+    blocks, checked on random pairs and on the pair of its two blocks."""
+    rng = np.random.default_rng(q)
+    verdicts = set()
+    for n in range(2, 8):
+        h = n // 2
+        missing = int(rng.integers(1, q + 1))
+        colors = [c for c in range(1, q + 1) if c != missing]
+        for alphabet, state in ((colors, lambda s: Word(s, q)), ([0, 1], tuple)):
+            blocks = _product(_random_law(rng, alphabet, h, 8), _random_law(rng, alphabet, n - h, 8))
+            for weights in (_random_law(rng, alphabet, n, 60), blocks):
+                d = ExactDist.from_weights({state(s): w for s, w in weights.items()})
+                cells, (counts, total) = analysis._dist_cells(d), _dense(d)
+                assert cells[2:] == (total, counts.shape[0])
+                for s1, s2 in _random_pairs(rng, n, 4) + [(tuple(range(h)), tuple(range(h, n)))]:
+                    verdict = analysis._independent(cells, s1, s2)
+                    assert verdict == _literal_independent(counts, total, s1, s2), (n, s1, s2)
+                    assert verdict == are_independent(d, [c + 1 for c in s1], [c + 1 for c in s2])
+                    verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def _swap(weights, state, i, j, x, y):
+    """weights with 1 added on state and on state with sites i, j set to
+    x, y, and 1 taken off state with only site i set to x and with only
+    site j set to y: a 2 x 2 swap that keeps every one-site marginal."""
+    out = dict(weights)
+    for si, sj, delta in ((state[i], state[j], 1), (x, y, 1), (x, state[j], -1), (state[i], y, -1)):
+        key = list(state)
+        key[i], key[j] = si, sj
+        out[tuple(key)] += delta
+    return out
+
+
+@pytest.mark.parametrize("alphabet", [(1, 3, 4), (0, 1), (2, 5)])
+def test_product_laws_pass_and_a_marginal_keeping_swap_fails(alphabet):
+    rng = np.random.default_rng(len(alphabet))
+    for n in (3, 4, 5):
+        weights = {(): 1}
+        for _ in range(n):  # one-site weights >= 2, so a swap leaves every weight >= 1
+            weights = _product(weights, {(c,): int(w) for c, w in
+                                         zip(alphabet, rng.integers(2, 20, len(alphabet)))})
+        d = ExactDist.from_weights(weights)
+        assert k_dependence_counterexample(d, 0) is None
+        assert all(are_independent(d, s1, s2) for s1, s2 in _admissible_1based(n, 0))
+        swapped = ExactDist.from_weights(
+            _swap(weights, (alphabet[0],) * n, 0, n - 1, alphabet[1], alphabet[1]))
+        for c in range(1, n + 1):
+            assert marginalize(swapped, [c]) == marginalize(d, [c]), c
+        assert not are_independent(swapped, {1}, {n})
+        assert not _literal_independent(*_dense(swapped), (0,), (n - 1,))
+        assert k_dependence_counterexample(swapped, 0) is not None
+
+
+def test_independent_is_exact_for_totals_past_2_53_and_up_to_int64():
+    """A total in [2**53, 2**63) is decided exactly: a product law passes
+    and a swap of 1 in about 2**55 fails. Totals of 2**63 - 1 are decided
+    both ways, and 2**63 raises."""
+    weights = _product({(0,): 2**27 + 1, (1,): 2**27 - 1}, {(0,): 2**26 + 1, (1,): 2**26 + 3})
+    d = ExactDist.from_weights(weights)
+    assert 2**53 <= d.weights()[1] < 2**63
+    assert are_independent(d, {1}, {2})
+    swapped = ExactDist.from_weights(_swap(weights, (0, 0), 0, 1, 1, 1))
+    assert 2**53 <= swapped.weights()[1] < 2**63
+    assert not are_independent(swapped, {1}, {2})
+    assert not _literal_independent(*_dense(swapped), (0,), (1,))
+    edge = _product({(0,): 1, (1,): 6}, {(0,): 1, (1,): (2**63 - 1) // 7 - 1})
+    assert ExactDist.from_weights(edge).weights()[1] == 2**63 - 1
+    assert are_independent(ExactDist.from_weights(edge), {1}, {2})
+    assert not are_independent(ExactDist.from_weights({(0, 0): 1, (1, 1): 2**63 - 2}), {1}, {2})
+    with pytest.raises(OverflowError):
+        are_independent(ExactDist.from_weights({(0, 0): 1, (1, 1): 2**63 - 1}), {1}, {2})
 
 
 def test_k_dependence_positive():

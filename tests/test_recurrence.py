@@ -6,6 +6,7 @@ agree with it word by word. Frozen expected values were computed with the
 oracle before the engine existed.
 """
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -264,6 +265,22 @@ def test_level_counts_are_checked_against_m_factorial():
         recurrence._level_values(np.full((3, 2), 3, dtype=np.int64), 0, 3, True, out)
     with pytest.raises(OverflowError):  # the int64 sum wraps to a negative count
         recurrence._level_values(np.full((3, 2), 2**62, dtype=np.int64), 0, 3, True, out)
+
+
+def test_count_sums_are_checked_against_int64_before_summing():
+    """cells * m! < 2**63 is what makes an int64 sum of level-m counts exact;
+    the check raises before any cell is read."""
+    top = math.factorial(20)  # 3 * 20! < 2**63 <= 4 * 20!
+    assert 3 * top < 2**63 <= 4 * top
+    assert recurrence._count_sum(np.full(3, top, dtype=np.int64), 20) == 3 * top
+    with pytest.raises(OverflowError):
+        recurrence._count_sum(np.full(4, top, dtype=np.int64), 20)
+    # 2**62 cells at m = 2 make exactly 2**63: refused unread (an int8 view,
+    # whose nominal bytes fit), and one cell fewer fits
+    with pytest.raises(OverflowError):
+        recurrence._count_sum(np.broadcast_to(np.int8(2), 2**62), 2)
+    assert (2**62 - 1) * math.factorial(2) < 2**63
+    assert recurrence._count_sum(np.full((3, 4), 2, dtype=np.int64), 2) == 24
 
 
 def _encoded_word(cell, q):

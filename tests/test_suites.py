@@ -14,7 +14,7 @@ from findep.errors import BudgetExceeded
 from findep.growth import coupling_kernel
 from findep.recurrence import cycle_law, line_window_law
 from findep.suites import SIZES, run_all, run_suite, shift_suite
-from findep.words import Word
+from findep.words import Word, encode_digits
 
 
 def test_report_shape():
@@ -444,9 +444,15 @@ def test_window_consistent_matches_marginalize(k, q):
         assert not all(verdicts)  # the pair is not theorem-grade: both answers occur
 
 
+def _level_cells(n, q, cyclic=True):
+    """The nonzero cells (rows, counts, total, a) of the count level at
+    (n, q), read off the law's rows and counts with 0-based colors."""
+    rows, counts, z = recurrence._law_counts(n, q, recurrence.DEFAULT_BUDGET, cyclic=cyclic)
+    return rows - 1, np.array(counts, dtype=np.int64), z, q
+
+
 def _level_pair(n, q, k):
-    level = recurrence.cycle_counts(n, q)
-    return analysis._dependent_pair(level, int(level.sum()), k)
+    return analysis._dependent_pair(_level_cells(n, q), k)
 
 
 @pytest.mark.parametrize("q", [3, 4])
@@ -456,24 +462,23 @@ def test_dependent_pair_on_level_matches_counterexample(n, q):
         assert _level_pair(n, q, k) == k_dependence_counterexample(cycle_law(n, q), k), k
 
 
-def _literal_first_dependent(level, k):
+def _literal_first_dependent(cells, k):
     """The first dependent admissible pair in canonical order, each pair
     checked on its own."""
-    total = int(level.sum())
-    for s1, s2 in analysis._admissible_pairs(level.ndim, k):
-        if not analysis._independent(level, total, s1, s2):
+    for s1, s2 in analysis._admissible_pairs(cells[0].shape[1], k):
+        if not analysis._independent(cells, s1, s2):
             return tuple(c + 1 for c in s1), tuple(c + 1 for c in s2)
     return None
 
 
 def test_dependent_pair_matches_a_literal_walk():
     verdicts = set()
-    for q, counts in product((3, 4, 5, 6), (recurrence.cycle_counts, recurrence.line_counts)):
+    for q, cyclic in product((3, 4, 5, 6), (True, False)):
         for n in (n for n in range(2, 10) if q**n <= 5_000_000):
-            level = counts(n, q)
+            cells = _level_cells(n, q, cyclic)
             for k in range(n // 2):  # n >= 2k + 2: some pair is at distance > k
-                got = analysis._dependent_pair(level, int(level.sum()), k)
-                assert got == _literal_first_dependent(level, k), (counts.__name__, n, q, k)
+                got = analysis._dependent_pair(cells, k)
+                assert got == _literal_first_dependent(cells, k), (cyclic, n, q, k)
                 verdicts.add(got is None)
     assert verdicts == {True, False}
 
@@ -521,15 +526,26 @@ def test_kernels_chain_vs_pushforward_fails_on_broken_level(monkeypatch):
 
 
 def test_kdep_fails_on_broken_level(monkeypatch):
-    bumped = _bump((1, 2, 1, 2, 1, 3))(recurrence.cycle_counts(6, 4))
-    _patched(monkeypatch, "cycle_counts", (6, 4), lambda c: bumped)
+    word = (1, 2, 1, 2, 1, 3)
+    code = int(encode_digits(np.array([word]) - 1, 4)[0])
+
+    def bump(law):  # one more count on the word's code, and on the total
+        states, z, slice_of = law
+
+        def bumped(a):
+            codes, counts = slice_of(a)
+            return codes, counts + (codes == code)
+
+        return states, z + 1, bumped
+
+    _patched(monkeypatch, "_law_slices", (6, 4), bump)
     rep = suites.kdep_suite(max_n=6)
     failing = [(c["n"], c["q"], c["k"]) for c in rep["cases"] if not c["passed"]]
     assert failing == [(6, 4, 1)]
-    law = ExactDist.from_weights({
-        Word(tuple(i + 1 for i in idx), 4): int(bumped[tuple(idx)])
-        for idx in np.argwhere(bumped).tolist()
-    })
+    rows, counts, _ = recurrence._law_counts(6, 4, recurrence.DEFAULT_BUDGET, cyclic=True)
+    bumped = dict(zip(map(tuple, rows.tolist()), counts))
+    assert bumped[word] == recurrence.b_circ(word, 4) + 1
+    law = ExactDist.from_weights({Word(w, 4): c for w, c in bumped.items()})
     s1, s2 = k_dependence_counterexample(law, 1)
     assert rep["counterexample"] == {"s1": s1, "s2": s2}
 
