@@ -89,8 +89,8 @@ import numpy as np
 from .dist import ExactDist, Kernel
 # b_circ is no longer called here, but perfbench's self-test checks that its
 # tracer rebinds it at this lookup site, so the name stays.
-from .recurrence import b_circ, cycle_counts  # noqa: F401
-from .recurrence import _INT64_MAX
+from .recurrence import b_circ  # noqa: F401
+from .recurrence import DEFAULT_BUDGET, _INT64_MAX, _law_cells
 from .words import Word, encode_digits, insertion_orbits, rotl, tuple_is_cyclically_proper
 
 __all__ = [
@@ -788,7 +788,7 @@ def eden_vs_necklace_kernel_check(n: int, q: int) -> bool:
     """Exact equality of the Eden step-and-read law with the insertion step.
 
     For every reachable outer coloring t (positive insertion count, read
-    in lexicographic order from the dense level ``cycle_counts(n, q)``),
+    in lexicographic order from the rows of ``recurrence._law_cells``),
     counts the outcomes of all (gap, color, start) choices of one Eden
     growth step on the outer colors (the sampler's own ``_insert`` at
     gap+1, once per state, gap and color) followed by a read; the reads
@@ -807,7 +807,7 @@ def eden_vs_necklace_kernel_check(n: int, q: int) -> bool:
     m = n + 1
     if _BLOCK_STATES * q**m > _INT64_MAX:
         raise OverflowError(f"{_BLOCK_STATES} states times {q}**{m} codes do not fit int64")
-    states = np.argwhere(cycle_counts(n, q)) + 1
+    states = _law_cells(n, q, DEFAULT_BUDGET, cyclic=True)[0] + 1
     choices = [(gap_index + 1, color_index)
                for gap_index in range(n) for color_index in range(q - 2)]
     for block in np.split(states, range(_BLOCK_STATES, len(states), _BLOCK_STATES)):

@@ -25,29 +25,27 @@ canonicalizes nothing. ``cycle_counts`` and ``line_counts`` scatter level
 n, on every call, into a read-only dense (q,)*n view, zero off the proper
 words, on which ``verify shift`` checks the symmetries. Every sized verify
 suite reads the cycle and line laws only as these views, but ``symmetry``
-(through ``_law_counts``) and ``kdep`` (through ``_law_slices``). The two
-engines are cross-checked in tests.
+and ``kdep`` (through ``_law_cells``). The two engines are cross-checked
+in tests.
 
-Laws come only from the levels, one first-color slice at a time:
-``_law_slices`` computes each slice [a] of level n from the cached level
-n-1 into one reused buffer, first to count the support and sum z, then
-again on request for the slice's nonzero cells as int32 word codes in
-lexicographic order with int64 counts. x1 is a code's most significant
-digit, so the slices in order of a are the law in lexicographic order;
-level n itself is never stored, and no array of q**n cells is allocated.
-The CLI's law dumps stream the slices a block at a time, decoding each
-block's codes to symbols with ``words.decode_codes``; ``_law_counts``
-concatenates the slices and decodes them whole, for ``cycle_law``,
-``line_window_law`` and the ``symmetry`` suite. A law is built anew on
-every call. That bounds laws to n <= 14, q**n within the budget, and
-q**n < 2**31 (word codes are int32; this caps no memory: the cached level
-n-1 holds q (q-1)**(n-2) int64 counts and a slice of level n
-(q-1)**(n-1), 0.56 and 0.48 GB for ``exact cycle --n 11 --q 7 --budget
-2000000000``), and partition sums to n <= 14; beyond any bound they raise
-``BudgetExceeded`` before allocating. Every level and slice is checked to
-hold counts in [0, m!], and each sum of them to fit int64 before it is
-taken (``_count_sum``), so an int64 overflow raises instead of giving a
-law.
+Everything else reads level n one first-color slice at a time, each
+slice computed from the cached level n-1 into one reused buffer, and
+never stores it; each reader computes every slice once. ``_level_totals``
+gives (states, z), for ``z_circ``/``z_vec``; ``_slice_cells`` a slice's
+nonzero cells, int32 word codes in lexicographic order (x1 is a code's
+most significant digit) with int64 counts; ``_law_cells`` all of them as
+0-based rows, for the laws, the ``symmetry`` and ``kdep`` suites and
+``growth``'s kernel check. The CLI's dumps (``_law_slices``) need the
+totals first, so they alone compute level n twice. No array of q**n
+cells is allocated, and a law is built anew on every call. That bounds
+laws to n <= 14, q**n within the budget, and q**n < 2**31 (word codes are
+int32; this caps no memory: the cached level n-1 holds q (q-1)**(n-2)
+int64 counts and a slice of level n (q-1)**(n-1), 0.56 and 0.48 GB for
+``exact cycle --n 11 --q 7 --budget 2000000000``), and partition sums to
+n <= 14; beyond any bound they raise ``BudgetExceeded`` before
+allocating. Every level and slice is checked to hold counts in [0, m!],
+and each sum of them to fit int64 before it is taken (``_count_sum``),
+so an int64 overflow raises instead of giving a law.
 
 Thread-safety: all functions are pure. The per-word memos and the level
 cache are only ever written with values equal to the single-threaded
@@ -95,11 +93,9 @@ THEOREM_GRADE = frozenset({(1, 4), (2, 3)})
 
 # Dense-array evaluation bounds. Counts of length-m words are at most m!,
 # so int64 level arithmetic is exact for n <= _BULK_MAX_N (``_count_sum``
-# checks the sums); _ENUM_LIMIT caps how many words any sum may visit, and
-# partition sums past _CHUNK words sum the top level one slice at a time.
+# checks the sums); _ENUM_LIMIT caps how many words any sum may visit.
 _BULK_MAX_N = 14
 _ENUM_LIMIT = 1 << 27
-_CHUNK = 1 << 22
 # Word codes are int32 (``_slice_codes``): no level has q**m >= 2**31.
 _CELL_LIMIT = 1 << 31
 # The one int64 bound every overflow guard of the package compares with.
@@ -206,8 +202,8 @@ def z_circ_closed(n: int, q: int) -> int:
 #
 # Computed levels are cached per (q, cyclic) and shared across calls: the
 # partition suite evaluates many n for one q and reuses all lower levels.
-# The dense (q,)*n view that the verify suites read is scattered from
-# level n anew on each request and not kept.
+# Sums and laws read level n slice by slice (``_top_slices``) and keep
+# none of it; the dense (q,)*n views cache it and scatter it anew.
 
 _LEVEL_CACHE: dict[tuple[int, bool], list[np.ndarray]] = {}
 
@@ -317,6 +313,20 @@ def _top_slices(n: int, q: int, cyclic: bool) -> Callable[[int], np.ndarray]:
     return lambda a: _level_values(prev, a, q, cyclic, buf)
 
 
+def _level_totals(n: int, q: int, cyclic: bool) -> tuple[int, int]:
+    """(states, z) of level n: the number of words with a positive count and
+    the sum of the counts, both Python ints from one pass over the slices."""
+    if n == 0:
+        return 1, 1
+    level = _top_slices(n, q, cyclic)
+    states = z = 0
+    for a in range(q):
+        vals = level(a)
+        states += int(np.count_nonzero(vals))
+        z += _count_sum(vals, n)
+    return states, z
+
+
 def _check_sum_request(n: int, q: int) -> None:
     """Raise before any work if the partition sum at (n, q) is out of bounds."""
     if n < 0 or q < 1:
@@ -330,13 +340,7 @@ def _check_sum_request(n: int, q: int) -> None:
 
 def _sum_counts(n: int, q: int, *, cyclic: bool) -> int:
     _check_sum_request(n, q)
-    if n == 0:
-        return 1
-    if q**n <= _CHUNK:
-        return _count_sum(_levels(q, cyclic, n)[n], n)
-    # The top level is summed slice by slice, so it is never stored.
-    level = _top_slices(n, q, cyclic)
-    return sum(_count_sum(level(a), n) for a in range(q))
+    return _level_totals(n, q, cyclic)[1]
 
 
 def z_circ(n: int, q: int) -> int:
@@ -384,30 +388,15 @@ def line_counts(n: int, q: int) -> np.ndarray:
     return _counts_view(n, q, False)
 
 
-def _law_slices(
-    n: int, q: int, budget: int, *, cyclic: bool
-) -> tuple[int, int, Callable[[int], tuple[np.ndarray, np.ndarray]]]:
-    """The law's support and weights one first-color slice of level n at a time.
-
-    Returns (states, z, slice_of): states is the number of words with a
-    positive count and z the sum of the counts, both Python ints from one
-    pass over the slices. ``slice_of(a)`` recomputes slice [a] (the words
-    with x1 = a + 1) and returns its words' row-major codes in (q,)*n as
-    int32 in increasing order with their int64 counts; the word has mass
-    count / z. The codes of slice [a] lie in a*q**(n-1) + [0, q**(n-1)),
-    so the slices in order of a are the law in lexicographic order. Level
-    n is never stored, and no array of q**n cells is allocated. At n = 0
-    slice 0 holds the empty word, code 0, and every other slice is empty.
-    """
-    _check_law_request(n, q, budget)
+def _slice_cells(n: int, q: int, cyclic: bool) -> Callable[[int], tuple[np.ndarray, np.ndarray]]:
+    """The function a -> the nonzero cells of slice [a] of level n (the words
+    with x1 = a + 1), computed anew on each call: their row-major codes in
+    (q,)*n as int32 in increasing order, in a*q**(n-1) + [0, q**(n-1)), and
+    their int64 counts. At n = 0 slice 0 holds the empty word, code 0, and
+    every other slice is empty."""
     if n == 0:
-        return 1, 1, lambda a: (np.zeros(int(a == 0), np.int32), np.ones(int(a == 0), np.int64))
+        return lambda a: (np.zeros(int(a == 0), np.int32), np.ones(int(a == 0), np.int64))
     level = _top_slices(n, q, cyclic)
-    states = z = 0
-    for a in range(q):
-        vals = level(a)
-        states += int(np.count_nonzero(vals))
-        z += _count_sum(vals, n)
 
     def slice_of(a: int) -> tuple[np.ndarray, np.ndarray]:
         vals = level(a).reshape(-1)
@@ -416,30 +405,34 @@ def _law_slices(
         order = np.argsort(codes)
         return codes[order], vals[cells[order]]
 
-    return states, z, slice_of
+    return slice_of
 
 
-def _law_counts(n: int, q: int, budget: int, *, cyclic: bool) -> tuple[np.ndarray, list[int], int]:
-    """The law's support and weights: the slices of ``_law_slices``, in
-    order of first color, with each code decoded to its row of symbols.
+def _law_slices(
+    n: int, q: int, budget: int, *, cyclic: bool
+) -> tuple[int, int, Callable[[int], tuple[np.ndarray, np.ndarray]]]:
+    """The law one first-color slice at a time, for the CLI's dumps: (states,
+    z, slice_of) from ``_level_totals`` and ``_slice_cells``; the word with
+    count c has mass c / z. Level n is computed twice and never stored."""
+    _check_law_request(n, q, budget)
+    return (*_level_totals(n, q, cyclic), _slice_cells(n, q, cyclic))
 
-    Returns (rows, counts, z): rows[i] holds the 1-based int32 symbols of
-    the i-th word with a positive count, in lexicographic order; counts[i]
-    is its count as a Python int; z is the sum of the counts, so the word
-    has mass counts[i] / z. Holds the whole support, so the CLI's dumps
-    read ``_law_slices`` instead.
-    """
-    _, z, slice_of = _law_slices(n, q, budget, cyclic=cyclic)
-    codes, counts = zip(*map(slice_of, range(q)))
-    rows = decode_codes(np.concatenate(codes), n, q)
-    rows += 1
-    return rows, np.concatenate(counts).tolist(), z
+
+def _law_cells(n: int, q: int, budget: int, *, cyclic: bool) -> tuple[np.ndarray, np.ndarray, int]:
+    """The law's nonzero cells (rows, counts, z), from one pass over level n:
+    rows[i] holds the 0-based int32 colors of the i-th word with a positive
+    count, in lexicographic order, counts[i] its int64 count and z their
+    sum, so the word has mass counts[i] / z."""
+    _check_law_request(n, q, budget)
+    codes, counts = map(np.concatenate, zip(*map(_slice_cells(n, q, cyclic), range(q))))
+    return decode_codes(codes, n, q), counts, _count_sum(counts, n)
 
 
 def _law(n: int, q: int, budget: int, *, cyclic: bool) -> ExactDist:
-    rows, counts, _ = _law_counts(n, q, budget, cyclic=cyclic)
+    rows, counts, _ = _law_cells(n, q, budget, cyclic=cyclic)
+    rows += 1
     words = [Word(tuple(r), q) for r in rows.tolist()]
-    return ExactDist.from_weights(dict(zip(words, counts)))
+    return ExactDist.from_weights(dict(zip(words, counts.tolist())))
 
 
 def cycle_law(n: int, q: int, *, budget: int = DEFAULT_BUDGET) -> ExactDist:

@@ -8,8 +8,9 @@ with one entry per checked case and the first failing case (if any)
 surfaced as a minimal counterexample. All checks are exact. The sized
 suites read the cycle and line laws as dense count levels
 (``recurrence.cycle_counts`` and ``line_counts``) or, ``symmetry`` and
-``kdep``, as their nonzero cells, never as ``ExactDist``; ``marginals``
-and ``kernels`` compare binary counts as ``ExactDist`` laws.
+``kdep``, as their nonzero cells from one pass over the top level
+(``recurrence._law_cells``), never as ``ExactDist``; ``marginals`` and
+``kernels`` compare binary counts as ``ExactDist`` laws.
 ``restriction``, ``window`` and ``coupling`` compare levels that agree up
 to a constant factor with ``analysis._cross_equal``, exact in int64.
 
@@ -161,7 +162,7 @@ def shift_suite(max_n: int) -> dict:
 def symmetry_suite(max_n: int) -> dict:
     """Law-level invariance of the cycle law under the full symmetry group.
 
-    Checked on the law's decoded rows and counts, scattered back into a
+    Checked on the law's 0-based rows and counts, scattered back into a
     count tensor, so this covers law materialization as well as the level
     that ``shift`` checks.
     """
@@ -169,11 +170,9 @@ def symmetry_suite(max_n: int) -> dict:
     cases = []
     for q in (3, 4):
         for n in range(3, max_n + 1):
-            rows, counts, _ = recurrence._law_counts(
-                n, q, recurrence.DEFAULT_BUDGET, cyclic=True
-            )
+            rows, counts, _ = recurrence._law_cells(n, q, recurrence.DEFAULT_BUDGET, cyclic=True)
             c = np.zeros((q,) * n, dtype=np.int64)
-            c[tuple((rows - 1).T)] = counts
+            c[tuple(rows.T)] = counts
             ok = {op: not f.any() for op, f in _symmetry_fails(c).items()}
             cases.append(_case(all(ok.values()), {"n": n, "q": q}, n=n, q=q,
                                rotation=ok["rotation"], reflection=ok["reflection"],
@@ -255,12 +254,11 @@ def window_suite(max_n: int) -> dict:
 
 def _kdep_case(n: int, q: int, k: int, expected: str = "independent") -> dict:
     """Check whether the cycle law at (n, q) is k-dependent, on its nonzero
-    cells: the codes and counts of ``recurrence._law_slices``, each code
-    decoded to its row of 0-based colors (so a = q). The case passes when
-    the answer is the ``expected`` one ("independent" or "dependent")."""
-    _, z, slice_of = recurrence._law_slices(n, q, recurrence.DEFAULT_BUDGET, cyclic=True)
-    codes, counts = map(np.concatenate, zip(*map(slice_of, range(q))))
-    cex = analysis._dependent_pair((decode_codes(codes, n, q), counts, z, q), k)
+    cells: the 0-based rows, counts and z of ``recurrence._law_cells`` (so
+    a = q). The case passes when the answer is the ``expected`` one
+    ("independent" or "dependent")."""
+    law = recurrence._law_cells(n, q, recurrence.DEFAULT_BUDGET, cyclic=True)
+    cex = analysis._dependent_pair((*law, q), k)
     pair = None if cex is None else {"s1": cex[0], "s2": cex[1]}
     case = {"n": n, "q": q, "k": k, "expected": expected}
     if expected == "independent":

@@ -24,7 +24,7 @@ from findep.analysis import (
 from findep.chains import color_indicator
 from findep.dist import ExactDist
 from findep.errors import BudgetExceeded
-from findep.recurrence import _law_counts, cycle_counts, cycle_law, line_window_law
+from findep.recurrence import _law_cells, cycle_counts, cycle_law, line_window_law
 from findep.words import Word
 
 F = Fraction
@@ -121,9 +121,8 @@ def _literal_independent(counts, total, s1, s2):
 
 def _level_cells(n, q):
     """The nonzero cells (rows, counts, total, a) of the cycle law at (n, q),
-    read off its rows and counts with 0-based colors, so a = q."""
-    rows, counts, z = _law_counts(n, q, 10**8, cyclic=True)
-    return rows - 1, np.array(counts, dtype=np.int64), z, q
+    its 0-based rows and counts, so a = q."""
+    return (*_law_cells(n, q, 10**8, cyclic=True), q)
 
 
 def _dense(d):

@@ -335,10 +335,11 @@ def test_law_counts_equal_the_nonzero_cells_of_the_dense_view(q, top):
     for cyclic in (True, False):
         for n in range(0, top + 1):
             dense = recurrence._counts_view(n, q, cyclic)
-            rows, counts, z = recurrence._law_counts(n, q, 10**8, cyclic=cyclic)
-            assert rows.dtype == np.int32
-            assert np.array_equal(rows, np.argwhere(dense) + 1), (n, cyclic)
-            assert counts == dense[dense != 0].tolist() and z == sum(counts), (n, cyclic)
+            rows, counts, z = recurrence._law_cells(n, q, 10**8, cyclic=cyclic)
+            assert rows.dtype == np.int32 and counts.dtype == np.int64
+            assert np.array_equal(rows, np.argwhere(dense)), (n, cyclic)
+            assert np.array_equal(counts, dense[dense != 0]), (n, cyclic)
+            assert type(z) is int and z == int(counts.sum()), (n, cyclic)
 
 
 @pytest.mark.parametrize("q,top", [(3, 8), (4, 8), (5, 8), (10, 4)])
@@ -378,12 +379,44 @@ def test_dense_levels_equal_oracle_on_every_cell(q):
             assert vec[idx] == oracle_b_vec(t), t
 
 
-def test_sliced_partition_sums_equal_full_level_sums(monkeypatch):
-    monkeypatch.setattr(recurrence, "_CHUNK", 1)  # every n >= 1 takes the sliced path
+def test_sliced_partition_sums_equal_full_level_sums():
+    # Partition sums read the top level one slice at a time; _levels builds
+    # it whole. At q = 1 and 2 a step has 0 and 1 possible increments.
     for q in (3, 4, 5):
         for n in range(0, 8):
             assert z_circ(n, q) == int(recurrence._levels(q, True, n)[n].sum()), (n, q)
             assert z_vec(n, q) == int(recurrence._levels(q, False, n)[n].sum()), (n, q)
+    for q, circ in ((1, (1, 1, 0, 0, 0, 0)), (2, (1, 2, 4, 0, 0, 0))):
+        for n in range(0, 6):
+            assert z_circ(n, q) == circ[n] == int(recurrence._levels(q, True, n)[n].sum()), (n, q)
+            assert z_vec(n, q) == int(recurrence._levels(q, False, n)[n].sum()), (n, q)
+    assert [z_vec(n, 2) for n in range(6)] == [2**n for n in range(6)]
+
+
+def _level_n_calls(monkeypatch, n, q, read):
+    """The ``_level_values`` calls that compute a slice of level n at q while
+    ``read`` runs, with the levels below n at q already built."""
+    recurrence._levels(q, True, n - 1)
+    calls = []
+    orig = recurrence._level_values
+
+    def counted(prev, a, q_, *args):
+        calls.append((prev.ndim + 1, q_))
+        return orig(prev, a, q_, *args)
+
+    with monkeypatch.context() as m:
+        m.setattr(recurrence, "_level_values", counted)
+        read()
+    return calls.count((n, q))
+
+
+@pytest.mark.parametrize("q", [3, 4])
+@pytest.mark.parametrize("n", [6, 8])
+def test_law_reads_compute_each_slice_of_level_n_once(monkeypatch, n, q):
+    assert _level_n_calls(monkeypatch, n, q, lambda: cycle_law(n, q)) == q
+    for k in (0, 1):
+        assert _level_n_calls(monkeypatch, n, q, lambda: suites.kdep_report(n, q, k)) == q
+    assert _level_n_calls(monkeypatch, n, q, lambda: suites.symmetry_suite(n)) == q
 
 
 def test_cycle_law_zero_length():

@@ -361,15 +361,16 @@ def _orbit_rows(word, q):
 def _add_rows(extra):
     def patch(law):
         rows, counts, z = law
-        new = sorted(extra)
-        return np.vstack([rows, np.array(new, dtype=rows.dtype)]), counts + [1] * len(new), z
+        new = np.array(sorted(extra), dtype=rows.dtype) - 1
+        return np.vstack([rows, new]), np.concatenate([counts, np.ones(len(new), counts.dtype)]), z
     return patch
 
 
 def _add_counts(f):
+    """Add f(word) to each count, f taking the word's 1-based colors."""
     def patch(law):
         rows, counts, z = law
-        return rows, [c + int(f(r)) for c, r in zip(counts, rows)], z
+        return rows, counts + np.array([int(f(r + 1)) for r in rows], dtype=counts.dtype), z
     return patch
 
 
@@ -384,7 +385,7 @@ def _add_counts(f):
     ],
 )
 def test_symmetry_suite_fails_on_broken_law_rows(monkeypatch, patch, off):
-    _patched(monkeypatch, "_law_counts", (6, 3), patch)
+    _patched(monkeypatch, "_law_cells", (6, 3), patch)
     rep = suites.symmetry_suite(max_n=6)
     failing = [c for c in rep["cases"] if not c["passed"]]
     assert [(c["n"], c["q"]) for c in failing] == [(6, 3)]
@@ -446,9 +447,8 @@ def test_window_consistent_matches_marginalize(k, q):
 
 def _level_cells(n, q, cyclic=True):
     """The nonzero cells (rows, counts, total, a) of the count level at
-    (n, q), read off the law's rows and counts with 0-based colors."""
-    rows, counts, z = recurrence._law_counts(n, q, recurrence.DEFAULT_BUDGET, cyclic=cyclic)
-    return rows - 1, np.array(counts, dtype=np.int64), z, q
+    (n, q): the law's 0-based rows and counts."""
+    return (*recurrence._law_cells(n, q, recurrence.DEFAULT_BUDGET, cyclic=cyclic), q)
 
 
 def _level_pair(n, q, k):
@@ -529,21 +529,16 @@ def test_kdep_fails_on_broken_level(monkeypatch):
     word = (1, 2, 1, 2, 1, 3)
     code = int(encode_digits(np.array([word]) - 1, 4)[0])
 
-    def bump(law):  # one more count on the word's code, and on the total
-        states, z, slice_of = law
+    def bump(law):  # one more count on the word's row, and on the total
+        rows, counts, z = law
+        return rows, counts + (encode_digits(rows, 4) == code), z + 1
 
-        def bumped(a):
-            codes, counts = slice_of(a)
-            return codes, counts + (codes == code)
-
-        return states, z + 1, bumped
-
-    _patched(monkeypatch, "_law_slices", (6, 4), bump)
+    _patched(monkeypatch, "_law_cells", (6, 4), bump)
     rep = suites.kdep_suite(max_n=6)
     failing = [(c["n"], c["q"], c["k"]) for c in rep["cases"] if not c["passed"]]
     assert failing == [(6, 4, 1)]
-    rows, counts, _ = recurrence._law_counts(6, 4, recurrence.DEFAULT_BUDGET, cyclic=True)
-    bumped = dict(zip(map(tuple, rows.tolist()), counts))
+    rows, counts, _ = recurrence._law_cells(6, 4, recurrence.DEFAULT_BUDGET, cyclic=True)
+    bumped = dict(zip(map(tuple, (rows + 1).tolist()), counts.tolist()))
     assert bumped[word] == recurrence.b_circ(word, 4) + 1
     law = ExactDist.from_weights({Word(w, 4): c for w, c in bumped.items()})
     s1, s2 = k_dependence_counterexample(law, 1)
