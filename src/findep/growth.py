@@ -23,17 +23,16 @@ Two samplers realize the same exact law (``cycle_law``):
 
 The exact one-step transition shared by both procedures is exposed as
 ``coupling_kernel``, a ``Kernel`` of integer-count rows kept as library
-API and as the tests' literal form of the step; ``verify coupling`` instead
-pushes whole dense count levels through the same step
-(``suites._transport_counts``). A row of it is ``_insertion_row``, the
-necklace step's count of outcomes through ``words.insertion_orbits``.
-``eden_vs_necklace_kernel_check`` verifies the equality of the two step
-laws for every state: the Eden side on the samplers' own insertion step
-``_insert``, the necklace side in numpy over blocks of states, both as
-base-q codes of the outcomes. The states and the Eden outcomes are encoded
-by ``words.encode_digits``; only the necklace insertions
-(``_necklace_codes``) and the rotations (``_block_keys``) compute on the
-codes directly.
+API and as the tests' literal form of the step; a row of it is
+``_insertion_row``, the necklace step's count of outcomes through
+``words.insertion_orbits``. ``verify coupling`` runs the step on one
+engine, ``_necklace_blocks``: the nonzero cells of level n in blocks of
+``_BLOCK_STATES`` states, each block's insertions computed on base-q
+codes (``_necklace_codes``) and rotated arithmetically into sorted keys
+(``_block_keys``). The transport (``suites._transport_counts``) adds each
+state's count at its outcomes; ``eden_vs_necklace_kernel_check`` steps
+each state with the samplers' block step ``_insert_columns`` and
+compares keys: the two step laws agree on every state.
 
 Randomness. The bounds of every draw a sampler makes depend only on
 (n, q) (``_necklace_bounds``, ``_eden_bounds``), so a replicate's word is
@@ -750,8 +749,8 @@ def _eden_words(n: int, q: int, draws: np.ndarray) -> np.ndarray:
     return _rotated(words, draws[:, -1])
 
 
-# States per block of ``eden_vs_necklace_kernel_check``: a bound on its
-# arrays, so that peak memory stays flat in the number of states.
+# States per block of ``_necklace_blocks``: a bound on the arrays of both
+# halves of ``verify coupling``, flat in the number of states.
 _BLOCK_STATES = 256
 
 
@@ -784,44 +783,40 @@ def _block_keys(rows: np.ndarray, codes: np.ndarray, m: int, q: int) -> np.ndarr
     return keys
 
 
-def eden_vs_necklace_kernel_check(n: int, q: int) -> bool:
-    """Exact equality of the Eden step-and-read law with the insertion step.
-
-    For every reachable outer coloring t (positive insertion count, read
-    in lexicographic order from the rows of ``recurrence._law_cells``),
-    counts the outcomes of all (gap, color, start) choices of one Eden
-    growth step on the outer colors (the sampler's own ``_insert`` at
-    gap+1, once per state, gap and color) followed by a read; the reads
-    from every start are the rotations of the stepped colors. The necklace
-    side counts all (gap, color, rotation) triples of one insertion step,
-    the colors differing from both gap neighbours inserted by numpy
-    (``_necklace_codes``). Both range over n (q-2) (n+1) triples of weight
-    1, so equal counts are equal laws.
-
-    Words are compared as base-q codes, rotated arithmetically
-    (``_block_keys``), in blocks of ``_BLOCK_STATES`` states: a block
-    passes iff its sorted (state, outcome code) keys agree, which is the
-    per-state multiset comparison of the outcomes. No state is
-    canonicalized. ``OverflowError`` if a key could leave int64.
-    """
+def _necklace_blocks(n: int, q: int) -> tuple[int, Iterator[tuple[np.ndarray, ...]]]:
+    """(z, blocks): the total count z of level n's states (``_law_cells``,
+    lexicographic order) and, lazily, per run of ``_BLOCK_STATES`` of them,
+    their 1-based colors, counts and the sorted ``_block_keys`` of their
+    necklace insertions. ``OverflowError`` first if a key could leave int64."""
     m = n + 1
     if _BLOCK_STATES * q**m > _INT64_MAX:
         raise OverflowError(f"{_BLOCK_STATES} states times {q}**{m} codes do not fit int64")
-    states = _law_cells(n, q, DEFAULT_BUDGET, cyclic=True)[0] + 1
-    choices = [(gap_index + 1, color_index)
-               for gap_index in range(n) for color_index in range(q - 2)]
-    for block in np.split(states, range(_BLOCK_STATES, len(states), _BLOCK_STATES)):
-        stepped = []  # the stepped colors, end to end
-        for t in block.tolist():
-            for p, ci in choices:
-                outer = t.copy()
-                _insert(outer, p, ci)
-                if len(outer) != m:
-                    return False
-                stepped += outer
-        eden = _block_keys(np.arange(len(block)).repeat(len(choices)),
-                           encode_digits(np.array(stepped).reshape(-1, m) - 1, q), m, q)
-        necklace = _block_keys(*_necklace_codes(block, q), m, q)
+    rows, counts, z = _law_cells(n, q, DEFAULT_BUDGET, cyclic=True)
+    states = rows + 1
+    blocks = (slice(lo, lo + _BLOCK_STATES) for lo in range(0, len(states), _BLOCK_STATES))
+    return z, ((states[b], counts[b], _block_keys(*_necklace_codes(states[b], q), m, q))
+               for b in blocks)
+
+
+def eden_vs_necklace_kernel_check(n: int, q: int) -> bool:
+    """Exact equality of the Eden step-and-read law with the insertion step.
+
+    In each block of ``_necklace_blocks`` (every state with a positive
+    insertion count), each state is stepped at every (gap+1, color index)
+    by the samplers' block step ``_insert_columns``, and its reads from
+    every start are the rotations of the stepped colors (``_block_keys``).
+    A block passes iff these sorted (state, outcome code) keys equal its
+    necklace keys: per state, n (q-2) (n+1) outcomes of weight 1 on each
+    side, so equal counts are equal laws. No state is canonicalized.
+    ``OverflowError`` if a key could leave int64.
+    """
+    per = n * (q - 2)
+    for states, _, necklace in _necklace_blocks(n, q)[1]:
+        stepped = np.pad(states.repeat(per, axis=0), ((0, 0), (0, 1)))
+        gap, color = np.divmod(np.arange(len(stepped)) % per, q - 2)
+        _insert_columns(stepped, n, gap + 1, color)
+        eden = _block_keys(np.arange(len(states)).repeat(per),
+                           encode_digits(stepped - 1, q), n + 1, q)
         if not np.array_equal(eden, necklace):
             return False
     return True

@@ -24,28 +24,29 @@ nonzero color increments mod q, one gather per deletion, that
 canonicalizes nothing. ``cycle_counts`` and ``line_counts`` scatter level
 n, on every call, into a read-only dense (q,)*n view, zero off the proper
 words, on which ``verify shift`` checks the symmetries. Every sized verify
-suite reads the cycle and line laws only as these views, but ``symmetry``
-and ``kdep`` (through ``_law_cells``). The two engines are cross-checked
-in tests.
+suite reads the cycle and line laws only as these views, but ``symmetry``,
+``kdep`` and ``coupling``'s level n (through ``_law_cells``). The two
+engines are cross-checked in tests.
 
-Everything else reads level n one first-color slice at a time, each
-slice computed from the cached level n-1 into one reused buffer, and
-never stores it; each reader computes every slice once. ``_level_totals``
-gives (states, z), for ``z_circ``/``z_vec``; ``_slice_cells`` a slice's
-nonzero cells, int32 word codes in lexicographic order (x1 is a code's
-most significant digit) with int64 counts; ``_law_cells`` all of them as
-0-based rows, for the laws, the ``symmetry`` and ``kdep`` suites and
-``growth``'s kernel check. The CLI's dumps (``_law_slices``) need the
-totals first, so they alone compute level n twice. No array of q**n
-cells is allocated, and a law is built anew on every call. That bounds
-laws to n <= 14, q**n within the budget, and q**n < 2**31 (word codes are
-int32; this caps no memory: the cached level n-1 holds q (q-1)**(n-2)
-int64 counts and a slice of level n (q-1)**(n-1), 0.56 and 0.48 GB for
-``exact cycle --n 11 --q 7 --budget 2000000000``), and partition sums to
-n <= 14; beyond any bound they raise ``BudgetExceeded`` before
-allocating. Every level and slice is checked to hold counts in [0, m!],
-and each sum of them to fit int64 before it is taken (``_count_sum``),
-so an int64 overflow raises instead of giving a law.
+Everything else reads level n one first-color slice at a time, served by
+a cached level n or else computed from the cached level n-1 into one
+reused buffer and not stored; each reader computes every slice once.
+``_level_totals`` gives (states, z), for ``z_circ``/``z_vec``;
+``_slice_cells`` a slice's nonzero cells, int32 word codes in
+lexicographic order (x1 is a code's most significant digit) with int64
+counts; ``_law_cells`` all of them as 0-based rows, for the laws, the
+``symmetry`` and ``kdep`` suites and ``growth._necklace_blocks``. The
+CLI's dumps (``_law_slices``) need the totals first, so they alone may
+compute level n twice. No array of q**n cells is allocated, and a law is
+built anew on every call. That bounds laws to n <= 14, q**n within the
+budget, and q**n < 2**31 (word codes are int32; this caps no memory: the
+cached level n-1 holds q (q-1)**(n-2) int64 counts and a slice of level
+n (q-1)**(n-1), 0.56 and 0.48 GB for ``exact cycle --n 11 --q 7 --budget
+2000000000``), and partition sums to n <= 14; beyond any bound they
+raise ``BudgetExceeded`` before allocating. Every level and slice is
+checked to hold counts in [0, m!], and each sum of them to fit int64
+before it is taken (``_count_sum``), so an int64 overflow raises instead
+of giving a law.
 
 Thread-safety: all functions are pure. The per-word memos and the level
 cache are only ever written with values equal to the single-threaded
@@ -202,8 +203,8 @@ def z_circ_closed(n: int, q: int) -> int:
 #
 # Computed levels are cached per (q, cyclic) and shared across calls: the
 # partition suite evaluates many n for one q and reuses all lower levels.
-# Sums and laws read level n slice by slice (``_top_slices``) and keep
-# none of it; the dense (q,)*n views cache it and scatter it anew.
+# Sums and laws read level n slice by slice (``_top_slices``), from the
+# cache if it holds level n, and keep none of it.
 
 _LEVEL_CACHE: dict[tuple[int, bool], list[np.ndarray]] = {}
 
@@ -304,13 +305,15 @@ def _levels(q: int, cyclic: bool, upto: int) -> list[np.ndarray]:
 
 
 def _top_slices(n: int, q: int, cyclic: bool) -> Callable[[int], np.ndarray]:
-    """The function a -> slice [a] of level n >= 1, computed from the cached
-    level n-1 into one buffer that every call reuses, so level n is never
-    stored: each call overwrites the array that the last one returned."""
+    """The function a -> slice [a] of level n >= 1: a view of the cached
+    level n, or else computed from the cached level n-1 into one buffer
+    that every call reuses (each call overwrites the last one's array)."""
     _check_cells(q, n)
-    prev = _levels(q, cyclic, n - 1)[n - 1]
+    levels = _levels(q, cyclic, n - 1)
+    if len(levels) > n:
+        return levels[n].__getitem__
     buf = np.empty((q - 1,) * (n - 1), dtype=np.int64)
-    return lambda a: _level_values(prev, a, q, cyclic, buf)
+    return lambda a: _level_values(levels[n - 1], a, q, cyclic, buf)
 
 
 def _level_totals(n: int, q: int, cyclic: bool) -> tuple[int, int]:
@@ -413,7 +416,7 @@ def _law_slices(
 ) -> tuple[int, int, Callable[[int], tuple[np.ndarray, np.ndarray]]]:
     """The law one first-color slice at a time, for the CLI's dumps: (states,
     z, slice_of) from ``_level_totals`` and ``_slice_cells``; the word with
-    count c has mass c / z. Level n is computed twice and never stored."""
+    count c has mass c / z. Level n, unless cached, is computed twice."""
     _check_law_request(n, q, budget)
     return (*_level_totals(n, q, cyclic), _slice_cells(n, q, cyclic))
 

@@ -7,10 +7,10 @@ Each suite returns a JSON-ready report::
 with one entry per checked case and the first failing case (if any)
 surfaced as a minimal counterexample. All checks are exact. The sized
 suites read the cycle and line laws as dense count levels
-(``recurrence.cycle_counts`` and ``line_counts``) or, ``symmetry`` and
-``kdep``, as their nonzero cells from one pass over the top level
-(``recurrence._law_cells``), never as ``ExactDist``; ``marginals`` and
-``kernels`` compare binary counts as ``ExactDist`` laws.
+(``recurrence.cycle_counts`` and ``line_counts``) or, ``symmetry``,
+``kdep`` and ``coupling``'s level n, as their nonzero cells from one pass
+over that level (``recurrence._law_cells``), never as ``ExactDist``;
+``marginals`` and ``kernels`` compare binary counts as ``ExactDist`` laws.
 ``restriction``, ``window`` and ``coupling`` compare levels that agree up
 to a constant factor with ``analysis._cross_equal``, exact in int64.
 
@@ -71,8 +71,9 @@ def partition_suite(max_n: int) -> dict:
         recurrence._check_sum_request(max_n, q)
     cases = []
     for q in (3, 4, 5, 6):
-        for n in range(2, max_n + 1):
-            total = recurrence.z_circ(n, q)
+        # from max_n down: each smaller sum reads a level that the last built
+        sums = {n: recurrence.z_circ(n, q) for n in range(max_n, 1, -1)}
+        for n, total in sorted(sums.items()):
             closed = recurrence.z_circ_closed(n, q)
             cases.append(_case(total == closed, {"n": n, "q": q},
                                n=n, q=q, sum=str(total), closed_form=str(closed)))
@@ -290,39 +291,36 @@ def kdep_report(n: int, q: int, k: int) -> dict:
     return _report("kdep", [_kdep_case(n, q, k)])
 
 
-def _transport_counts(level: np.ndarray) -> np.ndarray:
-    """One necklace insertion step applied to the counts of a level.
-
-    ``level`` holds a count per length-n word, shape (q,)*n. Entry y of the
-    result, shape (q,)*(n+1), sums level[x] over every (gap, allowed color,
-    rotation) triple of ``growth.insert_with_rotation`` that takes x to y,
-    so the counts' total is multiplied by n (q-2) (n+1). Only cyclically
-    proper words may carry a count.
-    """
-    n, q = level.ndim, level.shape[0]
-    inserted = np.zeros((q,) * (n + 1), dtype=np.int64)
-    for i in range(n):  # the color inserted at position i differs from both neighbours
-        left, right = (i - 1) % (n + 1), i + 1
-        allowed = recurrence._differ(n + 1, q, i, left) & recurrence._differ(n + 1, q, i, right)
-        inserted += np.expand_dims(level, i) * allowed
-    return sum(inserted.transpose(np.roll(range(n + 1), r)) for r in range(n + 1))
+def _transport_counts(n: int, q: int) -> np.ndarray:
+    """One necklace insertion step applied to the counts of level n: entry y
+    of this q**(n+1) int64 vector, indexed by word code, sums each state's
+    count over its (gap, allowed color, rotation) triples that give y
+    (``growth._necklace_blocks``), so the total z grows by n (q-2) (n+1).
+    ``OverflowError`` before pushing unless that product is below 2**63."""
+    m = n + 1
+    z, blocks = growth._necklace_blocks(n, q)
+    if z * n * (q - 2) * m > recurrence._INT64_MAX:
+        raise OverflowError(f"the counts of level {n} at q = {q} may push past int64")
+    pushed = np.zeros(q**m, dtype=np.int64)
+    for _, counts, keys in blocks:  # key = row in the block * q**m + outcome code
+        np.add.at(pushed, keys % q**m, counts[keys // q**m])
+    return pushed
 
 
 def _transported(n: int, q: int) -> bool:
     """Necklace insertion carries the n-cycle law to the (n+1)-cycle law:
     pushed * z[n+1] == level[n+1] * z[n] * n (q-2) (n+1) on every word."""
-    level = recurrence.cycle_counts(n, q)
-    child = recurrence.cycle_counts(n + 1, q)
-    pushed = _transport_counts(level)
-    steps = n * (q - 2) * (n + 1)
-    return bool(_cross_equal(pushed, int(child.sum()), child, int(level.sum()) * steps).all())
+    child = recurrence.cycle_counts(n + 1, q).reshape(-1)
+    pushed = _transport_counts(n, q)
+    expected_total = recurrence.z_circ(n, q) * n * (q - 2) * (n + 1)
+    return bool(_cross_equal(pushed, int(child.sum()), child, expected_total).all())
 
 
 def coupling_suite(max_n: int) -> dict:
-    """Necklace transport of the cycle laws (``_transported``, on whole
-    levels) and the growth-vs-insertion check
-    (``growth.eden_vs_necklace_kernel_check``: the sampler's own Eden step
-    per state, the necklace step in numpy over blocks of states)."""
+    """Necklace transport of the cycle laws (``_transported``) and the
+    growth-vs-insertion check (``growth.eden_vs_necklace_kernel_check``),
+    both on the blocks of states and necklace outcomes of
+    ``growth._necklace_blocks``."""
     _check_levels((max_n + 1, q) for q in (3, 4))
     cases = []
     for q in (3, 4):

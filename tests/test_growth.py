@@ -280,27 +280,28 @@ def test_eden_vs_necklace_kernel(n, q):
     assert eden_vs_necklace_kernel_check(n, q)
 
 
-def _one_slot_right(insert, cyc, p, ci):
+def _one_slot_right(insert, words, m, p, ci):
     """Insert the color that the gap's neighbors chose one slot to its right."""
-    insert(cyc, p, ci)
-    cyc.insert(p + 1, cyc.pop(p))
+    insert(words, m, p, ci)
+    rows, right = np.arange(len(words)), np.minimum(p + 1, m)
+    words[rows, p], words[rows, right] = words[rows, right], words[rows, p]
 
 
 @pytest.mark.parametrize(
     "wrong,q",
     [
-        (lambda insert, cyc, p, ci: insert(cyc, 1, ci), 3),  # always the first gap
-        (lambda insert, cyc, p, ci: insert(cyc, 1, ci), 4),
+        (lambda insert, words, m, p, ci: insert(words, m, np.ones_like(p), ci), 3),  # first gap
+        (lambda insert, words, m, p, ci: insert(words, m, np.ones_like(p), ci), 4),
         # always the first allowed color; at q = 3 there is only one
-        (lambda insert, cyc, p, ci: insert(cyc, p, 0), 4),
+        (lambda insert, words, m, p, ci: insert(words, m, p, np.zeros_like(ci)), 4),
         (_one_slot_right, 3),
         (_one_slot_right, 4),
-        (lambda insert, cyc, p, ci: None, 4),  # a step that adds no color
+        (lambda insert, words, m, p, ci: None, 4),  # a step that adds no color
     ],
 )
 def test_eden_vs_necklace_kernel_check_can_fail(monkeypatch, wrong, q):
-    insert = growth._insert
-    monkeypatch.setattr(growth, "_insert", lambda *args: wrong(insert, *args))
+    insert = growth._insert_columns
+    monkeypatch.setattr(growth, "_insert_columns", lambda *args: wrong(insert, *args))
     assert not eden_vs_necklace_kernel_check(4, q)
 
 
@@ -329,12 +330,12 @@ def test_eden_vs_necklace_kernel_check_catches_a_fault_in_a_late_block(monkeypat
     assert len(states) == 2184
     assert (states[: 6 * growth._BLOCK_STATES, 0] != q).all()
     assert eden_vs_necklace_kernel_check(n, q)
-    insert = growth._insert
+    insert = growth._insert_columns
 
-    def broken(cyc, p, ci):
-        insert(cyc, 1 if cyc[0] == q else p, ci)
+    def broken(words, m, p, ci):
+        insert(words, m, np.where(words[:, 0] == q, 1, p), ci)
 
-    monkeypatch.setattr(growth, "_insert", broken)
+    monkeypatch.setattr(growth, "_insert_columns", broken)
     assert not eden_vs_necklace_kernel_check(n, q)
 
 

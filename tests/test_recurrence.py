@@ -395,7 +395,9 @@ def test_sliced_partition_sums_equal_full_level_sums():
 
 def _level_n_calls(monkeypatch, n, q, read):
     """The ``_level_values`` calls that compute a slice of level n at q while
-    ``read`` runs, with the levels below n at q already built."""
+    ``read`` runs, with the levels below n at q already built and level n
+    not: a cached level n serves its slices with no call."""
+    monkeypatch.setattr(recurrence, "_LEVEL_CACHE", {})
     recurrence._levels(q, True, n - 1)
     calls = []
     orig = recurrence._level_values
@@ -417,6 +419,27 @@ def test_law_reads_compute_each_slice_of_level_n_once(monkeypatch, n, q):
     for k in (0, 1):
         assert _level_n_calls(monkeypatch, n, q, lambda: suites.kdep_report(n, q, k)) == q
     assert _level_n_calls(monkeypatch, n, q, lambda: suites.symmetry_suite(n)) == q
+
+
+def test_partition_suite_computes_each_level_once(monkeypatch):
+    """A cold default ``partition_suite(10)`` sums from n = 10 down: level
+    10 at each q is read as q slices, and every level below it is built
+    once (q slices each) and then read from the cache, so q = 3..6 take
+    (3 + 4 + 5 + 6) * 10 = 180 slice computations. Summed from n = 2 up,
+    each level below 10 is first summed as slices and then built: 324."""
+    monkeypatch.setattr(recurrence, "_LEVEL_CACHE", {})
+    calls = []
+    orig = recurrence._level_values
+
+    def counted(*args):
+        calls.append(args)
+        return orig(*args)
+
+    monkeypatch.setattr(recurrence, "_level_values", counted)
+    rep = suites.partition_suite(10)
+    assert len(calls) == 180
+    assert [(c["q"], c["n"]) for c in rep["cases"]] == [
+        (q, n) for q in (3, 4, 5, 6) for n in range(2, 11)]
 
 
 def test_cycle_law_zero_length():

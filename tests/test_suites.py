@@ -134,7 +134,7 @@ def test_cycle_counts_is_a_read_only_view_of_b_circ():
 
 @pytest.mark.parametrize("n,q", [(n, q) for n in (3, 4, 5) for q in (3, 4)])
 def test_transport_counts_match_kernel_push(n, q):
-    pushed = suites._transport_counts(recurrence.cycle_counts(n, q))
+    pushed = suites._transport_counts(n, q).reshape((q,) * (n + 1))
     law = coupling_kernel(n, q).push(cycle_law(n, q))
     total = int(pushed.sum())
     assert total == recurrence.z_circ(n, q) * n * (q - 2) * (n + 1)
@@ -166,16 +166,57 @@ def test_coupling_transport_fails_on_broken_child_level(monkeypatch):
 
 
 def test_coupling_eden_half_fails_on_off_by_one_gap(monkeypatch):
-    insert = growth._insert
+    insert = growth._insert_columns
 
-    def one_slot_right(cyc, p, ci):
-        insert(cyc, p, ci)
-        cyc.insert(p + 1, cyc.pop(p))
+    def one_slot_right(words, m, p, ci):
+        insert(words, m, p, ci)
+        rows, right = np.arange(len(words)), np.minimum(p + 1, m)
+        words[rows, p], words[rows, right] = words[rows, right], words[rows, p]
 
-    monkeypatch.setattr(growth, "_insert", one_slot_right)
+    monkeypatch.setattr(growth, "_insert_columns", one_slot_right)
     rep = suites.coupling_suite(max_n=3)
     assert rep["passed"] is False
     assert all(c["transport"] and not c["eden_step_law"] for c in rep["cases"])
+
+
+def test_coupling_fails_on_both_halves_without_the_last_gap(monkeypatch):
+    """The necklace step that both halves share loses the insertions at
+    its last gap: the transported mass falls short of z n (q-2) (n+1), and
+    the Eden keys no longer match the necklace keys."""
+    necklace_codes = growth._necklace_codes
+
+    def without_last_gap(states, q):
+        rows, codes = necklace_codes(states, q)
+        n = states.shape[1]
+        gap = np.arange(len(rows)) // (q - 2) % n  # q-2 colors at each gap of a proper state
+        return rows[gap < n - 1], codes[gap < n - 1]
+
+    monkeypatch.setattr(growth, "_necklace_codes", without_last_gap)
+    rep = suites.coupling_suite(max_n=4)
+    assert len(rep["cases"]) == 4
+    assert all(not c["transport"] and not c["eden_step_law"] for c in rep["cases"])
+
+
+def test_transport_counts_refuse_a_push_past_int64(monkeypatch):
+    """The pushed total z n (q-2) (n+1) must stay below 2**63: a level whose
+    z reaches past that raises before any insertion is computed."""
+    n, q = 3, 4
+    steps = n * (q - 2) * (n + 1)
+    law_cells = growth._law_cells
+
+    def with_z(z):
+        monkeypatch.setattr(growth, "_law_cells", lambda *a, **kw: (*law_cells(*a, **kw)[:2], z))
+
+    with_z((2**63 - 1) // steps)
+    assert suites._transport_counts(n, q).sum() == recurrence.z_circ(n, q) * steps
+    with_z((2**63 - 1) // steps + 1)
+
+    def boom(*args):
+        raise AssertionError("an insertion was computed")
+
+    monkeypatch.setattr(growth, "_necklace_codes", boom)
+    with pytest.raises(OverflowError):
+        suites._transport_counts(n, q)
 
 
 def test_transport_holds_where_unreduced_factors_overflow():
