@@ -4,12 +4,21 @@ Conventions: data goes to stdout (or ``--out``), logs to stderr. Exit codes
 are stable: 0 success, 1 verification/GoF failure (or stdout closed by its
 reader), 2 usage error, 3 resource budget exceeded. Flags take precedence over
 FINDEP_* environment variables, which take precedence over built-in defaults.
+
+A command loads only its own engine, when it is dispatched. This module's
+imports are what every command uses: numpy, ``recurrence`` and ``words``.
+``sample`` loads ``growth``, and ``analysis`` (with scipy) only under
+``--gof``; ``verify`` loads ``suites``, which loads the rest. So ``exact``
+loads none of ``growth``, ``analysis``, ``suites`` or ``chains``. ``entry``
+is the process entry of ``python -m findep`` and the ``findep`` script:
+it freezes the import-time heap for the collector, then runs ``main``.
 """
 
 from __future__ import annotations
 
 import argparse
 import errno
+import gc
 import json
 import math
 import os
@@ -29,16 +38,9 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np
 
 from . import __version__
-from .analysis import _check_alpha, chi_square_gof, min_gof_samples
 from .errors import BudgetExceeded
-from .growth import _eden_bounds, _eden_words, _necklace_bounds, _necklace_words, _replicate_blocks
-# The public samplers are not called here (they draw a replicate through its
-# own RngStream), but perfbench's self-test checks that its tracer rebinds
-# them at this lookup site, so the names stay.
-from .growth import eden_sample, necklace_sample  # noqa: F401
 from .recurrence import DEFAULT_BUDGET, _check_k, _law_slices
 from .recurrence import cycle_law, is_theorem_grade
-from .suites import SUITES, kdep_report, run_all, run_suite
 from .words import Word, decode_codes, encode_digits, row_texts
 
 EXIT_OK = 0
@@ -188,22 +190,24 @@ def _cmd_exact(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-# sampler name -> (bounds of a replicate's draws, words from a block of draw rows)
-_SAMPLERS = {
-    "necklace": (_necklace_bounds, _necklace_words),
-    "eden": (_eden_bounds, _eden_words),
-}
-
-
 def _cmd_sample(args: argparse.Namespace) -> int:
+    from .growth import (_eden_bounds, _eden_words, _necklace_bounds, _necklace_words,
+                         _replicate_blocks)
+
     if args.reps < 1:
         raise ValueError(f"--reps must be at least 1, got {args.reps}")
     seed = _setting(args.seed, "FINDEP_SEED", 0)
-    bounds_of, words_of = _SAMPLERS[args.sampler]
+    # (bounds of a replicate's draws, words from a block of draw rows)
+    bounds_of, words_of = {
+        "necklace": (_necklace_bounds, _necklace_words),
+        "eden": (_eden_bounds, _eden_words),
+    }[args.sampler]
     bounds = bounds_of(args.n, args.q)
     # The GoF's arguments, and flags that would be ignored, are checked
     # before any draw.
     if args.gof:
+        from .analysis import _check_alpha, chi_square_gof, min_gof_samples
+
         if args.format is not None:
             raise ValueError("--format does not apply with --gof, whose report is JSON")
         alpha = _setting(args.alpha, "FINDEP_ALPHA", 0.001, float)
@@ -274,6 +278,8 @@ def _report_csv(report: dict) -> str:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .suites import kdep_report, run_all, run_suite
+
     single = (args.n, args.q, args.k) != (None, None, None)
     if single and args.suite != "kdep":
         raise ValueError("--n/--q/--k apply only to 'verify kdep'")
@@ -302,6 +308,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         print(f"verification failed; minimal counterexample: {cex}", file=sys.stderr)
         return EXIT_VERIFY_FAIL
     return EXIT_OK
+
+
+# The sorted keys of ``suites.SUITES``, spelled out so that building the
+# parser loads no suite engine; a test holds the two equal.
+_SUITE_NAMES = (
+    "blockfactor-stat", "coupling", "kdep", "kernels", "marginals", "mobius",
+    "partition", "restriction", "shift", "symmetry", "window",
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -348,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample.set_defaults(func=_cmd_sample)
 
     p_verify = sub.add_parser("verify", help="run exact verification suites")
-    p_verify.add_argument("suite", choices=sorted(SUITES) + ["all"])
+    p_verify.add_argument("suite", choices=[*_SUITE_NAMES, "all"])
     p_verify.add_argument("--max-n", type=int, default=None, dest="max_n")
     p_verify.add_argument("--n", type=int, default=None)
     p_verify.add_argument("--q", type=int, default=None)
@@ -382,5 +396,20 @@ def main(argv=None) -> int:
         return EXIT_USAGE
 
 
+def entry() -> int:
+    """The process entry of ``python -m findep`` and the ``findep`` script:
+    ``main()`` with the heap that importing this module built frozen.
+
+    ``gc.freeze`` moves every object alive now (numpy's, findep's and the
+    interpreter's module objects) out of the collector's generations, so
+    neither a full collection during the command nor the final one at exit
+    walks them again. A process runs one command and exits, so what is frozen
+    is never garbage. An in-process ``main([...])`` call leaves the collector
+    alone: there, freezing would make any pending cyclic garbage immortal.
+    """
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

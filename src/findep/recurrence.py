@@ -452,8 +452,11 @@ def line_window_law(n: int, k: int, q: int, *, budget: int = DEFAULT_BUDGET) -> 
 
     The pairs (k, q) in ``THEOREM_GRADE`` are the ones for which these
     window laws are the marginals of a single stationary k-dependent
-    process on the line; for other q >= 3 the law is still well defined
-    and computed, but no consistency claim is made (callers can check
+    process on the line. For every q >= 3 the laws are consistent over
+    the range the tests check exactly: the length-(n+1) law summed over
+    its first site, or over its last, is the length-n law for n + 1 <= 9
+    at q = 3, 7 at q = 4, 6 at q = 5 and 5 at q = 6. Past the
+    theorem-grade pairs no k-dependence is claimed (callers can check
     ``is_theorem_grade``).
     """
     _check_k(k)

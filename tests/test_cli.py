@@ -1,19 +1,25 @@
 """CLI contract: flags, formats, exit codes, determinism, env precedence."""
 
+import contextlib
+import gc
 import hashlib
 import importlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
+import tomllib
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import findep
-from findep import cli, recurrence
+from findep import cli, growth, recurrence, suites
 from findep.cli import main
 from findep.dist import ExactDist
 from findep.recurrence import cycle_law, is_theorem_grade, line_window_law
@@ -376,13 +382,13 @@ def test_sample_block_output_is_pinned(capsys, args):
 @pytest.fixture
 def no_draws(monkeypatch):
     """Fail the test if `sample` computes any replicate's draws."""
-    checked = cli._replicate_blocks
+    checked = growth._replicate_blocks
 
     def argument_checks_only(seed, reps, bounds):
         checked(seed, reps, bounds)  # checks its arguments; the blocks are lazy
         raise AssertionError("a replicate was drawn")
 
-    monkeypatch.setattr(cli, "_replicate_blocks", argument_checks_only)
+    monkeypatch.setattr(growth, "_replicate_blocks", argument_checks_only)
 
 
 @pytest.mark.parametrize(
@@ -546,10 +552,11 @@ def _refuse(*args, **kwargs):
     "argv,module,name",
     [
         (("exact", "cycle", "--n", "3", "--q", "3"), recurrence, "_levels"),
-        (("sample", "necklace", "--n", "4", "--q", "3", "--reps", "3"), cli, "_replicate_blocks"),
+        (("sample", "necklace", "--n", "4", "--q", "3", "--reps", "3"), growth,
+         "_replicate_blocks"),
         (("sample", "eden", "--n", "4", "--q", "3", "--reps", "3000", "--gof"),
          recurrence, "_levels"),
-        (("verify", "all", "--max-n", "3"), cli, "run_all"),
+        (("verify", "all", "--max-n", "3"), suites, "run_all"),
     ],
 )
 @pytest.mark.parametrize("target", ["missing/x.json", "."])
@@ -634,6 +641,80 @@ print(int("scipy" in sys.modules),
 
 def test_scipy_is_loaded_only_by_the_gof_test():
     assert _probe(_SCIPY_PROBE) == ["0", "0", "0", "1"]
+
+
+_ENGINE_PROBE = """
+import sys
+from findep.cli import main
+
+def loaded(argv=None):
+    if argv is not None:
+        main(argv)
+    names = ("findep.growth", "findep.analysis", "findep.suites", "findep.chains", "scipy")
+    return "".join(str(int(name in sys.modules)) for name in names)
+
+print(loaded(),
+      loaded(["exact", "cycle", "--n", "5", "--q", "3"]),
+      loaded(["exact", "line", "--n", "4", "--k", "1", "--q", "4"]),
+      loaded(["sample", "necklace", "--n", "5", "--q", "3", "--reps", "20"]),
+      loaded(["sample", "eden", "--n", "5", "--q", "3", "--reps", "20", "--format", "json"]),
+      loaded(["sample", "eden", "--n", "4", "--q", "3", "--reps", "200", "--gof"]),
+      loaded(["verify", "partition", "--max-n", "4"]),
+      file=sys.stderr)
+"""
+
+
+def test_each_subcommand_loads_only_its_engine():
+    # growth, analysis, suites, chains, scipy: exact loads none of them, a
+    # plain sample only growth, --gof adds analysis and scipy, verify the rest.
+    assert _probe(_ENGINE_PROBE) == [
+        "00000", "00000", "00000", "10000", "10000", "11001", "11111",
+    ]
+
+
+def test_in_process_main_leaves_the_collector_alone(capsys, monkeypatch):
+    def boom():
+        raise AssertionError("main froze the heap")
+
+    before = gc.get_freeze_count()
+    monkeypatch.setattr(gc, "freeze", boom)
+    for argv in (["exact", "cycle", "--n", "4", "--q", "3"],
+                 ["sample", "eden", "--n", "4", "--q", "3", "--reps", "3"],
+                 ["verify", "blockfactor-stat"]):
+        assert run(capsys, *argv)[0] == 0
+    assert gc.get_freeze_count() == before
+
+
+_ENTRY_PROBE = """
+import gc, runpy, sys
+import findep.cli
+
+def dispatch(argv=None):
+    print(gc.get_freeze_count() > 0, argv, "findep.growth" in sys.modules, file=sys.stderr)
+    return 0
+
+findep.cli.main = dispatch
+print(gc.get_freeze_count(), file=sys.stderr)
+runpy.run_module("findep", run_name="__main__")  # as `python -m findep` runs
+"""
+
+
+def test_process_entry_freezes_the_heap_before_dispatch():
+    # The heap is frozen once findep.cli is imported, before main() runs,
+    # and main() gets the process's own argv.
+    assert _probe(_ENTRY_PROBE) == ["0", "True", "None", "False"]
+    # The installed script enters through the same function.
+    pyproject = tomllib.loads((Path(__file__).parents[1] / "pyproject.toml").read_text())
+    assert pyproject["project"]["scripts"] == {"findep": "findep.cli:entry"}
+
+
+def test_verify_help_lists_every_suite(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    choices = re.search(r"positional arguments:\n *\{([^}]*)\}", out).group(1)
+    assert choices.split(",") == [*sorted(suites.SUITES), "all"]
 
 
 _IMPORT_PROBE = """
@@ -897,3 +978,93 @@ def test_env_seed_default(capsys, monkeypatch):
     _, out_flag, _ = run(capsys, "sample", "necklace", "--n", "4", "--q", "3",
                          "--reps", "5", "--seed", "123")
     assert out_env == out_flag
+
+
+# The top-level keys each documented JSON document carries (docs/formats.md).
+_SCHEMA_KEYS = {
+    "findep.dist/1": {"kind", "n", "q", "total_states", "states"},
+    "findep.samples/1": {"sampler", "n", "q", "reps", "seed", "words"},
+    "findep.gof/1": {"sampler", "n", "q", "reps", "seed", "statistic", "dof", "p_value",
+                     "alpha", "passed", "n_samples", "n_cells", "failure_reason"},
+    "findep.report/1": {"suite", "passed"},
+}
+
+
+@st.composite
+def _small_argv(draw, command):
+    """An argv of command (exact, sample or verify) at small sizes, valid or
+    not: n <= 6, reps <= 300, --max-n <= 4, and no suite at its default
+    size. Each size is drawn from its valid range or from one that starts
+    below it, and a flag the command would refuse is added now and then."""
+    def size(lo, hi):
+        return str(draw(st.one_of(st.integers(lo, hi), st.integers(-1, hi))))
+
+    def flag(name, values):
+        return draw(st.one_of(st.just([]), values.map(lambda v: [name, str(v)])))
+
+    def stray(*flags):
+        return draw(st.sampled_from([[], [], [], *flags]))
+
+    formats = st.sampled_from(["json", "csv"])
+    if command == "exact":
+        law = draw(st.sampled_from(["cycle", "line"]))
+        argv = ["exact", law, "--n", size(1, 6), "--q", size(3, 5)]
+        if law == "line":
+            argv += ["--k", size(0, 3)]
+        return argv + flag("--budget", st.integers(0, 5000)) + flag("--format", formats)
+    if command == "sample":
+        argv = ["sample", draw(st.sampled_from(["necklace", "eden"])),
+                "--n", size(3, 6), "--q", size(3, 5), "--reps", size(1, 300)]
+        argv += flag("--seed", st.integers(-1, 9))
+        if draw(st.booleans()):
+            argv += ["--gof", *flag("--alpha", st.sampled_from([0, 0.001, 0.5, 1, "nan"]))]
+            return argv + flag("--budget", st.integers(0, 5000)) + stray(["--format", "json"])
+        argv += flag("--format", st.sampled_from(["text", "json", "csv"]))
+        return argv + stray(["--alpha", "0.01"], ["--budget", "100"])
+    suite = draw(st.sampled_from([*sorted(suites.SUITES), "all"]))
+    if suite == "kdep" and draw(st.booleans()):  # the one-case form
+        argv = ["verify", "kdep", *flag("--n", st.integers(-1, 6)),
+                *flag("--q", st.integers(1, 5)), *flag("--k", st.integers(-1, 2))]
+        argv += stray(["--max-n", "4"])
+    else:
+        argv = ["verify", suite]
+        if suite != "blockfactor-stat" or draw(st.booleans()):
+            argv += ["--max-n", size(3, 4)]
+        argv += stray(["--n", "5"], ["--k", "1"])
+    return argv + flag("--format", formats)
+
+
+def _json_schema(argv):
+    """The schema of argv's stdout, or None where it is not JSON."""
+    if "csv" in argv:
+        return None
+    if argv[0] == "exact":
+        return "findep.dist/1"
+    if argv[0] == "verify":
+        return "findep.report/1"
+    if "--gof" in argv:
+        return "findep.gof/1"
+    return "findep.samples/1" if "json" in argv else None
+
+
+@pytest.mark.parametrize("command", ["exact", "sample", "verify"])
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_fuzzed_small_argv_exits_cleanly(command, data):
+    argv = data.draw(_small_argv(command), label="argv")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2, 3), (argv, code, err)
+    assert "Traceback" not in err, (argv, err)
+    if code in (2, 3):
+        assert out == "", argv  # refused before any output
+    schema = _json_schema(argv)
+    if code in (0, 1) and schema is not None:
+        doc = json.loads(out)
+        assert doc["schema"] == schema
+        assert _SCHEMA_KEYS[schema] <= doc.keys(), (argv, sorted(doc))

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from findep import recurrence, suites
-from findep.analysis import marginalize
+from findep.analysis import _cross_equal, marginalize
 from findep.dist import ExactDist
 from findep.errors import BudgetExceeded
 from findep.recurrence import (
@@ -24,6 +24,7 @@ from findep.recurrence import (
     b_vec,
     cycle_law,
     is_theorem_grade,
+    line_counts,
     line_window_law,
     restriction_sum,
     z_circ,
@@ -507,3 +508,33 @@ def test_window_marginals_match_line_laws_small():
         for m in (4, 5, 6):
             got = marginalize(cycle_law(m, q), range(1, m - k + 1))
             assert got == line_window_law(m - k, k, q)
+
+
+# -- line-law consistency ---------------------------------------------------------
+
+# q -> the largest n at which line level n + 1 is checked against level n.
+LINE_CONSISTENT_TO = {3: 8, 4: 6, 5: 5, 6: 4}
+
+
+def _proportional(x: np.ndarray, y: np.ndarray) -> bool:
+    """x is a constant multiple of y, exactly: x * sum(y) == y * sum(x)."""
+    return bool(_cross_equal(x, int(y.sum()), y, int(x.sum())).all())
+
+
+@pytest.mark.parametrize("q,top", sorted(LINE_CONSISTENT_TO.items()))
+def test_line_levels_are_consistent(q, top):
+    # Level n + 1 summed over its first site, and over its last, is level n up
+    # to a constant, theorem-grade (k, q) or not: the window laws are the
+    # marginals of one stationary law at these lengths.
+    for n in range(top + 1):
+        upper, lower = line_counts(n + 1, q), line_counts(n, q)
+        for axis in (0, -1):
+            assert _proportional(upper.sum(axis=axis), lower), (n, axis)
+
+
+@pytest.mark.parametrize("axis", [0, -1])
+def test_line_consistency_check_can_fail(axis):
+    upper, lower = line_counts(6, 4).copy(), line_counts(5, 4)
+    assert _proportional(upper.sum(axis=axis), lower)
+    upper[0, 1, 0, 1, 0, 1] += 1  # one proper word's count
+    assert not _proportional(upper.sum(axis=axis), lower)
