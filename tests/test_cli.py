@@ -548,15 +548,20 @@ def _refuse(*args, **kwargs):
     raise AssertionError("the work began before --out was checked")
 
 
+# The ids name each case as it was named while `cli` itself held the engine
+# names of `sample` and `verify`; the patches now go where the names are
+# looked up (`growth`, `suites`), but the cases check the same commands.
 @pytest.mark.parametrize(
     "argv,module,name",
     [
-        (("exact", "cycle", "--n", "3", "--q", "3"), recurrence, "_levels"),
-        (("sample", "necklace", "--n", "4", "--q", "3", "--reps", "3"), growth,
-         "_replicate_blocks"),
-        (("sample", "eden", "--n", "4", "--q", "3", "--reps", "3000", "--gof"),
-         recurrence, "_levels"),
-        (("verify", "all", "--max-n", "3"), suites, "run_all"),
+        pytest.param(("exact", "cycle", "--n", "3", "--q", "3"), recurrence, "_levels",
+                     id="argv0-findep.recurrence-_levels"),
+        pytest.param(("sample", "necklace", "--n", "4", "--q", "3", "--reps", "3"), growth,
+                     "_replicate_blocks", id="argv1-findep.cli-_replicate_blocks"),
+        pytest.param(("sample", "eden", "--n", "4", "--q", "3", "--reps", "3000", "--gof"),
+                     recurrence, "_levels", id="argv2-findep.recurrence-_levels"),
+        pytest.param(("verify", "all", "--max-n", "3"), suites, "run_all",
+                     id="argv3-findep.cli-run_all"),
     ],
 )
 @pytest.mark.parametrize("target", ["missing/x.json", "."])
