@@ -821,6 +821,9 @@ VERIFY_SHA256 = {
     "kdep --n 10 --q 4 --k 0":
         (1, "de9c3bebb9ccce080fd23693b5fe8406da30aa8c4c6a597690e614b471991fad"),
     "window": (0, "9f23c29542352810b3a493475f7b97fceff03b6c8b0e92c3a226dcd80350c002"),
+    "kernels": (0, "afabdf77fdb08437db21a1181c6d07e6d87614738db717458dbebaaf1a4af7af"),
+    "blockfactor-stat":
+        (0, "6795fa1a9294909355f05c7177bc56aec2b65e0ac010981b86446f23b92a7217"),
 }
 
 
