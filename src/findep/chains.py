@@ -15,15 +15,21 @@ uniforms are null events, so the finite models are exact): permutations
 are counted by their descent bits with a signature DP
 (``_perm_descents``), never walked one by one; bit strings by one numpy
 pass over all 2^m of them (``_bit_descents``); peaks as a pushforward of
-the descent bits (``_peaks``). Indicator vectors are indexed by their
-base-2 word codes, converted by ``words.encode_digits`` and
-``words.decode_codes``. The brute-force loops over permutations
+the descent bits (``_peaks``). Each is an int64 count vector over the
+base-2 codes of the indicator vectors (``words.encode_digits``), made a
+law in one place (``_vector_law``). The brute-force loops over permutations
 and bit strings are the tests' literal oracle. The first two equalities are
 driven by a pair of Markov insertion chains per variant: the J-chain, the
 indicator image of the coloring insertion step (``words.insertion_orbits``),
 and the Q-chain, that of the insertion step on permutations. Their
 one-step kernels coincide exactly, which with the matching three-site
 initial laws forces equality of the laws for every size.
+
+The J step is one lumping rule: with m of the q colors marked, the q - 2
+colors allowed between neighbors a != b hold m - [a marked] - [b marked]
+marked ones, so it inserts m - a - b ones and q - 2 - m + a + b zeros
+between neighbor bits a, b (``_j_bits``). The tests certify the rule, for
+every n, on the q (q-1) neighbor pairs of every marked set at q = 3..6.
 
 ``_kernel_walk`` walks the lengths once on integer counts: the chain law,
 and the J and Q rows on the states reachable from the initial law (variant
@@ -40,13 +46,13 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import count, islice, product
+from itertools import count, islice, permutations
 from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
 from .dist import ExactDist, Kernel
-from .recurrence import _INT64_MAX, line_window_law
+from .recurrence import _INT64_MAX, line_counts
 from .words import Word, decode_codes, encode_digits, insertion_orbits, rotations
 
 BinaryState = tuple[int, ...]
@@ -74,18 +80,18 @@ __all__ = [
 
 
 class ChainVariant(Enum):
-    """Which marginal process the insertion chains model."""
+    """Which marginal process the insertion chains model: its name, the q
+    colors of which it marks ``marked_colors``, and its ``q_rule``: the
+    symbols the Q step replaces and the blocks that replace them."""
 
-    COLORS_ONE_TWO_Q4 = "colors-12-of-4"  # sites carrying color 1 or 2 among 4
-    COLOR_ONE_Q3 = "color-1-of-3"  # sites carrying color 1 among 3
+    COLORS_ONE_TWO_Q4 = ("colors-12-of-4", 4, frozenset({1, 2}), (1, ((0, 1), (1, 0))))  # descents
+    COLOR_ONE_Q3 = ("color-1-of-3", 3, frozenset({1}), (2, ((0, 1, 0),)))  # peaks
 
-    @property
-    def q(self) -> int:
-        return 4 if self is ChainVariant.COLORS_ONE_TWO_Q4 else 3
-
-    @property
-    def marked_colors(self) -> frozenset[int]:
-        return frozenset({1, 2}) if self is ChainVariant.COLORS_ONE_TWO_Q4 else frozenset({1})
+    def __new__(cls, value: str, q: int, marked_colors: frozenset[int], q_rule: tuple):
+        variant = object.__new__(cls)
+        variant._value_ = value
+        variant.q, variant.marked_colors, variant.q_rule = q, marked_colors, q_rule
+        return variant
 
 
 def color_indicator(colors: Iterable[int]) -> Callable[[Word], BinaryState]:
@@ -168,9 +174,9 @@ _TARGETS = {
 }
 
 
-def _target_counts(target: str, n: int) -> dict[BinaryState, int]:
+def _target_counts(target: str, n: int) -> np.ndarray:
     """Counts of the n-site indicator vectors of a ``_TARGETS`` law over its
-    values, the nonzero ones only. On a cycle of n values, site i reads
+    values, over their 2^n codes. On a cycle of n values, site i reads
     values i and i+1 for a descent, i-1, i and i+1 for a peak (modulo n);
     on a line of n + 1 values (n + 2 for peaks), values i, i+1 (and i+2)."""
     descents, indicator, cyclic, lo, hi = _TARGETS[target]
@@ -179,51 +185,51 @@ def _target_counts(target: str, n: int) -> dict[BinaryState, int]:
     peak = indicator == "peak"
     width = n if cyclic else n + peak  # descent bits
     counts = descents(width + (not cyclic), cyclic)
-    if peak:
-        counts = _peaks(counts, width, cyclic)
+    return _peaks(counts, width, cyclic) if peak else counts
+
+
+def _vector_law(counts: np.ndarray) -> ExactDist:
+    """The law of the bit tuples whose base-2 codes ``counts`` counts."""
     codes = np.flatnonzero(counts)
-    return dict(zip(map(tuple, decode_codes(codes, n, 2).tolist()), counts[codes].tolist()))
+    states = decode_codes(codes, len(counts).bit_length() - 1, 2).tolist()
+    return ExactDist.from_weights(dict(zip(map(tuple, states), counts[codes].tolist())))
 
 
 def descent_law(n: int) -> ExactDist:
     """Cyclic descent indicators of a uniform permutation: value i > value i+1 (mod n)."""
-    return ExactDist.from_weights(_target_counts("cyclic-descent", n))
+    return _vector_law(_target_counts("cyclic-descent", n))
 
 
 def peak_law(n: int) -> ExactDist:
     """Cyclic peak indicators of a uniform permutation: value i > both cyclic neighbors."""
-    return ExactDist.from_weights(_target_counts("cyclic-peak", n))
+    return _vector_law(_target_counts("cyclic-peak", n))
 
 
 def bit_descent_law(n: int) -> ExactDist:
     """Cyclic descent indicators of n i.i.d. fair bits."""
-    return ExactDist.from_weights(_target_counts("cyclic-bit-descent", n))
+    return _vector_law(_target_counts("cyclic-bit-descent", n))
 
 
 def descent_window_law(n: int) -> ExactDist:
     """n consecutive descent indicators on the line (n+1 values)."""
-    return ExactDist.from_weights(_target_counts("line-descent", n))
+    return _vector_law(_target_counts("line-descent", n))
 
 
 def peak_window_law(n: int) -> ExactDist:
     """n consecutive peak indicators on the line (n+2 values)."""
-    return ExactDist.from_weights(_target_counts("line-peak", n))
+    return _vector_law(_target_counts("line-peak", n))
 
 
 def bit_descent_window_law(n: int) -> ExactDist:
     """n consecutive bit-descent indicators on the line (n+1 bits)."""
-    return ExactDist.from_weights(_target_counts("line-bit-descent", n))
+    return _vector_law(_target_counts("line-bit-descent", n))
 
 
 def _initial_counts(variant: ChainVariant) -> Counter:
-    """The three-site starting law of the insertion chains, as counts.
-
-    Variant (i): uniform over the six binary vectors of weight 1 or 2
-    (cyclic descent sets of three distinct values). Variant (ii): uniform
-    over the three singletons (cyclic peak sets of three distinct values).
-    """
-    weights = (1, 2) if variant is ChainVariant.COLORS_ONE_TWO_Q4 else (1,)
-    return Counter(t for t in product((0, 1), repeat=3) if sum(t) in weights)
+    """The three-site starting law of the insertion chains, as counts: the
+    indicator image of the q (q-1) (q-2) proper colorings of a triangle."""
+    marked, colorings = variant.marked_colors, permutations(range(1, variant.q + 1), 3)
+    return Counter(tuple(int(c in marked) for c in x) for x in colorings)
 
 
 def initial_law(variant: ChainVariant) -> ExactDist:
@@ -236,30 +242,22 @@ def _has_adjacent_ones(t: BinaryState) -> bool:
     return any(t[i] == 1 and t[(i + 1) % n] == 1 for i in range(n))
 
 
-# variant -> the bits the J step may insert between gap neighbors (a, b).
-# Variant (i): if the neighbors agree, Z is their complement (the two
-# excluded colors are then one marked pair), once per allowed color, else a
-# fair bit. Variant (ii): Z = 1 iff both are 0 (the one allowed color is
-# then the marked one).
-_J_RULES = {
-    ChainVariant.COLORS_ONE_TWO_Q4: lambda a, b: (1 - b,) * 2 if a == b else (0, 1),
-    ChainVariant.COLOR_ONE_Q3: lambda a, b: (int(a == b == 0),),
-}
-
-# variant -> (symbols the Q step replaces, the blocks that replace them)
-_Q_RULES = {
-    ChainVariant.COLORS_ONE_TWO_Q4: (1, ((0, 1), (1, 0))),
-    ChainVariant.COLOR_ONE_Q3: (2, ((0, 1, 0),)),
-}
+def _j_bits(q: int, m: int, a: int, b: int) -> tuple[int, ...]:
+    """The bits the J step inserts between neighbor bits a, b with m of q
+    colors marked; ``ValueError`` where no proper coloring has such neighbors."""
+    ones = m - a - b
+    if not 0 <= ones <= q - 2:
+        raise ValueError(f"no proper coloring has neighbor bits {a}, {b} at (q, m) = ({q}, {m})")
+    return (0,) * (q - 2 - ones) + (1,) * ones
 
 
 def _j_row(variant: ChainVariant, t: BinaryState) -> Counter:
     """One J-chain step: the indicator image of the coloring insertion step.
 
     Insert a bit Z just before a uniform position I, then rotate uniformly:
-    ``insertion_orbits`` with the variant's ``_J_RULES``.
-    """
-    return insertion_orbits(t, _J_RULES[variant])
+    ``insertion_orbits`` with ``_j_bits`` (variant (ii): adjacent ones raise)."""
+    q, m = variant.q, len(variant.marked_colors)
+    return insertion_orbits(t, lambda a, b: _j_bits(q, m, a, b))
 
 
 def _q_row(variant: ChainVariant, t: BinaryState) -> Counter:
@@ -272,11 +270,11 @@ def _q_row(variant: ChainVariant, t: BinaryState) -> Counter:
     chosen adjacent pair are replaced by (0, 1, 0). A uniform rotation
     follows in both cases, so rotating t first changes no count: each
     rotation s of t stands for one position, and the block replaces the
-    first ``cut`` symbols of s (``_Q_RULES``).
+    first ``cut`` symbols of s (``variant.q_rule``).
     """
     if variant is ChainVariant.COLOR_ONE_Q3 and _has_adjacent_ones(t):
         raise ValueError(f"state {t} has adjacent ones")
-    cut, blocks = _Q_RULES[variant]
+    cut, blocks = variant.q_rule
     row: Counter = Counter()
     for s in rotations(t):
         for block in blocks:
@@ -366,18 +364,14 @@ class IotaStatReport:
 def iota_two_site_statistic() -> IotaStatReport:
     """Compute the exact two-site star statistic and the width-2 benchmark.
 
-    The adjacent-pair probability comes from the exact two-site window law
-    of the four-color line process. A width-2 sliding-window (hard-core)
-    construction with balanced single-site marginals would force the value
-    P(three i.i.d. fair marks agree) = 2 * (1/2)**3 = 1/4 instead; the two
-    must differ.
+    The adjacent-pair probability comes from the four-color line counts.
+    A width-2 sliding-window (hard-core) construction with balanced
+    single-site marginals would force P(three i.i.d. fair marks agree) =
+    2 * (1/2)**3 = 1/4 instead; the two must differ.
     """
-    pairs, pair_total = line_window_law(2, 1, 4).weights()
-    sites, site_total = line_window_law(1, 1, 4).weights()
+    pairs, sites = line_counts(2, 4), line_counts(1, 4)  # colors 3, 4 at [2:]
     return IotaStatReport(
-        two_site=Fraction(sum(c for w, c in pairs.items() if set(w.symbols) <= {3, 4}),
-                          pair_total),
+        two_site=Fraction(int(pairs[2:, 2:].sum()), int(pairs.sum())),
         block_factor_two_site=Fraction(2, 2**3),
-        single_site=Fraction(sum(c for w, c in sites.items() if w.symbols[0] in (3, 4)),
-                             site_total),
+        single_site=Fraction(int(sites[2:].sum()), int(sites.sum())),
     )

@@ -6,16 +6,18 @@ and bit strings run before the module was written.
 
 from collections import Counter
 from fractions import Fraction
-from itertools import islice, permutations, product
+from itertools import combinations, islice, permutations, product
 
 import numpy as np
 import pytest
 
+from findep import chains, suites
 from findep.analysis import pushforward, tv_distance
 from findep.chains import (
     _TARGETS,
     ChainVariant,
     _has_adjacent_ones,
+    _j_bits,
     _j_row,
     _kernel_walk,
     _q_row,
@@ -37,6 +39,7 @@ from findep.chains import (
     q_kernel,
 )
 from findep.dist import ExactDist
+from findep.growth import allowed_colors
 from findep.recurrence import cycle_law
 from findep.words import Word, rotl
 
@@ -186,12 +189,58 @@ def _literal_q_row(variant, t):
 
 @pytest.mark.parametrize("variant", [V1, V2])
 def test_rows_match_their_literal_steps(variant):
+    """Where no proper coloring gives the state (variant (ii): adjacent ones,
+    so also the 1-site state (1,)), the J step raises instead."""
     for n in range(1, 8):
         for t in product((0, 1), repeat=n):
-            assert _j_row(variant, t) == _literal_j_row(variant, t)
+            if variant is V2 and _has_adjacent_ones(t):
+                with pytest.raises(ValueError, match="no proper coloring"):
+                    _j_row(variant, t)
+            else:
+                assert _j_row(variant, t) == _literal_j_row(variant, t)
             # a Q step of variant (ii) replaces an adjacent pair, so n >= 2
             if n >= 2 and not (variant is V2 and _has_adjacent_ones(t)):
                 assert _q_row(variant, t) == _literal_q_row(variant, t)
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 6])
+def test_j_rule_is_the_indicator_image_of_the_allowed_colors(q):
+    """The lumping certificate: for every marked set of m = 1..q-1 colors and
+    each of the q (q-1) ordered neighbor pairs a != b, the colors allowed
+    between them carry the marks that ``_j_bits`` inserts, as a multiset.
+    So the indicator image of the coloring step is the J step at every n."""
+    for m in range(1, q):
+        for marked in map(set, combinations(range(1, q + 1), m)):
+            for a, b in permutations(range(1, q + 1), 2):
+                marks = sorted(int(c in marked) for c in allowed_colors(q, a, b))
+                assert sorted(_j_bits(q, m, int(a in marked), int(b in marked))) == marks
+
+
+@pytest.mark.parametrize("q,m", [(3, 1), (3, 2), (4, 1), (4, 3), (5, 1), (5, 4)])
+def test_j_rule_raises_on_neighbors_no_coloring_gives(q, m):
+    """Two marked neighbors need m >= 2, two unmarked ones q - m >= 2."""
+    bits = (1, 1) if m == 1 else (0, 0)
+    with pytest.raises(ValueError, match="no proper coloring"):
+        _j_bits(q, m, *bits)
+
+
+def test_kernels_fails_on_a_j_rule_with_one_mark_dropped(monkeypatch):
+    """Turning one inserted marked bit unmarked keeps every row's total, so
+    ``_row`` accepts the rule; the J rows then differ from the Q rows, and
+    the chain law from the pushforward of the cycle law."""
+    j_bits = chains._j_bits
+
+    def one_mark_dropped(q, m, a, b):
+        bits = j_bits(q, m, a, b)
+        return (0,) + bits[1:] if (a, b) == (0, 0) else bits
+
+    monkeypatch.setattr(chains, "_j_bits", one_mark_dropped)
+    assert sum(_row(_j_row, V1, (1, 0, 0)).values()) == 2 * 3 * 4
+    rep = suites.kernels_suite(5)
+    failing = {(c["variant"], c["check"]) for c in rep["cases"] if not c["passed"]}
+    assert failing == {(v.value, check) for v in (V1, V2)
+                       for check in ("kernel-equal", "chain-vs-pushforward")}
+    assert not rep["passed"]
 
 
 def test_variant_ii_j_rule_never_creates_adjacent_ones():
@@ -342,12 +391,23 @@ _BRUTE = {
 }
 
 
+def _code_vector(counts, n):
+    """A count map over n-bit tuples as an int64 vector indexed by each
+    tuple read as a binary number, first bit most significant."""
+    vector = np.zeros(2**n, dtype=np.int64)
+    for t, c in counts.items():
+        vector[int("".join(map(str, t)), 2)] = c
+    return vector
+
+
 @pytest.mark.parametrize("target", sorted(_BRUTE))
 def test_target_counts_match_their_loops(target):
     assert set(_BRUTE) == set(_TARGETS)
     _, _, _, lo, hi = _TARGETS[target]
     for n in range(lo, hi + 1):
-        assert _target_counts(target, n) == _BRUTE[target](n), n
+        counts = _target_counts(target, n)
+        assert counts.dtype == np.int64, n
+        np.testing.assert_array_equal(counts, _code_vector(_BRUTE[target](n), n), err_msg=str(n))
     for n in (lo - 1, hi + 1):
         with pytest.raises(ValueError):
             _target_counts(target, n)

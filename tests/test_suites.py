@@ -449,20 +449,31 @@ def test_binary_law_matches_pushforward(n, q):
     for marked in ({1}, {1, 2}):
         ind = color_indicator(marked)
         cyc = suites._binary_counts(recurrence.cycle_counts(n, q), marked)
-        assert ExactDist.from_weights(cyc) == pushforward(cycle_law(n, q), ind), marked
+        assert cyc.shape == (2**n,) and cyc.dtype == np.int64
+        assert chains._vector_law(cyc) == pushforward(cycle_law(n, q), ind), marked
         line = suites._binary_counts(recurrence.line_counts(n, q), marked)
-        assert ExactDist.from_weights(line) == pushforward(line_window_law(n, 1, q), ind), marked
+        assert chains._vector_law(line) == pushforward(line_window_law(n, 1, q), ind), marked
 
 
 def _equal_laws(a, b):
-    """The comparison that ``marginals`` and ``kernels`` make of two count maps."""
-    return ExactDist.from_weights(a) == ExactDist.from_weights(b)
+    """The comparison that ``marginals`` and ``kernels`` make of two count
+    vectors; entry i counts state i."""
+    return suites._same_law(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64))
+
+
+def _walk_vector(law, n):
+    """A chain law's count map over n-bit tuples as its vector over their
+    binary codes, first bit most significant."""
+    vector = np.zeros(2**n, dtype=np.int64)
+    for t, c in law.items():
+        vector[int("".join(map(str, t)), 2)] = c
+    return vector
 
 
 def test_same_law_compares_normalized_counts():
-    assert _equal_laws({(0,): 1, (1,): 3}, {(1,): 6, (0,): 2})
-    assert not _equal_laws({(0,): 1, (1,): 3}, {(0,): 1, (1,): 2})
-    assert not _equal_laws({(0,): 1, (1,): 3}, {(0,): 1, (1,): 3, (2,): 1})
+    assert _equal_laws([1, 3], [2, 6])
+    assert not _equal_laws([1, 3], [1, 2])
+    assert not _equal_laws([1, 3, 0], [1, 3, 1])
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -470,7 +481,7 @@ def test_same_law_fails_on_a_variant_mismatch(n):
     """Variant (i)'s chain law against the level that variant (ii) reads
     (q = 3, color 1 marked), and against its own level."""
     v1 = chains.ChainVariant.COLORS_ONE_TWO_Q4
-    law = next(islice(chains._kernel_walk(v1), n - 3, None))[0]
+    law = _walk_vector(next(islice(chains._kernel_walk(v1), n - 3, None))[0], n)
     assert not _equal_laws(law, suites._binary_counts(recurrence.cycle_counts(n, 3), {1}))
     assert _equal_laws(law, suites._binary_counts(recurrence.cycle_counts(n, 4), {1, 2}))
 
@@ -595,6 +606,19 @@ def test_kernels_and_marginals_build_no_exactdist(monkeypatch, name):
     assert run_suite(name)["passed"]
 
 
+def test_verify_builds_no_exactdist(monkeypatch):
+    """No suite of ``verify all`` builds an ``ExactDist``, by either
+    constructor, and none reads a cached one: the report is unchanged."""
+    expected = run_all(6)
+
+    def boom(*args, **kwargs):
+        raise AssertionError("an ExactDist was built")
+
+    monkeypatch.setattr(ExactDist, "from_weights", boom)
+    monkeypatch.setattr(ExactDist, "__init__", boom)
+    assert run_all(6) == expected
+
+
 def test_kernels_suite_never_recomputes_a_closure(monkeypatch):
     """One walk per variant, and never the library's default domains,
     which walk again from length 3."""
@@ -632,6 +656,20 @@ def test_kernels_fails_where_the_q_step_is_broken(monkeypatch):
     failing = [(c["variant"], c["n"], c["check"]) for c in rep["cases"] if not c["passed"]]
     assert failing == [("color-1-of-3", 5, "kernel-equal"), ("color-1-of-3", 6, "kernel-equal")]
     assert rep["counterexample"] == {"variant": "color-1-of-3", "n": 5}
+
+
+def test_kernels_raises_on_chain_counts_past_int64(monkeypatch):
+    """Each count fits int64 but their sum does not: refused before the
+    vector is summed, where it would wrap."""
+    walk = chains._kernel_walk
+
+    def huge(variant):
+        for law, j_rows, q_rows in walk(variant):
+            yield {t: 2**62 for t in law}, j_rows, q_rows
+
+    monkeypatch.setattr(chains, "_kernel_walk", huge)
+    with pytest.raises(OverflowError, match="chain counts at n = 3 pass int64"):
+        suites.kernels_suite(max_n=3)
 
 
 def test_kernels_raises_on_a_q_row_of_the_wrong_total(monkeypatch):
