@@ -29,10 +29,11 @@ API and as the tests' literal form of the step; a row of it is
 engine, ``_necklace_blocks``: the nonzero cells of level n in blocks of
 ``_BLOCK_STATES`` states, each block's insertions computed on base-q
 codes (``_necklace_codes``) and rotated arithmetically into sorted keys
-(``_block_keys``). The transport (``suites._transport_counts``) adds each
-state's count at its outcomes; ``eden_vs_necklace_kernel_check`` steps
-each state with the samplers' block step ``_insert_columns`` and
-compares keys: the two step laws agree on every state.
+(``_block_keys``). A ``coupling`` case walks them once
+(``suites._necklace_step``), adding each state's count at its outcomes
+(the transport) and asking ``_eden_agrees`` of each block (the Eden
+check): its states stepped by the samplers' ``_insert_columns`` give
+the block's keys, so the two step laws agree on every state.
 
 Randomness. The bounds of every draw a sampler makes depend only on
 (n, q) (``_necklace_bounds``, ``_eden_bounds``), so a replicate's word is
@@ -798,25 +799,24 @@ def _necklace_blocks(n: int, q: int) -> tuple[int, Iterator[tuple[np.ndarray, ..
                for b in blocks)
 
 
-def eden_vs_necklace_kernel_check(n: int, q: int) -> bool:
-    """Exact equality of the Eden step-and-read law with the insertion step.
-
-    In each block of ``_necklace_blocks`` (every state with a positive
-    insertion count), each state is stepped at every (gap+1, color index)
-    by the samplers' block step ``_insert_columns``, and its reads from
-    every start are the rotations of the stepped colors (``_block_keys``).
-    A block passes iff these sorted (state, outcome code) keys equal its
-    necklace keys: per state, n (q-2) (n+1) outcomes of weight 1 on each
-    side, so equal counts are equal laws. No state is canonicalized.
-    ``OverflowError`` if a key could leave int64.
-    """
+def _eden_agrees(states: np.ndarray, keys: np.ndarray, n: int, q: int) -> bool:
+    """One block of ``_necklace_blocks``: each state stepped at every
+    (gap+1, color index) by ``_insert_columns`` and read from every start
+    (``_block_keys``) gives the block's sorted necklace ``keys``."""
     per = n * (q - 2)
-    for states, _, necklace in _necklace_blocks(n, q)[1]:
-        stepped = np.pad(states.repeat(per, axis=0), ((0, 0), (0, 1)))
-        gap, color = np.divmod(np.arange(len(stepped)) % per, q - 2)
-        _insert_columns(stepped, n, gap + 1, color)
-        eden = _block_keys(np.arange(len(states)).repeat(per),
-                           encode_digits(stepped - 1, q), n + 1, q)
-        if not np.array_equal(eden, necklace):
-            return False
-    return True
+    stepped = np.pad(states.repeat(per, axis=0), ((0, 0), (0, 1)))
+    gap, color = np.divmod(np.arange(len(stepped)) % per, q - 2)
+    _insert_columns(stepped, n, gap + 1, color)
+    eden = _block_keys(np.arange(len(states)).repeat(per),
+                       encode_digits(stepped - 1, q), n + 1, q)
+    return np.array_equal(eden, keys)
+
+
+def eden_vs_necklace_kernel_check(n: int, q: int) -> bool:
+    """Exact equality of the Eden step-and-read law with the insertion step:
+    ``_eden_agrees`` on every block of ``_necklace_blocks`` (every state
+    with a positive insertion count). Per state there are n (q-2) (n+1)
+    outcomes of weight 1 on each side, so equal keys are equal laws. No
+    state is canonicalized. ``OverflowError`` if a key could leave int64.
+    """
+    return all(_eden_agrees(states, keys, n, q) for states, _, keys in _necklace_blocks(n, q)[1])

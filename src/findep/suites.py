@@ -294,45 +294,43 @@ def kdep_report(n: int, q: int, k: int) -> dict:
     return _report("kdep", [_kdep_case(n, q, k)])
 
 
-def _transport_counts(n: int, q: int) -> np.ndarray:
-    """One necklace insertion step applied to the counts of level n: entry y
-    of this q**(n+1) int64 vector, indexed by word code, sums each state's
-    count over its (gap, allowed color, rotation) triples that give y
-    (``growth._necklace_blocks``), so the total z grows by n (q-2) (n+1).
-    ``OverflowError`` before pushing unless that product is below 2**63."""
+def _necklace_step(n: int, q: int) -> tuple[np.ndarray, bool]:
+    """(pushed, eden_ok) from one walk of ``growth._necklace_blocks``.
+    Entry y of the q**(n+1) int64 vector pushed, indexed by word code, sums
+    each state's count over its (gap, allowed color, rotation) triples that
+    give y, so the total z grows by n (q-2) (n+1); ``OverflowError`` before
+    any block unless that product is below 2**63. eden_ok is
+    ``growth._eden_agrees`` on every block, skipped after one fails."""
     m = n + 1
     z, blocks = growth._necklace_blocks(n, q)
     if z * n * (q - 2) * m > recurrence._INT64_MAX:
         raise OverflowError(f"the counts of level {n} at q = {q} may push past int64")
     pushed = np.zeros(q**m, dtype=np.int64)
-    for _, counts, keys in blocks:  # key = row in the block * q**m + outcome code
+    eden_ok = True
+    for states, counts, keys in blocks:  # key = row in the block * q**m + outcome code
         np.add.at(pushed, keys % q**m, counts[keys // q**m])
-    return pushed
+        eden_ok = eden_ok and growth._eden_agrees(states, keys, n, q)
+    return pushed, eden_ok
 
 
-def _transported(n: int, q: int) -> bool:
-    """Necklace insertion carries the n-cycle law to the (n+1)-cycle law:
-    pushed * z[n+1] == level[n+1] * z[n] * n (q-2) (n+1) on every word."""
+def _coupling_case(n: int, q: int) -> dict:
+    """Necklace insertion carries the n-cycle law to the (n+1)-cycle law,
+    pushed * z[n+1] == level[n+1] * z[n] * n (q-2) (n+1) on every word
+    (the transport), and the Eden step has the same law (``_necklace_step``)."""
+    pushed, eden_ok = _necklace_step(n, q)
     child = recurrence.cycle_counts(n + 1, q).reshape(-1)
-    pushed = _transport_counts(n, q)
-    expected_total = recurrence.z_circ(n, q) * n * (q - 2) * (n + 1)
-    return bool(_cross_equal(pushed, int(child.sum()), child, expected_total).all())
+    pushed_total = recurrence.z_circ(n, q) * n * (q - 2) * (n + 1)
+    transported = bool(_cross_equal(pushed, recurrence.z_circ(n + 1, q), child, pushed_total).all())
+    return _case(transported and eden_ok, {"n": n, "q": q}, n=n, q=q,
+                 transport=transported, eden_step_law=eden_ok)
 
 
 def coupling_suite(max_n: int) -> dict:
-    """Necklace transport of the cycle laws (``_transported``) and the
-    growth-vs-insertion check (``growth.eden_vs_necklace_kernel_check``),
-    both on the blocks of states and necklace outcomes of
-    ``growth._necklace_blocks``."""
+    """``_coupling_case`` for n = 3..max_n at q = 3 and 4: the transport and
+    the Eden check from one walk of level n's blocks per case."""
     _check_levels((max_n + 1, q) for q in (3, 4))
-    cases = []
-    for q in (3, 4):
-        for n in range(3, max_n + 1):
-            transported = _transported(n, q)
-            eden_ok = growth.eden_vs_necklace_kernel_check(n, q)
-            cases.append(_case(transported and eden_ok, {"n": n, "q": q}, n=n, q=q,
-                               transport=transported, eden_step_law=eden_ok))
-    return _report("coupling", cases)
+    return _report("coupling", [_coupling_case(n, q) for q in (3, 4)
+                                for n in range(3, max_n + 1)])
 
 
 def _binary_counts(level: np.ndarray, marked: Iterable[int]) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Verification suite reports: shapes, pass/fail semantics."""
 
+from collections import Counter
 from fractions import Fraction
 from itertools import islice, permutations, product
 
@@ -134,7 +135,7 @@ def test_cycle_counts_is_a_read_only_view_of_b_circ():
 
 @pytest.mark.parametrize("n,q", [(n, q) for n in (3, 4, 5) for q in (3, 4)])
 def test_transport_counts_match_kernel_push(n, q):
-    pushed = suites._transport_counts(n, q).reshape((q,) * (n + 1))
+    pushed = suites._necklace_step(n, q)[0].reshape((q,) * (n + 1))
     law = coupling_kernel(n, q).push(cycle_law(n, q))
     total = int(pushed.sum())
     assert total == recurrence.z_circ(n, q) * n * (q - 2) * (n + 1)
@@ -208,7 +209,7 @@ def test_transport_counts_refuse_a_push_past_int64(monkeypatch):
         monkeypatch.setattr(growth, "_law_cells", lambda *a, **kw: (*law_cells(*a, **kw)[:2], z))
 
     with_z((2**63 - 1) // steps)
-    assert suites._transport_counts(n, q).sum() == recurrence.z_circ(n, q) * steps
+    assert suites._necklace_step(n, q)[0].sum() == recurrence.z_circ(n, q) * steps
     with_z((2**63 - 1) // steps + 1)
 
     def boom(*args):
@@ -216,12 +217,55 @@ def test_transport_counts_refuse_a_push_past_int64(monkeypatch):
 
     monkeypatch.setattr(growth, "_necklace_codes", boom)
     with pytest.raises(OverflowError):
-        suites._transport_counts(n, q)
+        suites._necklace_step(n, q)
 
 
 def test_transport_holds_where_unreduced_factors_overflow():
     # z[11] * pushed and level[11] * z[10] * 10 * 2 * 11 both exceed 2**63 here
-    assert suites._transported(10, 4)
+    assert suites._coupling_case(10, 4)["transport"]
+
+
+def test_coupling_case_walks_each_block_once(monkeypatch):
+    """At (7, 4) level 7 has 9 blocks: one case computes each block's
+    necklace insertions once, and sorts keys twice per block (the
+    necklace keys, then the Eden keys), for both halves."""
+    n, q = 7, 4
+    recurrence.cycle_counts(n + 1, q)  # build the levels first
+    calls = Counter()
+
+    def count_calls(name):
+        orig = getattr(growth, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return orig(*args)
+
+        monkeypatch.setattr(growth, name, counted)
+
+    count_calls("_necklace_codes")
+    count_calls("_block_keys")
+    assert suites._coupling_case(n, q)["passed"]
+    assert calls == {"_necklace_codes": 9, "_block_keys": 18}
+
+
+def test_coupling_case_reports_a_late_block_eden_fault_and_keeps_the_transport(monkeypatch):
+    """Only the states with first color 4, past block 6 of level (7, 4),
+    get a broken step (the stacked vertex always goes into the first gap):
+    the Eden check fails there, while the transport still adds the counts
+    of every block."""
+    n, q = 7, 4
+    insert = growth._insert_columns
+
+    def broken(words, m, p, ci):
+        insert(words, m, np.where(words[:, 0] == q, 1, p), ci)
+
+    monkeypatch.setattr(growth, "_insert_columns", broken)
+    case = suites._coupling_case(n, q)
+    assert case["eden_step_law"] is False and case["transport"] is True
+    assert case["counterexample"] == {"n": n, "q": q}
+    pushed, eden_ok = suites._necklace_step(n, q)
+    assert not eden_ok
+    assert pushed.sum() == recurrence.z_circ(n, q) * n * (q - 2) * (n + 1)
 
 
 def test_scaled_equal_reduces_by_gcd_and_guards_int64():
