@@ -15,7 +15,8 @@ alphabet of the law's a symbols, with its int64 weight. The joint of a pair
 iff joint * total == outer(m1, m2), decided by ``_cross_equal`` in int64
 with no product formed. The public functions read the cells off an
 ``ExactDist`` (``_dist_cells``), ``verify kdep`` off the count level. The
-maximal pairs alone decide k-dependence (``_maximal_pairs``).
+maximal pairs alone decide k-dependence; ``_pair_table`` lists the pairs as
+site bitmasks and marks the maximal ones.
 """
 
 from __future__ import annotations
@@ -148,41 +149,30 @@ def are_independent(d: ExactDist, s1: Iterable[int], s2: Iterable[int]) -> bool:
     return _independent(_dist_cells(d), s1, s2)
 
 
-def _cyclic_distance(i: int, j: int, n: int) -> int:
-    delta = abs(i - j) % n
-    return min(delta, n - delta)
+def _pair_table(n: int, k: int) -> tuple:
+    """The admissible pairs (s1, s2, maximal) of an n-cycle at distance k:
+    int64 site masks, site i at bit n-1-i, of the disjoint nonempty sets at
+    cyclic distance greater than k, S1 holding the first occupied site
+    (s1 > s2), in the base-3 order of the labelling (free, S1, S2) with site
+    0 first. A pair is maximal when every free site lies within k of both
+    sets; every admissible pair lies inside a maximal one, in one
+    orientation or the other."""
+    full = (1 << n) - 1
+    s1 = s2 = np.zeros(1, dtype=np.int64)
+    for _ in range(n):  # the next site's label is the next base-3 digit
+        s1 = (s1[:, None] << 1 | [0, 1, 0]).ravel()
+        s2 = (s2[:, None] << 1 | [0, 0, 1]).ravel()
 
+    def near(s):  # s OR-ed with its cyclic rotations by 1..min(k, n-1) sites
+        out = s
+        for d in range(1, min(k, n - 1) + 1):
+            out = out | (s << d | s >> (n - d) | s >> d | s << (n - d)) & full
+        return out
 
-def _admissible_pairs(n: int, k: int):
-    """Unordered pairs of disjoint nonempty 0-based subsets at cyclic graph
-    distance greater than k. Canonical form: the smallest occupied
-    coordinate belongs to the first set, so each pair appears once."""
-
-    def extend(pos: int, s1: list[int], s2: list[int]):
-        if pos == n:
-            if s1 and s2:
-                yield tuple(s1), tuple(s2)
-            return
-        yield from extend(pos + 1, s1, s2)
-        if all(_cyclic_distance(pos, j, n) > k for j in s2):
-            s1.append(pos)
-            yield from extend(pos + 1, s1, s2)
-            s1.pop()
-        if s1 and all(_cyclic_distance(pos, j, n) > k for j in s1):
-            s2.append(pos)
-            yield from extend(pos + 1, s1, s2)
-            s2.pop()
-
-    yield from extend(0, [], [])
-
-
-def _maximal_pairs(n: int, k: int):
-    """The admissible pairs that no free site can join: each free site lies
-    within distance k of both sets. Every admissible pair lies inside one of
-    them, in one orientation or the other."""
-    near = lambda p, s: any(_cyclic_distance(p, j, n) <= k for j in s)
-    return ((s1, s2) for s1, s2 in _admissible_pairs(n, k)
-            if all(near(p, s1) and near(p, s2) for p in range(n) if p not in s1 + s2))
+    near1 = near(s1)
+    keep = (s1 > s2) & (s2 > 0) & (near1 & s2 == 0)
+    s1, s2, near1 = s1[keep], s2[keep], near1[keep]
+    return s1, s2, (s1 | s2 | near1 & near(s2)) == full
 
 
 _Pair = tuple[tuple[int, ...], tuple[int, ...]]
@@ -196,13 +186,16 @@ def _check_pair_limit(n: int) -> None:
 def _dependent_pair(cells: tuple, k: int) -> Optional[_Pair]:
     """``k_dependence_counterexample`` of a law's nonzero cells; callers
     check ``_check_pair_limit`` first. Independence passes to subsets, so
-    the maximal pairs decide; only a dependent law walks every admissible
-    pair, in canonical order, to name the first dependent one."""
+    the maximal rows of ``_pair_table`` decide; only a dependent law scans
+    every row, in order, to name the first dependent pair."""
     n = cells[0].shape[1]
-    if all(_independent(cells, *pair) for pair in _maximal_pairs(n, k)):
+    s1, s2, maximal = _pair_table(n, k)
+    sites = lambda m: tuple(i for i in range(n) if m >> (n - 1 - i) & 1)
+    pairs = lambda rows: ((sites(a), sites(b)) for a, b in zip(s1[rows].tolist(), s2[rows].tolist()))
+    if all(_independent(cells, *pair) for pair in pairs(maximal)):
         return None
-    s1, s2 = next(p for p in _admissible_pairs(n, k) if not _independent(cells, *p))
-    return tuple(c + 1 for c in s1), tuple(c + 1 for c in s2)
+    p1, p2 = next(p for p in pairs(slice(None)) if not _independent(cells, *p))
+    return tuple(c + 1 for c in p1), tuple(c + 1 for c in p2)
 
 
 def k_dependence_counterexample(d: ExactDist, k: int) -> Optional[_Pair]:

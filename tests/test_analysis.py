@@ -2,6 +2,8 @@
 
 import re
 from fractions import Fraction
+from functools import cache
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -9,8 +11,6 @@ import pytest
 
 from findep import analysis
 from findep.analysis import (
-    _admissible_pairs,
-    _maximal_pairs,
     are_independent,
     chi_square_gof,
     k_dependence_counterexample,
@@ -109,6 +109,57 @@ def test_cross_equal_rejects_factors_outside_int64_or_not_positive():
         analysis._cross_equal(np.array([1]), 2**63, np.array([1]), 1)
 
 
+def _cyclic_distance(i, j, n):
+    return min((i - j) % n, (j - i) % n)
+
+
+@cache
+def _labellings(n):
+    """Every labelling of the n sites as free (0), S1 (1) or S2 (2), in
+    base-3 order with site 0 first, whose two sets are nonempty and whose
+    first occupied site is in S1, as (s1, s2, gap, reach): the 0-based site
+    tuples, the least cyclic distance from a site of S1 to one of S2, and
+    the greatest distance from a free site to the farther of the two sets
+    (0 with no free site). Each distance is taken pair by pair."""
+    dist = [[_cyclic_distance(i, j, n) for j in range(n)] for i in range(n)]
+    out = []
+    for labels in product(range(3), repeat=n):
+        if 2 in labels and 1 in labels[:labels.index(2)]:  # S1 holds the first occupied site
+            free, s1, s2 = ([i for i, c in enumerate(labels) if c == side] for side in range(3))
+            gap = min(dist[i][j] for i in s1 for j in s2)
+            reach = max((max(min(dist[p][i] for i in s1), min(dist[p][j] for j in s2))
+                         for p in free), default=0)
+            out.append((tuple(s1), tuple(s2), gap, reach))
+    return out
+
+
+def _literal_pairs(n, k):
+    """The admissible pairs at distance k by the definition, in canonical
+    order, as (s1, s2, maximal): disjoint nonempty 0-based site sets whose
+    sites all lie more than k apart on the n-cycle, S1 holding the first
+    occupied site; maximal when every free site lies within k of both."""
+    return [(s1, s2, reach <= k) for s1, s2, gap, reach in _labellings(n) if gap > k]
+
+
+def _table_pairs(n, k):
+    """``analysis._pair_table`` as (s1, s2, maximal) rows of site tuples."""
+    sites = lambda m: tuple(i for i in range(n) if m >> (n - 1 - i) & 1)
+    s1, s2, maximal = analysis._pair_table(n, k)
+    return [(sites(a), sites(b), m) for a, b, m in zip(s1.tolist(), s2.tolist(), maximal.tolist())]
+
+
+def test_pair_table_is_the_admissible_pairs_by_definition():
+    """Every cycle to n = 10 at every k that admits a pair, and at the first
+    k that admits none: the same pairs, in the same order, with the same
+    maximal flags. Distances wrap around the cycle: sites 0 and n-1 are
+    neighbours."""
+    for n in range(11):
+        for k in range(n // 2 + 1):
+            assert _table_pairs(n, k) == _literal_pairs(n, k), (n, k)
+    assert ((0,), (4,), False) in _table_pairs(6, 1)
+    assert not any(p[:2] == ((0,), (5,)) for p in _table_pairs(6, 1))
+
+
 def _literal_independent(counts, total, s1, s2):
     """The pair (s1, s2) of 0-based axes factorizes: joint * total ==
     m1 * m2 on every cell, multiplied out in Python ints. The joint is
@@ -144,7 +195,8 @@ def test_independent_int64_and_python_int_paths_agree(n, q):
     counts, cells = cycle_counts(n, q), _level_cells(n, q)
     total = int(counts.sum())
     assert cells[2] == total
-    pairs = [p for k in range(0, (n - 2) // 2 + 1) for p in _maximal_pairs(n, k)]
+    pairs = [(s1, s2) for k in range(0, (n - 2) // 2 + 1)
+             for s1, s2, maximal in _literal_pairs(n, k) if maximal]
     fast = [analysis._independent(cells, *p) for p in pairs]
     assert [_literal_independent(counts, total, *p) for p in pairs] == fast
     assert True in fast and False in fast
@@ -156,8 +208,9 @@ def test_independent_matches_python_ints_where_total_squared_leaves_int64():
     counts, cells = cycle_counts(10, 4), _level_cells(10, 4)  # 1-dependent: both verdicts
     total = int(counts.sum())
     assert total * total > 2**63 and cells[2] == total
-    pairs = list(_maximal_pairs(10, 1)) + [next(_maximal_pairs(10, 0))]
-    pairs += [p for p in _admissible_pairs(10, 0) if len(p[0] + p[1]) == 2]
+    pairs = [(s1, s2) for s1, s2, maximal in _literal_pairs(10, 1) if maximal]
+    pairs.append(next((s1, s2) for s1, s2, maximal in _literal_pairs(10, 0) if maximal))
+    pairs += [(s1, s2) for s1, s2, _ in _literal_pairs(10, 0) if len(s1 + s2) == 2]
     verdicts = [analysis._independent(cells, *p) for p in pairs]
     assert verdicts == [_literal_independent(counts, total, *p) for p in pairs]
     assert True in verdicts and False in verdicts
@@ -312,12 +365,8 @@ def _oracle_independent(items, s1, s2):
 
 
 def _admissible_1based(n, k):
-    for s1, s2 in _admissible_pairs(n, k):
+    for s1, s2, _ in _literal_pairs(n, k):
         yield tuple(c + 1 for c in s1), tuple(c + 1 for c in s2)
-
-
-def _mask(coords):
-    return sum(1 << c for c in coords)
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
@@ -325,22 +374,31 @@ def test_every_admissible_pair_lies_inside_a_maximal_pair(k):
     """Independence passes to subsets, so this is what lets the maximal
     pairs decide k-dependence for every admissible pair."""
     for n in range(1, 11):
-        maximal = np.array([(_mask(s1), _mask(s2)) for s1, s2 in _maximal_pairs(n, k)],
-                           dtype=np.int64).reshape(-1, 2)
-        m1, m2 = maximal.T
-        for s1, s2 in _admissible_pairs(n, k):
-            a1, a2 = _mask(s1), _mask(s2)
+        s1, s2, maximal = analysis._pair_table(n, k)
+        m1, m2 = s1[maximal], s2[maximal]
+        mask = lambda sites: sum(1 << (n - 1 - i) for i in sites)
+        for s1, s2, _ in _literal_pairs(n, k):
+            a1, a2 = mask(s1), mask(s2)
             inside = ((a1 & ~m1) | (a2 & ~m2)) == 0
             swapped = ((a1 & ~m2) | (a2 & ~m1)) == 0
             assert (inside | swapped).any(), (n, k, s1, s2)
 
 
+def test_degenerate_cycles_have_no_pair_but_the_two_cycle():
+    """A 0- or 1-cycle has no two nonempty disjoint sets, so no pair at any
+    k; the two sites of a 2-cycle lie more than 0 apart, and are dependent."""
+    for n in (0, 1):
+        for k in (0, 1, 2):
+            assert k_dependence_counterexample(cycle_law(n, 3), k) is None, (n, k)
+    assert k_dependence_counterexample(cycle_law(2, 3), 0) == ((1,), (2,))
+
+
 def test_maximal_pair_counts():
-    counts = {(n, k): sum(1 for _ in _maximal_pairs(n, k)) for n, k in
+    counts = {(n, k): int(analysis._pair_table(n, k)[2].sum()) for n, k in
               ((8, 1), (9, 1), (10, 1), (10, 2))}
     assert counts == {(8, 1): 22, (9, 1): 36, (10, 1): 60, (10, 2): 25}
     # a maximal pair that needs two runs on each side: {1, 5} against {3, 7}
-    assert ((0, 4), (2, 6)) in set(_maximal_pairs(8, 1))
+    assert ((0, 4), (2, 6), True) in _table_pairs(8, 1)
 
 
 @pytest.mark.parametrize("q", [3, 4])

@@ -16,6 +16,7 @@ from findep.growth import coupling_kernel
 from findep.recurrence import cycle_law, line_window_law
 from findep.suites import SIZES, run_all, run_suite, shift_suite
 from findep.words import Word, encode_digits
+from test_analysis import _literal_pairs
 
 
 def test_report_shape():
@@ -561,7 +562,7 @@ def test_dependent_pair_on_level_matches_counterexample(n, q):
 def _literal_first_dependent(cells, k):
     """The first dependent admissible pair in canonical order, each pair
     checked on its own."""
-    for s1, s2 in analysis._admissible_pairs(cells[0].shape[1], k):
+    for s1, s2, _ in _literal_pairs(cells[0].shape[1], k):
         if not analysis._independent(cells, s1, s2):
             return tuple(c + 1 for c in s1), tuple(c + 1 for c in s2)
     return None
