@@ -273,10 +273,11 @@ def _kdep_case(n: int, q: int, k: int, expected: str = "independent") -> dict:
 
 def kdep_suite(max_n: int) -> dict:
     """Dependence range of the cycle laws: 2-dependence at q=3, 1-dependence
-    at q=4, plus the negative control (q=3 is not 1-dependent)."""
+    at q=4, each from n = 2k + 2, the first cycle with a pair at distance
+    > k, plus the negative control (q=3 is not 1-dependent)."""
     analysis._check_pair_limit(max_n)  # levels with n <= 10, q <= 4 are in bounds
     cases = [
-        _kdep_case(n, q, k) for q, k in ((3, 2), (4, 1)) for n in range(5, max_n + 1)
+        _kdep_case(n, q, k) for q, k in ((3, 2), (4, 1)) for n in range(2 * k + 2, max_n + 1)
     ]
     cases.append(_kdep_case(5, 3, 1, expected="dependent"))
     return _report("kdep", cases)

@@ -787,7 +787,9 @@ def test_verify_partition(capsys):
 # suites moved to count tensors, and before levels were built by broadcasting;
 # the `kdep --n 10 --q 3` pin before k-dependence was decided on maximal pairs;
 # the `kdep --n 10 --q 4` and `window` pins while independence at totals past
-# 3.04e9 was still decided in Python ints.
+# 3.04e9 was still decided in Python ints. The `kdep --max-n 6` and
+# `all --max-n 6` pins were re-recorded when each kdep pair's cases began at
+# n = 2k + 2, the first cycle with a pair at distance > k.
 VERIFY_SHA256 = {
     "symmetry --max-n 5": (0, "e4607ea91ee71af663d0e657fd204bb6ff2cf9e7f4e971e6840adcf280db25e8"),
     "symmetry": (0, "901e13be98fd7d0fbe1eeabf7ee1fa2089a08688dff785e2cb987ace659946f2"),
@@ -796,9 +798,9 @@ VERIFY_SHA256 = {
     "restriction": (1, "7c24be38b9f7ca42a46fb9db618e71e4c0e3f7f96c79172f88df56bb0c420fdf"),
     "coupling --max-n 6": (0, "7b0b22dc1b5ef9deb576e7e0e74e5958df2b0cc24a22f20c791733d5e15f7546"),
     "coupling": (0, "112acb9ee353c4ad698dc3bbf3c3dd981ef9086c3ef6458cc3d53d9aba48da23"),
-    "all --max-n 6": (1, "c6d17a75cbe13c2d1c684d51777984074ab5a93b994a6286e25bd00a89f01243"),
+    "all --max-n 6": (1, "a467195c363146d5df413531b68f5a3c7b3209dcb3f5788292f0d2ce669a118c"),
     "shift --max-n 5": (0, "3f123aa51d1476cbb58414a41718ef3c1ade325bb0aaa06cd958754446264ce6"),
-    "kdep --max-n 6": (0, "38548188af2b4738efc71359d1d26697d238385035651bdfa5ac9080cb45c597"),
+    "kdep --max-n 6": (0, "d97a824ac5c96113283275430411d1612522102df129cf9ad21c4d274c7900dc"),
     "kdep --n 8 --q 4 --k 1":
         (0, "b7c7019088ac615e7ad587783e72b00e67a98041e9beddbc9d96a99364d81343"),
     "kdep --n 5 --q 3 --k 1":

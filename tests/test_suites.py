@@ -622,6 +622,14 @@ def test_kernels_chain_vs_pushforward_fails_on_broken_level(monkeypatch):
     assert failing == [("color-1-of-3", 4, "chain-vs-pushforward")]
 
 
+def test_every_independent_kdep_case_checks_a_maximal_pair():
+    """A case whose cycle has no pair at distance > k would pass having
+    checked nothing."""
+    cases = [c for c in suites.kdep_suite(10)["cases"] if c["expected"] == "independent"]
+    for c in cases:
+        assert analysis._pair_table(c["n"], c["k"])[2].any(), c
+
+
 def test_kdep_fails_on_broken_level(monkeypatch):
     word = (1, 2, 1, 2, 1, 3)
     code = int(encode_digits(np.array([word]) - 1, 4)[0])
