@@ -191,7 +191,11 @@ def _dependent_pair(cells: tuple, k: int) -> Optional[_Pair]:
     n = cells[0].shape[1]
     s1, s2, maximal = _pair_table(n, k)
     sites = lambda m: tuple(i for i in range(n) if m >> (n - 1 - i) & 1)
-    pairs = lambda rows: ((sites(a), sites(b)) for a, b in zip(s1[rows].tolist(), s2[rows].tolist()))
+
+    def pairs(rows):  # the rows' masks as 0-based site tuples, in order
+        for a, b in zip(s1[rows].tolist(), s2[rows].tolist()):
+            yield sites(a), sites(b)
+
     if all(_independent(cells, *pair) for pair in pairs(maximal)):
         return None
     p1, p2 = next(p for p in pairs(slice(None)) if not _independent(cells, *p))

@@ -374,8 +374,8 @@ def test_every_admissible_pair_lies_inside_a_maximal_pair(k):
     """Independence passes to subsets, so this is what lets the maximal
     pairs decide k-dependence for every admissible pair."""
     for n in range(1, 11):
-        s1, s2, maximal = analysis._pair_table(n, k)
-        m1, m2 = s1[maximal], s2[maximal]
+        t1, t2, maximal = analysis._pair_table(n, k)
+        m1, m2 = t1[maximal], t2[maximal]
         mask = lambda sites: sum(1 << (n - 1 - i) for i in sites)
         for s1, s2, _ in _literal_pairs(n, k):
             a1, a2 = mask(s1), mask(s2)
