@@ -369,6 +369,14 @@ SAMPLE_SHA256 = {
         "02c60fafe3f14bca768b8a5d132ffb9cdca54d031f0494264eb26c9f9426a372",
     "eden --n 100 --q 120 --reps 20 --seed 5":
         "e2aefc372e424c24faba4b17a785d9dadf40b974dc56d02494d79de4324f328a",
+    # The json and csv forms, recorded while every replicate's text was still
+    # kept until the end and each format was written whole.
+    "necklace --n 4 --q 3 --reps 7 --format json":
+        "43b3e99c53d540085dcb5dee0d4786815c134b4524c4b0eca5d196071c4ba967",
+    "necklace --n 4 --q 3 --reps 7 --format csv":
+        "ea8de92cd7bf1b41c7d09e7507258e751c7a61778bf844fe0828d54e45ea8b69",
+    "eden --n 6 --q 11 --reps 400 --seed 2 --format json":
+        "c97da9b493db90aa7dd552836a0e32d1ca818e9f11ff179b2915e1d9a81c5c27",
 }
 
 
