@@ -23,7 +23,7 @@ import json
 import math
 import os
 import sys
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import asdict
 from itertools import chain, repeat
 from typing import Callable, Iterable, Iterator, Optional, Union
@@ -39,9 +39,8 @@ import numpy as np
 
 from . import __version__
 from .errors import BudgetExceeded
-from .recurrence import DEFAULT_BUDGET, _check_k, _law_slices
-from .recurrence import cycle_law, is_theorem_grade
-from .words import Word, decode_codes, encode_digits, row_texts
+from .recurrence import DEFAULT_BUDGET, _check_k, _law_cells, _law_slices, is_theorem_grade
+from .words import decode_codes, encode_digits, row_texts
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -178,13 +177,8 @@ def _cmd_exact(args: argparse.Namespace) -> int:
         meta = {"kind": "cycle", "n": args.n, "q": args.q}
     else:
         _check_k(args.k)
-        meta = {
-            "kind": "line-window",
-            "n": args.n,
-            "k": args.k,
-            "q": args.q,
-            "theorem_grade": is_theorem_grade(args.k, args.q),
-        }
+        meta = {"kind": "line-window", "n": args.n, "k": args.k, "q": args.q,
+                "theorem_grade": is_theorem_grade(args.k, args.q)}
     law = _law_slices(args.n, args.q, budget, cyclic=args.law == "cycle")
     _write(_dist_dump(*law, args.n, args.q, meta, args.format), args.out)
     return EXIT_OK
@@ -198,22 +192,24 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         raise ValueError(f"--reps must be at least 1, got {args.reps}")
     seed = _setting(args.seed, "FINDEP_SEED", 0)
     # (bounds of a replicate's draws, words from a block of draw rows)
-    bounds_of, words_of = {
-        "necklace": (_necklace_bounds, _necklace_words),
-        "eden": (_eden_bounds, _eden_words),
-    }[args.sampler]
+    bounds_of, words_of = {"necklace": (_necklace_bounds, _necklace_words),
+                           "eden": (_eden_bounds, _eden_words)}[args.sampler]
     bounds = bounds_of(args.n, args.q)
     # The GoF's arguments, and flags that would be ignored, are checked
     # before any draw.
     if args.gof:
         from .analysis import _check_alpha, chi_square_gof, min_gof_samples
+        from .dist import ExactDist
 
         if args.format is not None:
             raise ValueError("--format does not apply with --gof, whose report is JSON")
         alpha = _setting(args.alpha, "FINDEP_ALPHA", 0.001, float)
         budget = _setting(args.budget, "FINDEP_BUDGET", DEFAULT_BUDGET)
         _check_alpha(alpha)
-        exact = cycle_law(args.n, args.q, budget=budget)
+        # The cycle law keyed by the texts the sampler prints, its words' texts
+        rows, counts, _ = _law_cells(args.n, args.q, budget, cyclic=True)
+        exact = ExactDist.from_weights(dict(zip(row_texts(rows + 1, args.q), counts.tolist())))
+        del rows, counts
         need = min_gof_samples(exact)
         if args.reps < need:
             raise ValueError(f"--gof pools {args.reps} draws into one cell, which tests "
@@ -222,39 +218,41 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         for flag, value in (("--alpha", args.alpha), ("--budget", args.budget)):
             if value is not None:
                 raise ValueError(f"{flag} applies only with --gof")
-    # Row r holds RngStream(seed, r).indices(bounds): replicate r draws from
-    # stream r. A block's words become text at once, and are kept only as
-    # text, a fraction of a Word's memory.
-    texts = []
-    for block in _replicate_blocks(seed, args.reps, bounds):
-        texts += row_texts(words_of(args.n, args.q, block), args.q)
 
-    sample_meta = {
-        "schema": _SCHEMA_SAMPLES,
-        "sampler": args.sampler,
-        "n": args.n,
-        "q": args.q,
-        "reps": args.reps,
-        "seed": seed,
-    }
+    meta = {"sampler": args.sampler, "n": args.n, "q": args.q, "reps": args.reps, "seed": seed}
+    # The format's header; each text as before + text + after, json entries
+    # with a comma between, as json.dumps (indent=2) of the document puts
+    # them; the end.
+    head = json.dumps({"schema": _SCHEMA_SAMPLES, **meta}, indent=2)[:-2]
+    start, before, after, comma, end = {
+        "text": ("", "", "\n", "", ""),
+        "csv": ("word\n", "", "\n", "", ""),
+        "json": (f'{head},\n  "words": [', '\n    "', '"', ",", "\n  ]\n}\n"),
+    }["text" if args.gof else args.format or "text"]
+    drawn = Counter()  # under --gof, how often each text was drawn
+    # Replicate r draws from RngStream(seed, r). The seed is checked now,
+    # before any output; each block is drawn, written and counted in turn.
+    blocks = _replicate_blocks(seed, args.reps, bounds)
+
+    def output() -> Iterator[str]:
+        yield start
+        lead = ""
+        for block in blocks:
+            texts = row_texts(words_of(args.n, args.q, block), args.q)
+            if args.gof:
+                drawn.update(texts)
+            yield lead + before + (after + comma + before).join(texts) + after
+            lead = comma
+        yield end
+
+    if args.gof and not args.out:  # the report is the data product
+        deque(output(), maxlen=0)
+    else:
+        _write(output(), args.out)
     if not args.gof:
-        if args.format == "json":
-            doc = {**sample_meta, "words": texts}
-            _write(json.dumps(doc, indent=2) + "\n", args.out)
-        elif args.format == "csv":
-            _write("word\n" + "".join(t + "\n" for t in texts), args.out)
-        else:
-            _write("".join(t + "\n" for t in texts), args.out)
         return EXIT_OK
-
-    # With --gof the report is the data product; samples are only persisted
-    # if --out was given.
-    if args.out:
-        _write("".join(t + "\n" for t in texts), args.out)
-    counts = {Word.parse(t, args.q): c for t, c in Counter(texts).items()}
-    report = chi_square_gof(counts, exact, alpha=alpha)
-    doc = {"schema": _SCHEMA_GOF, **{k: v for k, v in sample_meta.items() if k != "schema"},
-           **asdict(report)}
+    report = chi_square_gof(drawn, exact, alpha=alpha)
+    doc = {"schema": _SCHEMA_GOF, **meta, **asdict(report)}
     sys.stdout.write(json.dumps(doc, indent=2) + "\n")
     return EXIT_OK if report.passed else EXIT_VERIFY_FAIL
 

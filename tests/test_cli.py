@@ -23,7 +23,7 @@ from findep import cli, growth, recurrence, suites
 from findep.cli import main
 from findep.dist import ExactDist
 from findep.recurrence import cycle_law, is_theorem_grade, line_window_law
-from findep.words import decode_codes, row_texts
+from findep.words import Word, decode_codes, row_texts
 
 
 def run(capsys, *argv):
@@ -288,6 +288,37 @@ def test_exact_builds_no_law_objects(capsys, monkeypatch):
         assert hashlib.sha256(out.encode()).hexdigest() == EXACT_SHA256[args]
 
 
+def test_no_command_builds_a_word(capsys, monkeypatch, tmp_path):
+    """exact, sample and verify run on word codes and texts: with ``Word``
+    refusing to be built, every output and exit code is the unpatched run's."""
+    commands = [
+        "exact cycle --n 5 --q 4",
+        "exact line --n 3 --k 1 --q 12 --format csv",
+        "sample necklace --n 6 --q 3 --reps 50 --seed 1",
+        "sample eden --n 5 --q 11 --reps 50 --format json",
+        "sample necklace --n 5 --q 10 --reps 50 --format csv",
+        "sample necklace --n 7 --q 3 --reps 2000 --seed 5 --gof",
+        "sample eden --n 4 --q 10 --reps 5000 --seed 2 --gof --out {out}",
+        "verify all --max-n 6",
+    ]
+
+    def outputs():
+        got = []
+        for args in commands:
+            out = tmp_path / "out.txt"
+            code, stdout, _ = run(capsys, *args.format(out=out).split())
+            got.append((code, stdout, out.read_text() if out.exists() else None))
+            out.unlink(missing_ok=True)
+        return got
+
+    def boom(self):
+        raise AssertionError("a Word was built")
+
+    expected = outputs()
+    monkeypatch.setattr(Word, "__post_init__", boom)
+    assert outputs() == expected
+
+
 def test_exact_rejects_negative_k(capsys):
     code, out, err = run(capsys, "exact", "line", "--n", "3", "--k", "-1", "--q", "4")
     assert code == 2
@@ -387,6 +418,35 @@ def test_sample_block_output_is_pinned(capsys, args):
     assert hashlib.sha256(out.encode()).hexdigest() == SAMPLE_SHA256[args]
 
 
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_sample_writes_each_block_before_the_next_is_drawn(capsys, monkeypatch, fmt):
+    args = ["sample", "necklace", "--n", "40", "--q", "5", "--reps", "3000", "--format", fmt]
+    expected = run(capsys, *args)
+    events = []
+    blocks = growth._replicate_blocks
+
+    def recorded(seed, reps, bounds):
+        for block in blocks(seed, reps, bounds):
+            events.append("block")
+            yield block
+
+    class Stdout(io.StringIO):
+        def write(self, text):
+            events.append("write")
+            return super().write(text)
+
+        def writelines(self, lines):
+            for line in lines:
+                self.write(line)
+
+    monkeypatch.setattr(growth, "_replicate_blocks", recorded)
+    monkeypatch.setattr(sys, "stdout", Stdout())
+    assert main(args) == 0
+    assert sys.stdout.getvalue() == expected[1]
+    # 11 draw blocks of 287 replicates or fewer; each is written at once.
+    assert events[events.index("block"):] == ["block", "write"] * 11 + ["write"]
+
+
 @pytest.fixture
 def no_draws(monkeypatch):
     """Fail the test if `sample` computes any replicate's draws."""
@@ -407,6 +467,9 @@ def no_draws(monkeypatch):
         (["eden", "--n", "2", "--q", "3"], "growth sampler requires n >= 3, got 2"),
         (["eden", "--n", "5", "--q", "2"], "growth requires q >= 3 colors, got 2"),
         (["necklace", "--n", "5", "--q", "3", "--seed", "-1"], "expected non-negative integer"),
+        # before the json header is written
+        (["necklace", "--n", "5", "--q", "3", "--seed", "-1", "--format", "json"],
+         "expected non-negative integer"),
         # the largest bound is q: numpy draws above 2**32 on another path
         (["necklace", "--n", "3", "--q", str(2**32 + 1)], "[1, 2**32]"),
         (["eden", "--n", "3", "--q", str(2**32 + 1)], "[1, 2**32]"),
