@@ -139,7 +139,8 @@ def _dist_dump(states: int, z: int, slice_of: Callable[[int], tuple[np.ndarray, 
     """
     if fmt == "csv":
         yield "state,num,den\n"
-        tail, seps = ",{},{}\n", repeat("")
+        quote = '"' if q > 9 and n > 1 else ""  # RFC 4180: around a field with a comma
+        tail, seps = quote + ",{},{}\n", repeat(quote)
     else:
         # json.dumps renders the header; every entry has the same indent=2 shape.
         head = json.dumps({"schema": _SCHEMA_DIST, **meta, "total_states": states}, indent=2)
@@ -222,11 +223,12 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     meta = {"sampler": args.sampler, "n": args.n, "q": args.q, "reps": args.reps, "seed": seed}
     # The format's header; each text as before + text + after, json entries
     # with a comma between, as json.dumps (indent=2) of the document puts
-    # them; the end.
+    # them; the end. A csv field with a comma is quoted, as in the dumps.
     head = json.dumps({"schema": _SCHEMA_SAMPLES, **meta}, indent=2)[:-2]
+    quote = '"' if args.q > 9 else ""
     start, before, after, comma, end = {
         "text": ("", "", "\n", "", ""),
-        "csv": ("word\n", "", "\n", "", ""),
+        "csv": ("word\n", quote, quote + "\n", "", ""),
         "json": (f'{head},\n  "words": [', '\n    "', '"', ",", "\n  ]\n}\n"),
     }["text" if args.gof else args.format or "text"]
     drawn = Counter()  # under --gof, how often each text was drawn

@@ -1,6 +1,7 @@
 """CLI contract: flags, formats, exit codes, determinism, env precedence."""
 
 import contextlib
+import csv
 import gc
 import hashlib
 import importlib
@@ -104,17 +105,19 @@ EXACT_SHA256 = {
     "cycle --n 2 --q 4": "50fe98f96e25e465dc560d2fb03ee14f04fda9ce2d43297b6f60aeb181e24fbc",
     "cycle --n 2 --q 4 --format csv": "7b439a6d08f0f6e351156a849bcfd600f414f249abd7cf9126b00d0d9661423f",
     "cycle --n 2 --q 11": "aa1d8a0e56afc921c22125d2c011cc0aae5574f1892a721b61731c668b35a0c7",
-    "cycle --n 2 --q 11 --format csv": "24c5aa970abc27650eca74f2359063e1646d68212634832da584ef4cbf0601a2",
+    # Re-recorded, as the two q > 9 csv pins below, when a comma-joined state
+    # began to be quoted in its csv field (RFC 4180).
+    "cycle --n 2 --q 11 --format csv": "ffeb919a2f1c17e68facbda1ce2a832b7f1982cedc4a5316dc52e54229417c04",
     "cycle --n 5 --q 3": "54785e2a808005a7c69b3853b9d18d083f893dbeb50439318a846c7632364a19",
     "cycle --n 5 --q 3 --format csv": "ac02d1af24caa7e816d20e8a76375bdf6081989504cddfe97fb451c24cf6ef4a",
     "cycle --n 5 --q 4": "12f70fff84682243ee2b53d72f90046a7ffc7890c1684e842521d65cb77478b6",
     "cycle --n 5 --q 4 --format csv": "a31551137707e99720ef3779f39326d9b8040cb1fba3504b50faac75f581c340",
     "cycle --n 5 --q 11": "bd13c58f94bb6c7e8f68c080d950f37aa9224ae55ae72baa0ac9defd3eb42d75",
-    "cycle --n 5 --q 11 --format csv": "f83b3905b7623d3da94e8259294319dea4b85074dc5deec02a627f030688fae8",
+    "cycle --n 5 --q 11 --format csv": "aab103b6a9a25dab2a397540fb71422793f6b4674cbdf4737cb5a270ed3f7df2",
     "cycle --n 8 --q 5": "9b97681a05fa996188871670c5749fa8c7564956c87dcc7503a59147bcfd3f5c",
     "line --n 4 --k 1 --q 4": "130a9a223fb696b143cc7dd913aea7cb7474fc377029fbf1910da23b051d8390",
     "line --n 3 --k 1 --q 12 --format csv":
-        "ef84c26116eac1755776d0c585a8f8dc638215f6f9a544f272573a84c5af98c6",
+        "931029ff5709d568a4d3b4377f3248d7f903f78e594f894ee80b813751ed4dc7",
 }
 
 
@@ -140,8 +143,10 @@ LARGE_EXACT_SHA256 = {
         "90bb2117effd367d8925e906d6cca847909282fd28db4ac05a089f2c53069000",
     "cycle --n 9 --q 6 --budget 100000000":
         "8744dffa2f03aa74727cc48485b5c4446ac01bb70ca2cac115ff54888f447223",
+    # Re-recorded when a comma-joined state began to be quoted in its csv
+    # field (RFC 4180).
     "cycle --n 6 --q 10 --format csv":
-        "f1d3341da29ee8a92a7fb00b640aa4d18ea6d7d3f8b5658990dc58a254baa216",
+        "7617ab43f53c24f7630cbbede4ce3039c00caee12b1518f11b3039ef9bf8f025",
     "line --n 5 --k 1 --q 11": "bfbb271c6cb2f33701a2790d50d9007645b3091c19f93dc4faea381b49f1315a",
 }
 
@@ -261,9 +266,32 @@ def _oracle_dump(args: str) -> str:
                 "theorem_grade": is_theorem_grade(a.k, a.q)}
     entries = law.to_json_entries()
     if a.format == "csv":
-        return "state,num,den\n" + "".join(f"{e['state']},{e['num']},{e['den']}\n" for e in entries)
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(["state", "num", "den"])
+        writer.writerows([e["state"], e["num"], e["den"]] for e in entries)
+        return out.getvalue()
     doc = {"schema": "findep.dist/1", **meta, "total_states": len(entries), "states": entries}
     return json.dumps(doc, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("command,key", [
+    ("exact cycle --n 3 --q 10", "states"),
+    ("exact line --n 3 --k 1 --q 12", "states"),
+    ("sample eden --n 5 --q 11 --reps 50", "words"),
+    ("sample necklace --n 4 --q 10 --reps 20", "words"),
+])
+def test_csv_rows_of_comma_joined_texts_read_back(capsys, command, key):
+    """A q > 9 text holds commas: csv.reader must read every row with the
+    header's field count, and the text as its first field."""
+    code, out, _ = run(capsys, *command.split(), "--format", "csv")
+    assert code == 0
+    header, *rows = csv.reader(io.StringIO(out))
+    code, out, _ = run(capsys, *command.split(), "--format", "json")
+    assert code == 0
+    texts = [e["state"] if key == "states" else e for e in json.loads(out)[key]]
+    assert [len(r) for r in rows] == [len(header)] * len(texts)
+    assert [r[0] for r in rows] == texts
 
 
 @pytest.mark.parametrize("args", sorted(EXACT_SHA256))
@@ -408,6 +436,9 @@ SAMPLE_SHA256 = {
         "ea8de92cd7bf1b41c7d09e7507258e751c7a61778bf844fe0828d54e45ea8b69",
     "eden --n 6 --q 11 --reps 400 --seed 2 --format json":
         "c97da9b493db90aa7dd552836a0e32d1ca818e9f11ff179b2915e1d9a81c5c27",
+    # Recorded when a comma-joined word began to be quoted in its csv field.
+    "eden --n 6 --q 11 --reps 400 --seed 2 --format csv":
+        "dc3f9884be7be8622f641395f0f0dacf6f6d99e46315775378d01e078e3a9dd1",
 }
 
 
