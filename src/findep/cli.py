@@ -196,8 +196,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     bounds_of, words_of = {"necklace": (_necklace_bounds, _necklace_words),
                            "eden": (_eden_bounds, _eden_words)}[args.sampler]
     bounds = bounds_of(args.n, args.q)
-    # The GoF's arguments, and flags that would be ignored, are checked
-    # before any draw.
+    # The GoF's arguments, and flags that would be ignored, exit before any draw.
     if args.gof:
         from .analysis import _check_alpha, chi_square_gof, min_gof_samples
         from .dist import ExactDist
@@ -207,7 +206,8 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         alpha = _setting(args.alpha, "FINDEP_ALPHA", 0.001, float)
         budget = _setting(args.budget, "FINDEP_BUDGET", DEFAULT_BUDGET)
         _check_alpha(alpha)
-        # The cycle law keyed by the texts the sampler prints, its words' texts
+        # The law keyed by the printed texts, which chi_square_gof sorts, pools
+        # and reports as it did the law's words (state_text of a str is itself).
         rows, counts, _ = _law_cells(args.n, args.q, budget, cyclic=True)
         exact = ExactDist.from_weights(dict(zip(row_texts(rows + 1, args.q), counts.tolist())))
         del rows, counts
@@ -221,9 +221,9 @@ def _cmd_sample(args: argparse.Namespace) -> int:
                 raise ValueError(f"{flag} applies only with --gof")
 
     meta = {"sampler": args.sampler, "n": args.n, "q": args.q, "reps": args.reps, "seed": seed}
-    # The format's header; each text as before + text + after, json entries
-    # with a comma between, as json.dumps (indent=2) of the document puts
-    # them; the end. A csv field with a comma is quoted, as in the dumps.
+    # Each format's start and end, and each text as before + text + after,
+    # json entries comma-separated, as json.dumps (indent=2) writes them.
+    # A csv field that holds a comma (q > 9) is quoted, as in the dumps.
     head = json.dumps({"schema": _SCHEMA_SAMPLES, **meta}, indent=2)[:-2]
     quote = '"' if args.q > 9 else ""
     start, before, after, comma, end = {

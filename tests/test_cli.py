@@ -498,14 +498,14 @@ def no_draws(monkeypatch):
         (["eden", "--n", "2", "--q", "3"], "growth sampler requires n >= 3, got 2"),
         (["eden", "--n", "5", "--q", "2"], "growth requires q >= 3 colors, got 2"),
         (["necklace", "--n", "5", "--q", "3", "--seed", "-1"], "expected non-negative integer"),
-        # before the json header is written
-        (["necklace", "--n", "5", "--q", "3", "--seed", "-1", "--format", "json"],
-         "expected non-negative integer"),
         # the largest bound is q: numpy draws above 2**32 on another path
         (["necklace", "--n", "3", "--q", str(2**32 + 1)], "[1, 2**32]"),
         (["eden", "--n", "3", "--q", str(2**32 + 1)], "[1, 2**32]"),
         # replicate r is spawn key (r,), which must stay one uint32 word
         (["eden", "--n", "4", "--q", "3", "--reps", str(2**32 + 1)], "at most 2**32"),
+        # before the json header is written
+        (["necklace", "--n", "5", "--q", "3", "--seed", "-1", "--format", "json"],
+         "expected non-negative integer"),
     ],
 )
 def test_sample_argument_errors_exit_2_before_any_draw(capsys, no_draws, argv, message):
