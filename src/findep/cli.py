@@ -2,8 +2,9 @@
 
 Conventions: data goes to stdout (or ``--out``), logs to stderr. Exit codes
 are stable: 0 success, 1 verification/GoF failure (or stdout closed by its
-reader), 2 usage error, 3 resource budget exceeded. Flags take precedence over
-FINDEP_* environment variables, which take precedence over built-in defaults.
+reader), 2 usage error, 3 resource budget exceeded. Every setting comes from the
+command line, each default held once by the parser or the command, so an
+output depends on its argv alone.
 
 A command loads only its own engine, when it is dispatched. This module's
 imports are what every command uses: numpy, ``recurrence`` and ``words``.
@@ -39,7 +40,8 @@ import numpy as np
 
 from . import __version__
 from .errors import BudgetExceeded
-from .recurrence import DEFAULT_BUDGET, _check_k, _law_cells, _law_slices, is_theorem_grade
+from .recurrence import (DEFAULT_BUDGET, _check_k, _check_law_request, _law_slices, _slice_cells,
+                         is_theorem_grade)
 from .words import decode_codes, encode_digits, row_texts
 
 EXIT_OK = 0
@@ -51,23 +53,6 @@ _SCHEMA_DIST = "findep.dist/1"
 _SCHEMA_SAMPLES = "findep.samples/1"
 _SCHEMA_GOF = "findep.gof/1"
 _SCHEMA_REPORT = "findep.report/1"
-
-
-def _setting(flag, name: str, default, parse=int):
-    """The flag's value if given, else the environment variable ``name``
-    parsed by ``parse`` (int or float), else default. A variable that does
-    not parse is ignored with a warning."""
-    if flag is not None:
-        return flag
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        return parse(raw)
-    except ValueError:
-        kind = "integer" if parse is int else "numeric"
-        print(f"warning: ignoring non-{kind} {name}={raw!r}", file=sys.stderr)
-        return default
 
 
 def _write(text: Union[str, Iterable[str]], out: Optional[str]) -> None:
@@ -119,23 +104,40 @@ def _text_order(codes: np.ndarray, n: int, q: int) -> np.ndarray:
     return np.argsort(encode_digits(rank[decode_codes(codes, n, q)], q))
 
 
+def _law_blocks(slice_of: Callable[[int], tuple[np.ndarray, np.ndarray]],
+                n: int, q: int) -> Iterator[tuple[list[str], list[int]]]:
+    """The law of ``_slice_cells``'s slice_of in text order, as blocks of at
+    most ``_DUMP_BLOCK`` states: each block's word texts and their counts.
+
+    The texts of the words with first symbol s sort together, in the ``str``
+    order of s (``"1,…" < "10,…" < "2,…"``, the order of range(q) for
+    q <= 9), so the blocks walk the first-color slices in that order and sort
+    each slice by ``_text_order`` for q > 9. A block decodes only its own
+    codes, so no code, row, text or Python int is held for the whole law; a
+    slice's codes and counts are dropped before the next slice is computed.
+    """
+    for a in sorted(range(q), key=lambda a: str(a + 1)):
+        codes, counts = slice_of(a)
+        # comma-joined texts (q > 9): code order is not text order
+        order = _text_order(codes, n, q) if q > 9 else slice(None)
+        codes, counts = codes[order], counts[order]
+        for i in range(0, len(codes), _DUMP_BLOCK):
+            rows = decode_codes(codes[i:i + _DUMP_BLOCK], n, q) + 1
+            yield row_texts(rows, q), counts[i:i + _DUMP_BLOCK].tolist()
+        del codes, counts, order  # before slice_of computes the next slice
+
+
 def _dist_dump(states: int, z: int, slice_of: Callable[[int], tuple[np.ndarray, np.ndarray]],
                n: int, q: int, meta: dict, fmt: str) -> Iterator[str]:
     """The ``findep.dist/1`` JSON or CSV text of the law of ``_law_slices``,
     with ``states`` words and counts summing to z, as the header and then one
-    string per block of at most ``_DUMP_BLOCK`` states.
+    string per block of ``_law_blocks``.
 
     Byte-identical to ``json.dumps`` (indent=2) of the document built from
     ``ExactDist.to_json_entries``: each state's fraction is reduced by
     gcd(count, z), as ``Fraction`` reduces it, and the states are in text
-    order. The texts of the words with first symbol s sort together, in the
-    ``str`` order of s (``"1,…" < "10,…" < "2,…"``, the order of range(q) for
-    q <= 9), so the dump walks the first-color slices in that order and
-    sorts each slice by ``_text_order`` for q > 9. Each distinct count's text
-    after the state is built once; a block decodes only its own codes, so no
-    code, row, text or Python int is held for the whole law. A slice's codes
-    and counts are dropped before the next slice is computed, and a block's
-    rows and texts once its string is built.
+    order. Each distinct count's text after the state is built once, and
+    no more than a block's texts is held at a time.
     """
     if fmt == "csv":
         yield "state,num,den\n"
@@ -151,36 +153,23 @@ def _dist_dump(states: int, z: int, slice_of: Callable[[int], tuple[np.ndarray, 
         # separator past its last state, which repeat() makes harmless.
         seps = chain([entry], repeat("," + entry))
     tails: dict[int, str] = {}  # count -> the entry's text after its state
-
-    def block_text(codes: np.ndarray, counts: np.ndarray) -> str:
-        block = counts.tolist()
-        for c in set(block).difference(tails):
+    for texts, counts in _law_blocks(slice_of, n, q):
+        for c in set(counts).difference(tails):
             g = math.gcd(c, z)
             tails[c] = tail.format(c // g, z // g)
-        texts = row_texts(decode_codes(codes, n, q) + 1, q)
-        return "".join(chain.from_iterable(zip(seps, texts, map(tails.__getitem__, block))))
-
-    for a in sorted(range(q), key=lambda a: str(a + 1)):
-        codes, counts = slice_of(a)
-        # comma-joined texts (q > 9): code order is not text order
-        order = _text_order(codes, n, q) if q > 9 else slice(None)
-        codes, counts = codes[order], counts[order]
-        for i in range(0, len(codes), _DUMP_BLOCK):
-            yield block_text(codes[i:i + _DUMP_BLOCK], counts[i:i + _DUMP_BLOCK])
-        del codes, counts, order  # before slice_of computes the next slice
+        yield "".join(chain.from_iterable(zip(seps, texts, map(tails.__getitem__, counts))))
     if fmt != "csv":
         yield "\n  ]\n}\n"
 
 
 def _cmd_exact(args: argparse.Namespace) -> int:
-    budget = _setting(args.budget, "FINDEP_BUDGET", DEFAULT_BUDGET)
     if args.law == "cycle":
         meta = {"kind": "cycle", "n": args.n, "q": args.q}
     else:
         _check_k(args.k)
         meta = {"kind": "line-window", "n": args.n, "k": args.k, "q": args.q,
                 "theorem_grade": is_theorem_grade(args.k, args.q)}
-    law = _law_slices(args.n, args.q, budget, cyclic=args.law == "cycle")
+    law = _law_slices(args.n, args.q, args.budget, cyclic=args.law == "cycle")
     _write(_dist_dump(*law, args.n, args.q, meta, args.format), args.out)
     return EXIT_OK
 
@@ -191,7 +180,6 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 
     if args.reps < 1:
         raise ValueError(f"--reps must be at least 1, got {args.reps}")
-    seed = _setting(args.seed, "FINDEP_SEED", 0)
     # (bounds of a replicate's draws, words from a block of draw rows)
     bounds_of, words_of = {"necklace": (_necklace_bounds, _necklace_words),
                            "eden": (_eden_bounds, _eden_words)}[args.sampler]
@@ -203,14 +191,19 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 
         if args.format is not None:
             raise ValueError("--format does not apply with --gof, whose report is JSON")
-        alpha = _setting(args.alpha, "FINDEP_ALPHA", 0.001, float)
-        budget = _setting(args.budget, "FINDEP_BUDGET", DEFAULT_BUDGET)
+        alpha = 0.001 if args.alpha is None else args.alpha
+        budget = DEFAULT_BUDGET if args.budget is None else args.budget
         _check_alpha(alpha)
+        _check_law_request(args.n, args.q, budget)
         # The law keyed by the printed texts, which chi_square_gof sorts, pools
-        # and reports as it did the law's words (state_text of a str is itself).
-        rows, counts, _ = _law_cells(args.n, args.q, budget, cyclic=True)
-        exact = ExactDist.from_weights(dict(zip(row_texts(rows + 1, args.q), counts.tolist())))
-        del rows, counts
+        # and reports as it did the law's words (state_text of a str is itself),
+        # built a block at a time, so that no code, row or numpy text buffer
+        # spans the whole law.
+        law: dict[str, int] = {}
+        for texts, counts in _law_blocks(_slice_cells(args.n, args.q, True), args.n, args.q):
+            law.update(zip(texts, counts))
+        exact = ExactDist.from_weights(law)
+        del law
         need = min_gof_samples(exact)
         if args.reps < need:
             raise ValueError(f"--gof pools {args.reps} draws into one cell, which tests "
@@ -220,7 +213,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
             if value is not None:
                 raise ValueError(f"{flag} applies only with --gof")
 
-    meta = {"sampler": args.sampler, "n": args.n, "q": args.q, "reps": args.reps, "seed": seed}
+    meta = {"sampler": args.sampler, "n": args.n, "q": args.q, "reps": args.reps, "seed": args.seed}
     # Each format's start and end, and each text as before + text + after,
     # json entries comma-separated, as json.dumps (indent=2) writes them.
     # A csv field that holds a comma (q > 9) is quoted, as in the dumps.
@@ -234,7 +227,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     drawn = Counter()  # under --gof, how often each text was drawn
     # Replicate r draws from RngStream(seed, r). The seed is checked now,
     # before any output; each block is drawn, written and counted in turn.
-    blocks = _replicate_blocks(seed, args.reps, bounds)
+    blocks = _replicate_blocks(args.seed, args.reps, bounds)
 
     def output() -> Iterator[str]:
         yield start
@@ -285,10 +278,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise ValueError("--n/--q/--k apply only to 'verify kdep'")
     if single and args.max_n is not None:
         raise ValueError("verify kdep takes --max-n or --n/--q/--k, not both")
+    if single and None in (args.n, args.q, args.k):
+        raise ValueError("verify kdep's one case takes --n, --q and --k together")
     if single:
-        q = args.q if args.q is not None else 3
-        k = args.k if args.k is not None else (2 if q == 3 else 1)
-        report = kdep_report(args.n if args.n is not None else 6, q, k)
+        report = kdep_report(args.n, args.q, args.k)
     elif args.suite == "all":
         report = run_all(args.max_n)
     else:
@@ -323,9 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="findep",
         description="Exact laws, samplers, and verification for finitely "
         "dependent proper colorings of cycles and lines.",
-        epilog="Environment: FINDEP_BUDGET, FINDEP_SEED, FINDEP_ALPHA supply "
-        "defaults; flags override. Exit codes: 0 ok, 1 verification failure, "
-        "2 usage error, 3 budget exceeded.",
+        epilog="Exit codes: 0 ok, 1 verification failure, 2 usage error, "
+        "3 budget exceeded.",
     )
     parser.add_argument("--version", action="version", version=f"findep {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -338,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--q", type=int, required=True, help="number of colors")
         if law == "line":
             p.add_argument("--k", type=int, required=True, help="dependence range")
-        p.add_argument("--budget", type=int, default=None,
+        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                        help=f"max states to enumerate (default {DEFAULT_BUDGET})")
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out", default=None, help="write to file instead of stdout")
@@ -349,13 +341,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample.add_argument("--n", type=int, required=True)
     p_sample.add_argument("--q", type=int, required=True)
     p_sample.add_argument("--reps", type=int, required=True)
-    p_sample.add_argument("--seed", type=int, default=None)
+    p_sample.add_argument("--seed", type=int, default=0)
     p_sample.add_argument("--gof", action="store_true",
                           help="chi-square the samples against the exact law; "
                           "exit 0 on pass, 1 on fail")
     p_sample.add_argument("--alpha", type=float, default=None,
                           help="GoF significance level (default 0.001)")
-    p_sample.add_argument("--budget", type=int, default=None)
+    p_sample.add_argument("--budget", type=int, default=None,
+                          help=f"GoF law's max states to enumerate (default {DEFAULT_BUDGET})")
     p_sample.add_argument("--format", choices=("text", "json", "csv"), default=None,
                           help="sample output format (default text); not with --gof")
     p_sample.add_argument("--out", default=None)

@@ -87,9 +87,6 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .dist import ExactDist, Kernel
-# b_circ is no longer called here, but perfbench's self-test checks that its
-# tracer rebinds it at this lookup site, so the name stays.
-from .recurrence import b_circ  # noqa: F401
 from .recurrence import DEFAULT_BUDGET, _INT64_MAX, _law_cells
 from .words import Word, encode_digits, insertion_orbits, rotl, tuple_is_cyclically_proper
 

@@ -36,7 +36,8 @@ reused buffer and not stored; each reader computes every slice once.
 lexicographic order (x1 is a code's most significant digit) with int64
 counts; ``_law_cells`` all of them as 0-based rows, for the laws, the
 ``symmetry`` and ``kdep`` suites and ``growth._necklace_blocks``. The
-CLI's dumps (``_law_slices``) need the totals first, so they alone may
+CLI's GoF law reads the slices themselves, a block of cells at a time;
+its dumps (``_law_slices``) need the totals first, so they alone may
 compute level n twice. No array of q**n cells is allocated, and a law is
 built anew on every call. That bounds laws to n <= 14, q**n within the
 budget, and q**n < 2**31 (word codes are int32; this caps no memory: the

@@ -28,9 +28,6 @@ import numpy as np
 from . import analysis, chains, growth, recurrence
 from .analysis import _cross_equal
 from .chains import ChainVariant
-# cycle_law is no longer called here, but perfbench's self-test checks that
-# its tracer rebinds it at this lookup site, so the name stays.
-from .recurrence import cycle_law  # noqa: F401
 from .words import decode_codes, encode_digits, row_texts
 
 __all__ = ["SIZES", "SUITES", "kdep_report", "run_all", "run_suite"]

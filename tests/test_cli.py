@@ -1,4 +1,4 @@
-"""CLI contract: flags, formats, exit codes, determinism, env precedence."""
+"""CLI contract: flags, formats, exit codes, determinism; outputs from argv alone."""
 
 import contextlib
 import csv
@@ -518,7 +518,7 @@ def test_sample_argument_errors_exit_2_before_any_draw(capsys, no_draws, argv, m
 
 
 @pytest.mark.parametrize(
-    "argv,env_alpha,code,message",
+    "argv,alpha,code,message",
     [
         # the exact law of n = 15 is past the enumeration bound
         (["eden", "--n", "15", "--q", "3", "--reps", "200000", "--gof"], None, 3, "n <= 14"),
@@ -528,10 +528,10 @@ def test_sample_argument_errors_exit_2_before_any_draw(capsys, no_draws, argv, m
     ],
 )
 def test_sample_gof_arguments_are_checked_before_any_draw(
-    capsys, monkeypatch, no_draws, argv, env_alpha, code, message
+    capsys, no_draws, argv, alpha, code, message
 ):
-    if env_alpha is not None:
-        monkeypatch.setenv("FINDEP_ALPHA", env_alpha)
+    if alpha is not None:  # an --alpha that argparse's float accepts
+        argv = argv + ["--alpha", alpha]
     got, out, err = run(capsys, "sample", *argv)
     assert (got, out) == (code, "")
     assert err.startswith("error: ") and message in err
@@ -569,20 +569,6 @@ def test_sample_ignored_flags_exit_2_before_any_draw(capsys, no_draws, argv, mes
                          "--reps", "100", *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and message in err
-
-
-@pytest.mark.parametrize("alpha,budget", [("0.01", "1000"), ("abc", "x")])
-def test_sample_without_gof_never_reads_alpha_or_budget(capsys, monkeypatch, alpha, budget):
-    monkeypatch.setenv("FINDEP_ALPHA", alpha)
-    monkeypatch.setenv("FINDEP_BUDGET", budget)
-    code, out, err = run(capsys, "sample", "necklace", "--n", "4", "--q", "3", "--reps", "2")
-    assert (code, len(out.splitlines()), err) == (0, 2, "")
-
-
-def test_sample_negative_env_seed_is_usage_error(capsys, monkeypatch, no_draws):
-    monkeypatch.setenv("FINDEP_SEED", "-3")
-    code, out, err = run(capsys, "sample", "eden", "--n", "5", "--q", "3", "--reps", "2")
-    assert (code, out, err) == (2, "", "error: expected non-negative integer\n")
 
 
 @pytest.mark.parametrize("reps", ["0", "-1"])
@@ -708,12 +694,11 @@ def test_sample_gof_output_is_pinned(capsys, args):
 
 
 def _child(args, *, blas_threads=None, **popen):
-    """Start ``python args...`` with this tree's src on its path, every
-    FINDEP_* variable unset and OPENBLAS_NUM_THREADS set to blas_threads (or
-    unset, since an earlier in-process import of findep.cli sets it here)."""
+    """Start ``python args...`` with this tree's src on its path and
+    OPENBLAS_NUM_THREADS set to blas_threads (or unset, since an earlier
+    in-process import of findep.cli sets it here)."""
     src = str(Path(cli.__file__).resolve().parent.parent)
-    env = {k: v for k, v in os.environ.items()
-           if not k.startswith("FINDEP_") and k != "OPENBLAS_NUM_THREADS"}
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
     if blas_threads is not None:
         env["OPENBLAS_NUM_THREADS"] = blas_threads
@@ -1007,7 +992,7 @@ def test_verify_all_below_largest_minimum_is_usage_error(capsys):
 
 
 def test_verify_kdep_without_admissible_pair_is_usage_error(capsys):
-    code, out, err = run(capsys, "verify", "kdep", "--n", "3", "--q", "3")
+    code, out, err = run(capsys, "verify", "kdep", "--n", "3", "--q", "3", "--k", "2")
     assert code == 2
     assert out == ""
     assert "n >= 6" in err
@@ -1034,6 +1019,12 @@ def test_verify_kdep_negative_k_is_usage_error_before_any_level(capsys, monkeypa
         ("verify", "all", "--k", "1"),
         ("verify", "kdep", "--max-n", "6", "--n", "6"),
         ("verify", "kdep", "--max-n", "6", "--k", "1"),
+        # the one-case form takes all three of --n, --q and --k
+        ("verify", "kdep", "--k", "1"),
+        ("verify", "kdep", "--q", "5"),
+        ("verify", "kdep", "--n", "6"),
+        ("verify", "kdep", "--n", "6", "--q", "3"),
+        ("verify", "kdep", "--q", "4", "--k", "1"),
     ],
 )
 def test_verify_ignored_flags_are_usage_errors(capsys, argv):
@@ -1041,6 +1032,8 @@ def test_verify_ignored_flags_are_usage_errors(capsys, argv):
     assert code == 2
     assert out == ""
     assert "error:" in err
+    if "--max-n" not in argv and argv[1] == "kdep":
+        assert "--n, --q and --k" in err
 
 
 def test_verify_unknown_suite_is_usage_error(capsys):
@@ -1055,11 +1048,9 @@ def test_missing_required_flag_is_usage_error(capsys):
     assert exc.value.code == 2
 
 
-def test_env_budget_respected(capsys, monkeypatch):
-    monkeypatch.setenv("FINDEP_BUDGET", "100")
-    code, _, _ = run(capsys, "exact", "cycle", "--n", "10", "--q", "4")
+def test_env_budget_respected(capsys):
+    code, _, _ = run(capsys, "exact", "cycle", "--n", "10", "--q", "4", "--budget", "100")
     assert code == 3
-    # flag overrides env
     code, _, _ = run(capsys, "exact", "cycle", "--n", "10", "--q", "4",
                      "--budget", "2000000")
     assert code == 0
@@ -1083,13 +1074,27 @@ def test_sample_csv_format(capsys):
     assert lines[0] == "word" and len(lines) == 3
 
 
-def test_env_seed_default(capsys, monkeypatch):
-    monkeypatch.setenv("FINDEP_SEED", "123")
-    _, out_env, _ = run(capsys, "sample", "necklace", "--n", "4", "--q", "3", "--reps", "5")
-    monkeypatch.delenv("FINDEP_SEED")
-    _, out_flag, _ = run(capsys, "sample", "necklace", "--n", "4", "--q", "3",
-                         "--reps", "5", "--seed", "123")
-    assert out_env == out_flag
+@pytest.mark.parametrize("seed,budget,alpha", [("5", "100", "0.5"), ("x", "1e3", "")],
+                         ids=["parsable", "unparsable"])
+def test_findep_variables_change_no_output(capsys, monkeypatch, seed, budget, alpha):
+    """Every setting comes from argv: variables that earlier versions read as
+    defaults, set or unparsable, change no output and print no warning."""
+    argvs = [
+        ("exact", "cycle", "--n", "5", "--q", "3"),
+        ("sample", *"necklace --n 4 --q 3 --reps 7 --format json".split()),
+        ("sample", *"necklace --n 7 --q 3 --reps 2000 --seed 5".split(), "--gof"),
+    ]
+    for name in ("FINDEP_SEED", "FINDEP_BUDGET", "FINDEP_ALPHA"):
+        monkeypatch.delenv(name, raising=False)
+    unset = [run(capsys, *argv) for argv in argvs]
+    monkeypatch.setenv("FINDEP_SEED", seed)
+    monkeypatch.setenv("FINDEP_BUDGET", budget)
+    monkeypatch.setenv("FINDEP_ALPHA", alpha)
+    assert [run(capsys, *argv) for argv in argvs] == unset
+    assert [(code, err) for code, _, err in unset] == [(0, "")] * 3
+    digests = [hashlib.sha256(out.encode()).hexdigest() for _, out, _ in unset[1:]]
+    assert digests == [SAMPLE_SHA256["necklace --n 4 --q 3 --reps 7 --format json"],
+                       GOF_SHA256["necklace --n 7 --q 3 --reps 2000 --seed 5"][1]]
 
 
 # The top-level keys each documented JSON document carries (docs/formats.md).

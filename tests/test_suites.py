@@ -1,5 +1,6 @@
 """Verification suite reports: shapes, pass/fail semantics."""
 
+import json
 from collections import Counter
 from fractions import Fraction
 from itertools import islice, permutations, product
@@ -7,7 +8,7 @@ from itertools import islice, permutations, product
 import numpy as np
 import pytest
 
-from findep import analysis, chains, growth, recurrence, suites
+from findep import analysis, chains, cli, growth, recurrence, suites
 from findep.analysis import k_dependence_counterexample, marginalize, pushforward, symmetry_check
 from findep.chains import color_indicator
 from findep.dist import ExactDist
@@ -738,3 +739,18 @@ def test_kernels_raises_on_a_q_row_of_the_wrong_total(monkeypatch):
     monkeypatch.setattr(chains, "_q_row", one_more)
     with pytest.raises(ValueError, match="counts 31 outcomes, not 30"):
         suites.kernels_suite(max_n=7)
+
+
+def test_blockfactor_fails_on_broken_pair_counts(monkeypatch, capsys):
+    """One more (3, 4) pair moves the two-site statistic off 1/6."""
+    orig = chains.line_counts
+
+    def broken(n, q):
+        c = orig(n, q)
+        return _bump((3, 4))(c) if (n, q) == (2, 4) else c
+
+    monkeypatch.setattr(chains, "line_counts", broken)
+    (case,) = run_suite("blockfactor-stat")["cases"]
+    assert not case["passed"] and case["two_site"] != "1/6"
+    assert cli.main(["verify", "blockfactor-stat"]) == 1
+    assert json.loads(capsys.readouterr().out)["passed"] is False
